@@ -21,12 +21,22 @@
 //!    batch-length histogram update. Asserts the streams are identical
 //!    (batching is call-granularity-invisible) and that the batched
 //!    form is faster (median of three trials each way).
+//!
+//! 3. **Per-cycle bookkeeping kernels.** Times the constant-time
+//!    structures the processor touches every simulated cycle in
+//!    isolation — fetch-unit advance and out-of-order retire, issue-window
+//!    issue and retire, an MSHR expire/lookup/allocate round, and a TLB
+//!    access — and prints ns per operation (median of three trials). No
+//!    timing is asserted: these numbers are for comparing revisions on
+//!    one host.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use interleave_core::{InstrSource, ProcConfig, Processor, Scheme, VecSource};
-use interleave_isa::{Instr, Reg};
-use interleave_mem::{MemConfig, UniMemSystem};
+use interleave_core::{FetchUnit, InstrSource, ProcConfig, Processor, Scheme, VecSource};
+use interleave_isa::{Instr, Op, Reg};
+use interleave_mem::{DirectTlb, MemConfig, MshrFile, UniMemSystem};
+use interleave_pipeline::{InFlight, IssueWindow, FP_ISSUE_TO_RETIRE, INT_ISSUE_TO_RETIRE};
 use interleave_workloads::{AppProfile, SyntheticApp};
 
 const CONTEXTS: usize = 2;
@@ -146,6 +156,113 @@ fn bench_generator_batching() {
     assert!(ratio >= 1.1, "batched generation should beat per-call generation (got {ratio:.2}x)");
 }
 
+/// Operations per kernel trial.
+const KERNEL_OPS: u64 = 2_000_000;
+
+/// Median ns per operation of `trial`, which performs [`KERNEL_OPS`]
+/// operations and returns a checksum (kept alive via `black_box`).
+fn kernel_ns_per_op(trial: impl Fn() -> u64) -> f64 {
+    let mut ns: Vec<f64> = (0..GEN_TRIALS)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(trial());
+            started.elapsed().as_nanos() as f64 / KERNEL_OPS as f64
+        })
+        .collect();
+    ns.sort_by(|a, b| a.total_cmp(b));
+    ns[GEN_TRIALS / 2]
+}
+
+/// An endless stream of no-ops, so the fetch kernel times the unit
+/// rather than a stream held in memory.
+struct Nops(u64);
+
+impl InstrSource for Nops {
+    fn next_instr(&mut self) -> Option<Instr> {
+        self.0 += 4;
+        Some(Instr::nop(self.0))
+    }
+}
+
+/// Fetch one instruction per operation and retire in pairs, younger
+/// first, so every other retirement lands out of order.
+fn kernel_fetch() -> u64 {
+    let mut unit = FetchUnit::new(Box::new(Nops(0)));
+    for i in 0..KERNEL_OPS {
+        unit.advance();
+        if i % 2 == 1 {
+            unit.retire(i);
+            unit.retire(i - 1);
+        }
+    }
+    unit.cursor()
+}
+
+/// One issue per cycle, every fourth an FP operation, retiring what is
+/// due each cycle.
+fn kernel_window() -> u64 {
+    let mut window = IssueWindow::new();
+    let mut retired = 0;
+    for now in 0..KERNEL_OPS {
+        let fp = now % 4 == 0;
+        window.issue(InFlight {
+            ctx: (now % 4) as usize,
+            fetch_index: now,
+            op: if fp { Op::FpAdd } else { Op::IntAlu },
+            issued_at: now + 1,
+            retires_at: now + 1 + if fp { FP_ISSUE_TO_RETIRE } else { INT_ISSUE_TO_RETIRE },
+        });
+        while window.pop_due(now).is_some() {
+            retired += 1;
+        }
+    }
+    retired
+}
+
+/// The data-access sequence of `UniMemSystem::access_data`: sweep
+/// completed fills, look the line up, allocate on a miss when free.
+fn kernel_mshr() -> u64 {
+    let mut mshr = MshrFile::new(MemConfig::workstation().mshrs);
+    let mut merged = 0;
+    for now in 0..KERNEL_OPS {
+        mshr.expire(now);
+        let line = (now.wrapping_mul(0x9E37_79B9) % 64) * 64;
+        match mshr.lookup(line) {
+            Some(_) => merged += 1,
+            None if mshr.has_free_entry() => mshr.allocate(line, now + 40),
+            None => {}
+        }
+    }
+    merged
+}
+
+/// Four interleaved contexts fetching from their own code pages in a
+/// warm (full) TLB, with an occasional data page outside the working set.
+fn kernel_tlb() -> u64 {
+    let entries = MemConfig::workstation().dtlb_entries as u64;
+    let mut tlb = DirectTlb::new(entries as usize, 4096);
+    for page in 0..entries {
+        tlb.access((5000 + page) * 4096);
+    }
+    let mut hits = 0;
+    for i in 0..KERNEL_OPS {
+        let page = if i % 64 == 0 { 1000 + i % 200 } else { i % 4 };
+        hits += u64::from(tlb.access(page * 4096 + (i % 1024) * 4));
+    }
+    hits
+}
+
+fn bench_kernels() {
+    println!("kernels: ns/op, median of {GEN_TRIALS} trials of {KERNEL_OPS} ops");
+    let report = |name: &str, kernel: fn() -> u64| {
+        println!("  {name:<28} {:>8.2} ns/op", kernel_ns_per_op(kernel));
+    };
+    report("fetch advance+retire", kernel_fetch);
+    report("window issue+retire", kernel_window);
+    report("mshr expire+lookup+allocate", kernel_mshr);
+    report("tlb access", kernel_tlb);
+}
+
 fn main() {
     let (cycles_on, wall_on) = run(true);
     let (cycles_off, wall_off) = run(false);
@@ -162,4 +279,5 @@ fn main() {
         "idle skipping should be at least 2x faster on an idle-heavy workload (got {ratio:.2}x)"
     );
     bench_generator_batching();
+    bench_kernels();
 }

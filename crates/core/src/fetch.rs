@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use interleave_isa::Instr;
@@ -83,7 +83,9 @@ impl InstrSource for VecSource {
 /// a squash simply rolls the fetch cursor back to the oldest squashed
 /// index. Because integer and FP instructions retire up to two cycles
 /// apart, retirement may arrive out of index order; the buffer only
-/// releases a contiguous retired prefix.
+/// releases a contiguous retired prefix. Each buffered slot carries its
+/// own retired flag, so retiring, absorbing the prefix, and skipping
+/// retired slots on advance are all O(1) per instruction.
 ///
 /// The unit eagerly normalizes after every mutation (cursor clamped past
 /// the retired prefix, buffer filled through the cursor), so the hot
@@ -99,8 +101,12 @@ pub struct FetchUnit {
     base: u64,
     /// Index of the next instruction to fetch.
     cursor: u64,
-    /// Out-of-order retired indices not yet absorbed into `base`.
-    retired: BTreeSet<u64>,
+    /// retired[i] is set once the instruction at `base + i` retired
+    /// (out of order, not yet absorbed into `base`); kept in step with
+    /// `buffer`.
+    retired: VecDeque<bool>,
+    /// Number of set flags in `retired`.
+    retired_count: u64,
     /// Set once the source reports end of stream.
     exhausted: bool,
     /// Reused staging area for batched refills.
@@ -132,7 +138,8 @@ impl FetchUnit {
             buffer: VecDeque::new(),
             base: 0,
             cursor: 0,
-            retired: BTreeSet::new(),
+            retired: VecDeque::new(),
+            retired_count: 0,
             exhausted: false,
             scratch: Vec::with_capacity(REFILL_RUN),
         };
@@ -149,7 +156,7 @@ impl FetchUnit {
     /// exhausted.
     fn normalize(&mut self) {
         self.cursor = self.cursor.max(self.base);
-        while self.retired.contains(&self.cursor) {
+        while self.retired.get((self.cursor - self.base) as usize) == Some(&true) {
             self.cursor += 1;
         }
         while !self.exhausted && self.base + self.buffer.len() as u64 <= self.cursor {
@@ -163,6 +170,7 @@ impl FetchUnit {
             self.scratch.clear();
             let got = self.source.next_run(&mut self.scratch, want);
             self.buffer.extend(self.scratch.drain(..));
+            self.retired.resize(self.buffer.len(), false);
             if got < want {
                 self.exhausted = true;
             }
@@ -224,10 +232,14 @@ impl FetchUnit {
     pub fn retire(&mut self, index: u64) {
         assert!(index >= self.base, "double retirement of index {index}");
         assert!(index < self.cursor, "retiring unfetched index {index}");
-        let inserted = self.retired.insert(index);
-        assert!(inserted, "double retirement of index {index}");
-        while self.retired.remove(&self.base) {
+        let flag = &mut self.retired[(index - self.base) as usize];
+        assert!(!*flag, "double retirement of index {index}");
+        *flag = true;
+        self.retired_count += 1;
+        while self.retired.front() == Some(&true) {
+            self.retired.pop_front();
             self.buffer.pop_front();
+            self.retired_count -= 1;
             self.base += 1;
         }
         self.normalize();
@@ -241,7 +253,7 @@ impl FetchUnit {
 
     /// Number of fetched-but-unretired instructions.
     pub fn outstanding(&self) -> u64 {
-        (self.cursor - self.base).saturating_sub(self.retired.len() as u64)
+        (self.cursor - self.base).saturating_sub(self.retired_count)
     }
 }
 
@@ -329,12 +341,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "double retirement")]
     fn double_retire_panics() {
         let mut f = unit(5);
         f.advance();
         f.advance();
         f.retire(1);
+        f.retire(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "retiring unfetched index")]
+    fn unfetched_retire_panics() {
+        let mut f = unit(5);
+        f.advance();
         f.retire(1);
     }
 

@@ -128,6 +128,9 @@ pub struct Processor<P: SystemPort> {
     ctx: ContextTable,
     events: EventQueue,
     now: u64,
+    /// Lower bound on every timed context wait's resume cycle
+    /// (`u64::MAX` when none is pending).
+    next_wake: u64,
     /// Round-robin fetch pointer (interleaved scheme).
     rr: usize,
     /// Running context (blocked / single schemes).
@@ -136,6 +139,10 @@ pub struct Processor<P: SystemPort> {
     fetch_stall_until: u64,
     /// Category the current RF occupant's stall was classified as.
     rf_stall_class: Option<Category>,
+    /// Cached scoreboard verdict for the current RF occupant: the cycle
+    /// its register and functional-unit constraints clear (see
+    /// [`Processor::cached_rf_verdict`]).
+    rf_verdict: Option<u64>,
     breakdown: Breakdown,
     drained_cycles: u64,
     /// Cycle the breakdown last restarted at ([`Processor::reset_breakdown`]);
@@ -153,9 +160,8 @@ pub struct Processor<P: SystemPort> {
     /// everything retired); completion is `done_units == attached_units`.
     done_units: usize,
     attached_units: usize,
-    /// Reusable buffers for the per-cycle retire and squash paths, so the
-    /// hot loop allocates nothing in steady state.
-    retired_scratch: Vec<InFlight>,
+    /// Reusable buffers for the squash paths, so the hot loop allocates
+    /// nothing in steady state.
     squash_scratch: Vec<InFlight>,
     mins_scratch: Vec<(usize, u64)>,
 }
@@ -177,10 +183,12 @@ impl<P: SystemPort> Processor<P> {
             ctx: ContextTable::new(cfg.contexts),
             events: EventQueue::new(),
             now: 0,
+            next_wake: u64::MAX,
             rr: 0,
             current: None,
             fetch_stall_until: 0,
             rf_stall_class: None,
+            rf_verdict: None,
             breakdown: Breakdown::new(),
             drained_cycles: 0,
             accounted_since: 0,
@@ -191,7 +199,6 @@ impl<P: SystemPort> Processor<P> {
             switches: SwitchStats::default(),
             done_units: 0,
             attached_units: 0,
-            retired_scratch: Vec::new(),
             squash_scratch: Vec::new(),
             mins_scratch: Vec::new(),
             cfg,
@@ -736,9 +743,7 @@ impl<P: SystemPort> Processor<P> {
             trace.push(record);
         }
 
-        let mut retired = std::mem::take(&mut self.retired_scratch);
-        self.window.retire_due_into(now, &mut retired);
-        for r in &retired {
+        while let Some(r) = self.window.pop_due(now) {
             let unit = self.units[r.ctx].as_mut().expect("retiring context has a unit");
             unit.retire(r.fetch_index);
             self.ctx.retired[r.ctx] += 1;
@@ -749,7 +754,6 @@ impl<P: SystemPort> Processor<P> {
                 self.done_units += 1;
             }
         }
-        self.retired_scratch = retired;
 
         self.now += 1;
         if self.cfg.validate {
@@ -765,6 +769,9 @@ impl<P: SystemPort> Processor<P> {
         // Handlers never schedule same-cycle events, so draining as we
         // pop matches draining up front.
         while let Some(e) = self.events.pop_due(now) {
+            // A handler may squash the RF occupant or shorten a
+            // functional-unit reservation it waits on.
+            self.rf_verdict = None;
             match e {
                 Event::MissDetect { ctx, epoch, fetch_index, ready_at, addr, .. } => {
                     self.on_miss_detect(now, ctx, epoch, fetch_index, ready_at, addr);
@@ -821,8 +828,7 @@ impl<P: SystemPort> Processor<P> {
                 // Front slots of this context are younger than everything
                 // in the window, so the window minimum covers them.
                 self.unit_mut(ctx).rollback(min_index);
-                self.ctx.state[ctx] =
-                    CtxState::Waiting { reason: WaitReason::Data, until: Some(ready_at) };
+                self.wait_until(ctx, WaitReason::Data, ready_at);
                 self.ctx.epoch[ctx] += 1;
                 self.ctx.wrong_path[ctx] = false;
                 self.ctx.pending_backoff[ctx] = false;
@@ -863,21 +869,36 @@ impl<P: SystemPort> Processor<P> {
                     self.ctx.pending_backoff[c] = false;
                 }
                 self.mins_scratch = mins;
-                self.ctx.state[ctx] =
-                    CtxState::Waiting { reason: WaitReason::Data, until: Some(ready_at) };
+                self.wait_until(ctx, WaitReason::Data, ready_at);
                 self.pick_next_current(ctx);
             }
         }
     }
 
+    /// Makes `ctx` unavailable until cycle `until`.
+    fn wait_until(&mut self, ctx: usize, reason: WaitReason, until: u64) {
+        self.ctx.state[ctx] = CtxState::Waiting { reason, until: Some(until) };
+        self.next_wake = self.next_wake.min(until);
+    }
+
+    /// Readies every context whose timed wait ends by `now`. Returns at
+    /// once before `next_wake`; a scan re-derives the bound from the
+    /// waits still pending.
     fn wake_contexts(&mut self, now: u64) {
+        if now < self.next_wake {
+            return;
+        }
+        let mut next = u64::MAX;
         for state in self.ctx.state.iter_mut() {
             if let CtxState::Waiting { until: Some(t), .. } = *state {
                 if t <= now {
                     *state = CtxState::Ready;
+                } else {
+                    next = next.min(t);
                 }
             }
         }
+        self.next_wake = next;
     }
 
     /// The issue stage: examine RF, charge the cycle, maybe issue, and
@@ -903,7 +924,7 @@ impl<P: SystemPort> Processor<P> {
 
     fn issue_instr(&mut self, now: u64, slot: Slot) -> IssueRecord {
         let ex = now + 1;
-        let earliest = self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, ex);
+        let earliest = self.cached_rf_verdict(&slot, ex).max(ex);
         if earliest > ex {
             let category = match self.rf_stall_class {
                 Some(c) => c,
@@ -957,7 +978,7 @@ impl<P: SystemPort> Processor<P> {
         self.window.issue(InFlight {
             ctx: slot.ctx,
             fetch_index: slot.fetch_index,
-            instr: slot.instr,
+            op: slot.instr.op,
             issued_at: ex,
             retires_at,
         });
@@ -1102,14 +1123,13 @@ impl<P: SystemPort> Processor<P> {
         self.window.issue(InFlight {
             ctx,
             fetch_index: slot.fetch_index,
-            instr: slot.instr,
+            op: slot.instr.op,
             issued_at: ex,
             retires_at: ex + INT_ISSUE_TO_RETIRE,
         });
         self.front.squash_ctx(ctx);
         let duration = u64::from(slot.instr.backoff.max(1));
-        self.ctx.state[ctx] =
-            CtxState::Waiting { reason: WaitReason::Backoff, until: Some(now + duration) };
+        self.wait_until(ctx, WaitReason::Backoff, now + duration);
         self.ctx.wrong_path[ctx] = false;
         self.ctx.pending_backoff[ctx] = false;
         self.advance_front(now);
@@ -1131,7 +1151,7 @@ impl<P: SystemPort> Processor<P> {
             // Only slots that were charged busy at issue. Saturating: the
             // busy charge may have been cleared by a statistics reset
             // while the instruction was in flight.
-            if !matches!(inflight.instr.op, Op::Backoff | Op::SwitchHint) {
+            if !matches!(inflight.op, Op::Backoff | Op::SwitchHint) {
                 let moved = self.breakdown.transfer_upto(Category::Busy, Category::Switch, 1);
                 if moved == 1 {
                     self.reattribute_trace(inflight.issued_at);
@@ -1157,10 +1177,42 @@ impl<P: SystemPort> Processor<P> {
         }
     }
 
+    /// The cycle the RF occupant's register and functional-unit
+    /// constraints clear, so it may enter EX at `max(verdict, ex)`.
+    ///
+    /// Computed once per occupant and cached: while the occupant stalls
+    /// nothing issues, so the scoreboard changes only through an event
+    /// handler's or a context squash's `clear_context`, and those (like
+    /// [`Processor::advance_front`]) drop the cache. Under
+    /// `ProcConfig.validate` every use is checked against a fresh
+    /// [`Scoreboard::earliest_issue`].
+    fn cached_rf_verdict(&mut self, slot: &Slot, ex: u64) -> u64 {
+        let verdict = *self.rf_verdict.get_or_insert_with(|| {
+            self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, 0)
+        });
+        if self.cfg.validate {
+            let fresh = self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, ex);
+            if fresh != verdict.max(ex) {
+                Self::validation_failed(
+                    Violation::new(
+                        "core.rf_verdict",
+                        "cached scoreboard verdict is stale",
+                        self.now,
+                        format!("cached {verdict}, fresh {fresh} at EX cycle {ex}"),
+                    )
+                    .with_context(slot.ctx),
+                );
+            }
+        }
+        verdict
+    }
+
     /// Advances the front end, fetching into IF1. Clears the RF stall
-    /// classification because the RF occupant changes.
+    /// classification and scoreboard verdict because the RF occupant
+    /// changes.
     fn advance_front(&mut self, now: u64) {
         self.rf_stall_class = None;
+        self.rf_verdict = None;
         let incoming = self.fetch_slot(now);
         self.front.shift(incoming);
     }
@@ -1234,17 +1286,7 @@ impl<P: SystemPort> Processor<P> {
     /// Picks the context to fetch from this cycle.
     fn select_context(&mut self, _now: u64) -> Option<usize> {
         match self.cfg.scheme {
-            Scheme::Interleaved | Scheme::FineGrained => {
-                let n = self.cfg.contexts;
-                for offset in 0..n {
-                    let c = (self.rr + offset) % n;
-                    if self.fetchable(c) {
-                        self.rr = (c + 1) % n;
-                        return Some(c);
-                    }
-                }
-                None
-            }
+            Scheme::Interleaved | Scheme::FineGrained => self.next_fetchable(),
             Scheme::Blocked | Scheme::Single => {
                 if let Some(c) = self.current {
                     if self.fetchable(c) {
@@ -1252,18 +1294,27 @@ impl<P: SystemPort> Processor<P> {
                     }
                 }
                 // Current missing or unavailable: adopt any ready context.
-                let n = self.cfg.contexts;
-                for offset in 0..n {
-                    let c = (self.rr + offset) % n;
-                    if self.fetchable(c) {
-                        self.rr = (c + 1) % n;
-                        self.current = Some(c);
-                        return Some(c);
-                    }
-                }
-                None
+                let c = self.next_fetchable()?;
+                self.current = Some(c);
+                Some(c)
             }
         }
+    }
+
+    /// The first fetchable context in round-robin order from the fetch
+    /// pointer, which moves just past it.
+    fn next_fetchable(&mut self) -> Option<usize> {
+        let n = self.cfg.contexts;
+        let wrap = |c: usize| if c + 1 == n { 0 } else { c + 1 };
+        let mut c = self.rr;
+        for _ in 0..n {
+            if self.fetchable(c) {
+                self.rr = wrap(c);
+                return Some(c);
+            }
+            c = wrap(c);
+        }
+        None
     }
 
     fn fetchable(&self, ctx: usize) -> bool {
@@ -1340,6 +1391,7 @@ impl<P: SystemPort> Processor<P> {
     /// Squashes everything a context has in the machine (used by
     /// [`Processor::swap_unit`]).
     fn squash_context(&mut self, ctx: usize) {
+        self.rf_verdict = None;
         let squashed = self.window.squash_ctx(ctx);
         self.transfer_squashed(&squashed);
         self.front.squash_ctx(ctx);

@@ -250,6 +250,32 @@ fn interleaving_hides_pipeline_dependencies() {
     assert_eq!(inter.breakdown().get(Category::Busy), 100);
 }
 
+/// A miss-detect squash of the context holding the FP divider releases
+/// the divider early; another context's divide already stalled in RF on
+/// that divider must issue at once, not when the squashed reservation
+/// would have ended (the cached RF scoreboard verdict is dropped on
+/// every handled event, and validation re-checks it each cycle).
+#[test]
+fn squash_releases_divider_to_context_stalled_in_rf() {
+    let mut cfg = ProcConfig::new(Scheme::Interleaved, 2);
+    cfg.validate = true;
+    let mut cpu = Processor::new(cfg, FixedMissMemory::new(200));
+    let fdiv = |pc| Instr::arith(pc, Op::FpDivDouble, Some(Reg::fp(1)), Some(Reg::fp(2)), None);
+    // ctx0's divide takes the divider right behind its missing load;
+    // ctx1's divide reaches RF next and stalls on it.
+    let ctx0 = vec![Instr::load(0, Reg::int(4), Reg::int(29), MISS_BASE), fdiv(4)];
+    cpu.attach(0, Box::new(VecSource::new(ctx0)));
+    cpu.attach(1, Box::new(VecSource::new(vec![alu(0x100), fdiv(0x104)])));
+    cpu.run_cycles(20);
+    // The load's miss is detected a few cycles later, freeing the
+    // divider: ctx1's divide issues then and leaves its pipe well before
+    // cycle 20 instead of waiting out the 61-cycle reservation.
+    assert_eq!(cpu.retired(1), 2);
+    assert_eq!(cpu.retired(0), 0, "ctx0 is still waiting on its miss");
+    run_to_completion(&mut cpu);
+    assert_eq!(cpu.retired(0), 2);
+}
+
 #[test]
 fn backoff_on_interleaved_yields_to_other_context() {
     let mut cpu = Processor::new(ProcConfig::new(Scheme::Interleaved, 2), PerfectMemory);

@@ -1,8 +1,12 @@
 //! Property-based tests: for random programs on any scheme, every
 //! instruction retires exactly once, every cycle is attributed exactly
-//! once, and no work is ever lost to a squash.
+//! once, and no work is ever lost to a squash. The fetch unit also
+//! agrees with a retired-set reference model under random operation
+//! sequences.
 
-use interleave_core::{ProcConfig, Processor, Scheme, VecSource};
+use std::collections::BTreeSet;
+
+use interleave_core::{FetchUnit, ProcConfig, Processor, Scheme, VecSource};
 use interleave_isa::{Instr, Op, Reg};
 use interleave_mem::{MemConfig, UniMemSystem};
 use proptest::prelude::*;
@@ -120,5 +124,102 @@ proptest! {
             cycles,
             "cycle attribution must be exact"
         );
+    }
+}
+
+/// Reference fetch unit: the whole stream in a vector and out-of-order
+/// retirements in an ordered set (the representation `FetchUnit` used
+/// before per-slot retired flags).
+struct ModelFetch {
+    stream: Vec<u64>,
+    base: u64,
+    cursor: u64,
+    retired: BTreeSet<u64>,
+}
+
+impl ModelFetch {
+    fn normalize(&mut self) {
+        self.cursor = self.cursor.max(self.base);
+        while self.retired.contains(&self.cursor) {
+            self.cursor += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u64> {
+        self.stream.get(self.cursor as usize).copied()
+    }
+
+    fn rollback(&mut self, index: u64) {
+        self.cursor = index;
+        self.normalize();
+    }
+
+    fn retire(&mut self, index: u64) {
+        assert!(self.retired.insert(index));
+        while self.retired.remove(&self.base) {
+            self.base += 1;
+        }
+        self.normalize();
+    }
+
+    fn is_done(&self) -> bool {
+        self.peek().is_none() && self.base == self.cursor
+    }
+
+    fn outstanding(&self) -> u64 {
+        (self.cursor - self.base).saturating_sub(self.retired.len() as u64)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FetchUnit` matches the retired-set model over random advance,
+    /// rollback, `rollback_to_base` and retire sequences: same cursor,
+    /// same instruction at the cursor, same completion and outstanding
+    /// count after every step.
+    #[test]
+    fn fetch_unit_matches_retired_set_model(
+        len in 0u64..80,
+        ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..300),
+    ) {
+        let stream: Vec<u64> = (0..len).map(|i| i * 4).collect();
+        let mut unit =
+            FetchUnit::new(Box::new(VecSource::new(stream.iter().map(|&pc| Instr::nop(pc)))));
+        let mut model = ModelFetch { stream, base: 0, cursor: 0, retired: BTreeSet::new() };
+        for (kind, pick) in ops {
+            match kind {
+                // Advance most often, so streams get consumed.
+                0..=2 => {
+                    if model.peek().is_some() {
+                        unit.advance();
+                        model.cursor += 1;
+                        model.normalize();
+                    }
+                }
+                3 => {
+                    let index = model.base + pick % (model.cursor - model.base + 1);
+                    unit.rollback(index);
+                    model.rollback(index);
+                }
+                4 => {
+                    unit.rollback_to_base();
+                    model.rollback(model.base);
+                }
+                _ => {
+                    let unretired: Vec<u64> =
+                        (model.base..model.cursor).filter(|i| !model.retired.contains(i)).collect();
+                    if !unretired.is_empty() {
+                        let index = unretired[(pick % unretired.len() as u64) as usize];
+                        unit.retire(index);
+                        model.retire(index);
+                    }
+                }
+            }
+            prop_assert_eq!(unit.cursor(), model.cursor);
+            prop_assert_eq!(unit.peek().map(|i| i.pc), model.peek());
+            prop_assert_eq!(unit.is_done(), model.is_done());
+            prop_assert_eq!(unit.outstanding(), model.outstanding());
+        }
     }
 }

@@ -89,8 +89,10 @@ impl TimingModel {
         self.entries[Self::slot(op)] = timing;
     }
 
+    /// Table row of `op`: its declaration index, which is also its
+    /// position in [`Op::ALL`] (pinned by a test).
     fn slot(op: Op) -> usize {
-        Op::ALL.iter().position(|&o| o == op).expect("Op::ALL is exhaustive")
+        op as usize
     }
 }
 
@@ -156,6 +158,13 @@ mod tests {
     #[should_panic]
     fn zero_timing_rejected() {
         let _ = OpTiming::new(0, 1);
+    }
+
+    #[test]
+    fn slot_is_position_in_all() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(TimingModel::slot(op), i, "{op}");
+        }
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use interleave_obs::validate::Violation;
 
 /// Miss-status holding registers for the lockup-free data cache.
@@ -9,12 +7,19 @@ use interleave_obs::validate::Violation;
 /// Kroft's lockup-free cache design cited by the paper.
 ///
 /// Entries expire lazily: callers sweep completed fills with
-/// [`MshrFile::expire`] before allocating.
-#[derive(Debug, Clone, Default)]
+/// [`MshrFile::expire`] before allocating. The entries sit in one array
+/// of at most `capacity` slots, allocated once (a handful of registers,
+/// as in hardware), and the file keeps the earliest completion cycle
+/// among them, so a sweep with nothing complete returns after one
+/// comparison.
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    /// line address -> cycle at which the fill completes.
-    outstanding: BTreeMap<u64, u64>,
+    /// `(line address, cycle at which the fill completes)`.
+    entries: Vec<(u64, u64)>,
+    /// Earliest completion cycle among `entries` (`u64::MAX` when
+    /// empty).
+    earliest: u64,
     /// Total fills ever allocated.
     allocations: u64,
     /// Most entries simultaneously outstanding (occupancy high-water).
@@ -29,18 +34,28 @@ impl MshrFile {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> MshrFile {
         assert!(capacity > 0, "need at least one MSHR");
-        MshrFile { capacity, outstanding: BTreeMap::new(), allocations: 0, high_water: 0 }
+        MshrFile {
+            capacity,
+            entries: Vec::with_capacity(capacity),
+            earliest: u64::MAX,
+            allocations: 0,
+            high_water: 0,
+        }
     }
 
     /// Removes entries whose fills completed at or before `now`.
     pub fn expire(&mut self, now: u64) {
-        self.outstanding.retain(|_, &mut ready| ready > now);
+        if now < self.earliest {
+            return;
+        }
+        self.entries.retain(|&(_, ready)| ready > now);
+        self.earliest = self.entries.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX);
     }
 
     /// If a fill for `line_addr` is outstanding, returns its completion
     /// cycle (the new miss merges with it).
     pub fn lookup(&self, line_addr: u64) -> Option<u64> {
-        self.outstanding.get(&line_addr).copied()
+        self.entries.iter().find(|&&(line, _)| line == line_addr).map(|&(_, ready)| ready)
     }
 
     /// Records an outstanding fill completing at `ready_at`.
@@ -50,11 +65,12 @@ impl MshrFile {
     /// Panics if the file is full or the line is already outstanding —
     /// callers must [`MshrFile::lookup`] (and merge) first.
     pub fn allocate(&mut self, line_addr: u64, ready_at: u64) {
-        assert!(self.outstanding.len() < self.capacity, "MSHR file is full");
-        let prev = self.outstanding.insert(line_addr, ready_at);
-        assert!(prev.is_none(), "line {line_addr:#x} already outstanding");
+        assert!(self.has_free_entry(), "MSHR file is full");
+        assert!(self.lookup(line_addr).is_none(), "line {line_addr:#x} already outstanding");
+        self.entries.push((line_addr, ready_at));
+        self.earliest = self.earliest.min(ready_at);
         self.allocations += 1;
-        self.high_water = self.high_water.max(self.outstanding.len());
+        self.high_water = self.high_water.max(self.entries.len());
     }
 
     /// Total fills ever allocated.
@@ -72,27 +88,27 @@ impl MshrFile {
     /// current occupancy. Outstanding fills are untouched.
     pub fn reset_stats(&mut self) {
         self.allocations = 0;
-        self.high_water = self.outstanding.len();
+        self.high_water = self.entries.len();
     }
 
     /// Number of outstanding fills.
     pub fn len(&self) -> usize {
-        self.outstanding.len()
+        self.entries.len()
     }
 
     /// Whether no fills are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.outstanding.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether the file has room for another fill.
     pub fn has_free_entry(&self) -> bool {
-        self.outstanding.len() < self.capacity
+        self.entries.len() < self.capacity
     }
 
     /// Earliest completion cycle among outstanding fills, if any.
     pub fn earliest_ready(&self) -> Option<u64> {
-        self.outstanding.values().copied().min()
+        (!self.entries.is_empty()).then_some(self.earliest)
     }
 
     /// Number of entries the file was built with.
@@ -101,26 +117,34 @@ impl MshrFile {
     }
 
     /// Checks the MSHR structural invariants at cycle `now`:
-    /// occupancy never exceeds capacity, every outstanding line address
-    /// is aligned to `line_size` (i.e. the fill targets a real cache
-    /// line), and no fill completes in the past without having been
-    /// expired by more than a full miss round-trip (`expire` is lazy, so
-    /// entries may linger a little after completion; a stale entry whose
-    /// completion is far behind `now` means the sweep was skipped).
+    /// occupancy never exceeds capacity, no line is outstanding twice,
+    /// every outstanding line address is aligned to `line_size` (i.e. the
+    /// fill targets a real cache line), and no fill completes in the past
+    /// without having been expired by more than a full miss round-trip
+    /// (`expire` is lazy, so entries may linger a little after
+    /// completion; a stale entry whose completion is far behind `now`
+    /// means the sweep was skipped).
     ///
-    /// Duplicate outstanding lines cannot be represented (the map is
-    /// keyed by line address) and are rejected at [`MshrFile::allocate`]
-    /// time instead.
+    /// Duplicate outstanding lines are also rejected at
+    /// [`MshrFile::allocate`] time.
     pub fn check_invariants(&self, now: u64, line_size: u64) -> Result<(), Violation> {
-        if self.outstanding.len() > self.capacity {
+        if self.entries.len() > self.capacity {
             return Err(Violation::new(
                 "mem.mshr",
                 "occupancy exceeds capacity",
                 now,
-                format!("{} outstanding, capacity {}", self.outstanding.len(), self.capacity),
+                format!("{} outstanding, capacity {}", self.entries.len(), self.capacity),
             ));
         }
-        for (&line, &ready) in &self.outstanding {
+        for (i, &(line, ready)) in self.entries.iter().enumerate() {
+            if self.entries[..i].iter().any(|&(other, _)| other == line) {
+                return Err(Violation::new(
+                    "mem.mshr",
+                    "line outstanding twice",
+                    now,
+                    format!("line {line:#x} holds two MSHRs"),
+                ));
+            }
             if line % line_size != 0 {
                 return Err(Violation::new(
                     "mem.mshr",

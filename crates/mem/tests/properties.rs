@@ -1,11 +1,13 @@
-//! Property-based tests for the memory hierarchy: the direct-mapped cache
-//! against a reference model, FIFO TLB semantics, and system-level timing
-//! invariants under random access sequences.
+//! Property-based tests for the memory hierarchy: the direct-mapped cache,
+//! the MSHR file and the TLB against reference models, and system-level
+//! timing invariants under random access sequences.
 
 use interleave_isa::Access;
-use interleave_mem::{CacheParams, DirectCache, DirectTlb, MemConfig, Resource, UniMemSystem};
+use interleave_mem::{
+    CacheParams, DirectCache, DirectTlb, MemConfig, MshrFile, Resource, UniMemSystem,
+};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum CacheOp {
@@ -98,6 +100,95 @@ proptest! {
         }
         for &page in &fifo {
             prop_assert!(tlb.probe(page * 4096));
+        }
+    }
+
+    /// The TLB agrees with a plain FIFO scan under accesses, probes,
+    /// positional invalidations and flushes (the hit filter in front of
+    /// the scan changes no outcome).
+    #[test]
+    fn tlb_matches_fifo_scan(
+        ops in proptest::collection::vec((0u8..8, 0u64..24), 1..300),
+    ) {
+        let capacity = 8;
+        let mut tlb = DirectTlb::new(capacity, 4096);
+        let mut fifo: Vec<u64> = Vec::new();
+        for (kind, arg) in ops {
+            match kind {
+                0..=4 => {
+                    let expect_hit = fifo.contains(&arg);
+                    prop_assert_eq!(tlb.access(arg * 4096 + 8), expect_hit, "page {}", arg);
+                    if !expect_hit {
+                        if fifo.len() == capacity {
+                            fifo.remove(0);
+                        }
+                        fifo.push(arg);
+                    }
+                }
+                5 => prop_assert_eq!(tlb.probe(arg * 4096), fifo.contains(&arg)),
+                6 => {
+                    let index = (arg % 10) as usize;
+                    tlb.invalidate_entry(index);
+                    if index < fifo.len() {
+                        fifo.remove(index);
+                    }
+                }
+                _ => {
+                    if arg == 0 {
+                        tlb.clear();
+                        fifo.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(tlb.is_empty(), fifo.is_empty());
+        }
+        for page in 0..24 {
+            prop_assert_eq!(tlb.probe(page * 4096), fifo.contains(&page));
+        }
+    }
+
+    /// The MSHR file agrees with a line-keyed ordered map (its former
+    /// representation) under random expire / lookup / allocate
+    /// sequences, including the occupancy and allocation statistics.
+    #[test]
+    fn mshr_matches_map_model(
+        ops in proptest::collection::vec((0u8..4, 0u64..12, 1u64..60), 1..300),
+    ) {
+        let capacity = 4;
+        let mut mshr = MshrFile::new(capacity);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut high_water = 0;
+        let mut allocations = 0;
+        let mut now = 0u64;
+        for (kind, line, delay) in ops {
+            let line = line * 64;
+            match kind {
+                0 => {
+                    now += delay / 4;
+                    mshr.expire(now);
+                    model.retain(|_, &mut ready| ready > now);
+                }
+                1 => prop_assert_eq!(mshr.lookup(line), model.get(&line).copied()),
+                2 => {
+                    if model.len() < capacity && !model.contains_key(&line) {
+                        mshr.allocate(line, now + delay);
+                        model.insert(line, now + delay);
+                        allocations += 1;
+                        high_water = high_water.max(model.len());
+                    }
+                }
+                _ => {
+                    mshr.reset_stats();
+                    allocations = 0;
+                    high_water = model.len();
+                }
+            }
+            prop_assert_eq!(mshr.len(), model.len());
+            prop_assert_eq!(mshr.has_free_entry(), model.len() < capacity);
+            prop_assert_eq!(mshr.earliest_ready(), model.values().copied().min());
+            prop_assert_eq!(mshr.allocations(), allocations);
+            prop_assert_eq!(mshr.high_water(), high_water);
+            prop_assert!(mshr.check_invariants(now, 64).is_ok());
         }
     }
 

@@ -15,6 +15,7 @@
 //! parallel schedule independent of host thread interleaving.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, RwLock};
 
 use interleave_core::{DataOutcome, InstOutcome, SyncOutcome, SystemPort};
@@ -92,6 +93,30 @@ pub(crate) struct TxnRecord {
     pub(crate) evicted: Option<(u64, bool)>,
 }
 
+/// Hasher for line-address keys: one multiply by the 64-bit golden
+/// ratio, folded so the low bits (which index the table) depend on the
+/// high product bits — line addresses have their low bits all zero.
+/// Keys are simulator-generated, so collision resistance is not needed.
+#[derive(Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One node's mutable state: cache, port, home-side synchronization
 /// shard, message queues, and the transaction log of the current
 /// quantum. Locked per shard — the driver only touches it at barriers
@@ -114,7 +139,7 @@ pub(crate) struct ShardState {
     draws: u64,
     /// Last cycle each line was (re)filled or upgraded locally; an
     /// incoming invalidation older than the stamp is stale.
-    fill_stamp: HashMap<u64, u64>,
+    fill_stamp: HashMap<u64, u64, BuildHasherDefault<LineHasher>>,
     sync_pending: Vec<Option<SyncRef>>,
     sync_token: Vec<Option<SyncRef>>,
     sync_done: Vec<Option<SyncRef>>,
@@ -149,7 +174,7 @@ impl ShardState {
             txns: Vec::new(),
             seq: 0,
             draws: 0,
-            fill_stamp: HashMap::new(),
+            fill_stamp: HashMap::default(),
             sync_pending: vec![None; contexts],
             sync_token: vec![None; contexts],
             sync_done: vec![None; contexts],

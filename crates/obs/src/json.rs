@@ -89,16 +89,23 @@ impl Value {
         }
     }
 
-    /// The number as `u64` if this is a non-negative integral number.
+    /// The number as `u64` if this is a non-negative integer of at most
+    /// [`MAX_SAFE_INTEGER`]. Numbers parse to doubles, which round larger
+    /// integers to a neighbour (`9007199254740993` reads as `…992`), so
+    /// those are rejected rather than silently changed.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_INTEGER as f64 => {
                 Some(*n as u64)
             }
             _ => None,
         }
     }
 }
+
+/// Largest integer no other integer rounds onto when parsed as a double
+/// (2^53 - 1): the upper end of [`Value::as_u64`].
+pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
 
 /// Parse a complete JSON document. Trailing non-whitespace is an
 /// error; the error string carries a byte offset for debugging.
@@ -315,5 +322,15 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-2").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn as_u64_rejects_integers_doubles_cannot_hold() {
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some(MAX_SAFE_INTEGER));
+        // 2^53 + 1 parses to the double 2^53, so 2^53 itself is ambiguous.
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None);
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
     }
 }

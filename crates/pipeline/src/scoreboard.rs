@@ -96,10 +96,10 @@ impl Scoreboard {
         timing: &TimingModel,
         candidate: u64,
     ) -> u64 {
-        let mut earliest = candidate;
-        for src in instr.sources() {
-            earliest = earliest.max(self.reg_ready[self.slot(ctx, src)]);
-        }
+        // The zero register is never tracked (its ready cycle stays 0),
+        // so it needs no filtering here.
+        let ready = |reg: Option<Reg>| reg.map_or(0, |r| self.reg_ready[self.slot(ctx, r)]);
+        let mut earliest = candidate.max(ready(instr.src1)).max(ready(instr.src2));
         let t = timing.timing(instr.op);
         if let Some(dst) = instr.dest() {
             let prior = self.reg_ready[self.slot(ctx, dst)];
@@ -163,13 +163,11 @@ impl Scoreboard {
     /// approximation; it is exact for the dominant squash cause (a load
     /// miss with at most one in-flight long operation per context).
     pub fn clear_context(&mut self, ctx: usize, now: u64) {
-        let base = ctx * Reg::COUNT;
-        for slot in base..base + Reg::COUNT {
-            if self.reg_ready[slot] > now {
-                self.reg_ready[slot] = now;
-            }
-            self.mem_pending[slot] = false;
+        let regs = ctx * Reg::COUNT..(ctx + 1) * Reg::COUNT;
+        for ready in &mut self.reg_ready[regs.clone()] {
+            *ready = (*ready).min(now);
         }
+        self.mem_pending[regs].fill(false);
         for state in &mut self.fu {
             if state.owner == ctx && state.free_at > now {
                 // prev_free_at <= free_at and now < free_at, so this only

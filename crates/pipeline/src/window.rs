@@ -1,4 +1,6 @@
-use interleave_isa::Instr;
+use std::collections::VecDeque;
+
+use interleave_isa::Op;
 use interleave_obs::{Counter, Registry};
 
 /// An instruction between issue (entering EX) and retirement (end of WB).
@@ -8,12 +10,20 @@ pub struct InFlight {
     pub ctx: usize,
     /// Position in the context's instruction stream.
     pub fetch_index: u64,
-    /// The instruction.
-    pub instr: Instr,
+    /// Operation class (selects the integer or FP pipe).
+    pub op: Op,
     /// Cycle it entered EX.
     pub issued_at: u64,
     /// Cycle it leaves WB (end of cycle).
     pub retires_at: u64,
+}
+
+/// One window row: an [`InFlight`] tagged with its issue sequence
+/// number, so rows of the two pipes can be merged back into issue order.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    seq: u64,
+    inflight: InFlight,
 }
 
 /// The set of issued-but-not-retired instructions.
@@ -23,31 +33,44 @@ pub struct InFlight {
 /// scheme squashes only the missing context's entries (1–4 cycles with four
 /// contexts) — the contrast of paper Figure 2.
 ///
-/// Stored in struct-of-arrays layout: the per-cycle retirement scan reads
-/// only the `retires_at` column and the fine-grained scheme's occupancy
-/// check reads only `ctx`, so each hot scan touches one small contiguous
-/// array instead of striding over whole [`InFlight`] records. The public
-/// interface still speaks `InFlight`; rows are gathered on the way out.
+/// Stored as two FIFOs, one per pipe (integer and FP). Issue is in order
+/// and each pipe retires a fixed number of cycles after issue, so within
+/// a pipe `retires_at` never decreases: the due rows of a cycle are a
+/// prefix of each FIFO. Retirement pops those prefixes and never moves a
+/// surviving row, and a cached `min_retire` (the earlier of the two
+/// FIFO heads) makes a cycle with nothing due one comparison. A per-row
+/// issue sequence number merges the two pipes back into issue order
+/// wherever rows leave the window.
 ///
 /// # Examples
 ///
 /// ```
-/// use interleave_isa::Instr;
+/// use interleave_isa::Op;
 /// use interleave_pipeline::{InFlight, IssueWindow};
 ///
 /// let mut w = IssueWindow::new();
-/// w.issue(InFlight { ctx: 0, fetch_index: 0, instr: Instr::nop(0), issued_at: 5, retires_at: 8 });
+/// w.issue(InFlight { ctx: 0, fetch_index: 0, op: Op::Nop, issued_at: 5, retires_at: 8 });
 /// assert_eq!(w.retire_due(7).len(), 0);
 /// assert_eq!(w.retire_due(8).len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct IssueWindow {
-    ctx: Vec<usize>,
-    fetch_index: Vec<u64>,
-    instr: Vec<Instr>,
-    issued_at: Vec<u64>,
-    retires_at: Vec<u64>,
+    /// `pipes[0]` holds integer-pipe rows, `pipes[1]` FP-pipe rows, each
+    /// in issue order.
+    pipes: [VecDeque<Row>; 2],
+    /// Sequence number of the next issued row.
+    next_seq: u64,
+    /// Issue cycle of the most recently issued row.
+    last_issued_at: u64,
+    /// Earliest `retires_at` in the window (`u64::MAX` when empty).
+    min_retire: u64,
     stats: WindowStats,
+}
+
+impl Default for IssueWindow {
+    fn default() -> IssueWindow {
+        IssueWindow::new()
+    }
 }
 
 /// Squash counters for an [`IssueWindow`].
@@ -62,37 +85,19 @@ pub struct WindowStats {
 impl IssueWindow {
     /// Creates an empty window.
     pub fn new() -> IssueWindow {
-        IssueWindow::default()
-    }
-
-    /// Gathers row `i` back into an [`InFlight`] record.
-    fn row(&self, i: usize) -> InFlight {
-        InFlight {
-            ctx: self.ctx[i],
-            fetch_index: self.fetch_index[i],
-            instr: self.instr[i],
-            issued_at: self.issued_at[i],
-            retires_at: self.retires_at[i],
+        IssueWindow {
+            pipes: Default::default(),
+            next_seq: 0,
+            last_issued_at: 0,
+            min_retire: u64::MAX,
+            stats: WindowStats::default(),
         }
     }
 
-    /// Copies row `from` over row `to` in every column (compaction step).
-    fn copy_row(&mut self, from: usize, to: usize) {
-        if from != to {
-            self.ctx[to] = self.ctx[from];
-            self.fetch_index[to] = self.fetch_index[from];
-            self.instr[to] = self.instr[from];
-            self.issued_at[to] = self.issued_at[from];
-            self.retires_at[to] = self.retires_at[from];
-        }
-    }
-
-    fn truncate(&mut self, len: usize) {
-        self.ctx.truncate(len);
-        self.fetch_index.truncate(len);
-        self.instr.truncate(len);
-        self.issued_at.truncate(len);
-        self.retires_at.truncate(len);
+    /// Re-derives `min_retire` from the FIFO heads.
+    fn refresh_min_retire(&mut self) {
+        let head = |pipe: &VecDeque<Row>| pipe.front().map_or(u64::MAX, |r| r.inflight.retires_at);
+        self.min_retire = head(&self.pipes[0]).min(head(&self.pipes[1]));
     }
 
     /// Records an issued instruction.
@@ -100,46 +105,90 @@ impl IssueWindow {
     /// # Panics
     ///
     /// Panics if `retires_at` precedes `issued_at` (instructions spend at
-    /// least one cycle in flight) or if issue order is violated.
+    /// least one cycle in flight), if issue order is violated, or if the
+    /// instruction would leave its pipe before an older one of the same
+    /// pipe.
     pub fn issue(&mut self, inflight: InFlight) {
         assert!(inflight.retires_at >= inflight.issued_at, "retire before issue");
-        if let Some(last) = self.issued_at.last() {
-            assert!(*last <= inflight.issued_at, "issue order violated");
+        assert!(self.last_issued_at <= inflight.issued_at, "issue order violated");
+        self.last_issued_at = inflight.issued_at;
+        let pipe = &mut self.pipes[usize::from(inflight.op.is_fp())];
+        if let Some(last) = pipe.back() {
+            assert!(last.inflight.retires_at <= inflight.retires_at, "pipe retire order violated");
         }
-        self.ctx.push(inflight.ctx);
-        self.fetch_index.push(inflight.fetch_index);
-        self.instr.push(inflight.instr);
-        self.issued_at.push(inflight.issued_at);
-        self.retires_at.push(inflight.retires_at);
+        pipe.push_back(Row { seq: self.next_seq, inflight });
+        self.next_seq += 1;
+        self.min_retire = self.min_retire.min(inflight.retires_at);
     }
 
-    /// Moves the instructions retiring at or before `now` into `out`
-    /// (cleared first), in issue order — the allocation-free form of
-    /// [`IssueWindow::retire_due`] for the per-cycle hot path.
+    /// Removes and returns the oldest instruction retiring at or before
+    /// `now`, if any — the allocation-free per-cycle retirement step:
+    /// calling it until `None` yields the due instructions in issue
+    /// order.
     ///
     /// Integer and FP instructions leave their pipes independently, so an
     /// integer instruction may retire past an older FP instruction of the
     /// same context (squashes never reach behind the faulting instruction,
     /// so completed work is never re-executed).
-    pub fn retire_due_into(&mut self, now: u64, out: &mut Vec<InFlight>) {
-        out.clear();
-        let mut write = 0;
-        for read in 0..self.retires_at.len() {
-            if self.retires_at[read] <= now {
-                out.push(self.row(read));
-            } else {
-                self.copy_row(read, write);
-                write += 1;
-            }
+    pub fn pop_due(&mut self, now: u64) -> Option<InFlight> {
+        if now < self.min_retire {
+            return None;
         }
-        self.truncate(write);
+        // Sequence number of a pipe's front row if it is due.
+        let due = |pipe: &VecDeque<Row>| {
+            pipe.front().filter(|r| r.inflight.retires_at <= now).map(|r| r.seq)
+        };
+        let [int, fp] = &self.pipes;
+        let pipe = match (due(int), due(fp)) {
+            (Some(a), Some(b)) => usize::from(b < a),
+            (Some(_), None) => 0,
+            (None, Some(_)) => 1,
+            (None, None) => return None,
+        };
+        let row = self.pipes[pipe].pop_front();
+        self.refresh_min_retire();
+        row.map(|row| row.inflight)
     }
 
-    /// Removes and returns the instructions retiring at or before `now`.
+    /// Removes and returns the instructions retiring at or before `now`,
+    /// in issue order.
     pub fn retire_due(&mut self, now: u64) -> Vec<InFlight> {
-        let mut retired = Vec::new();
-        self.retire_due_into(now, &mut retired);
-        retired
+        std::iter::from_fn(|| self.pop_due(now)).collect()
+    }
+
+    /// Moves every row matching `pred` into `out` (cleared first) in
+    /// issue order, and counts the squash.
+    fn squash_where_into(&mut self, out: &mut Vec<InFlight>, pred: impl Fn(&InFlight) -> bool) {
+        out.clear();
+        let [int, fp] = &self.pipes;
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let row = match (int.get(i), fp.get(j)) {
+                (Some(a), Some(b)) if b.seq < a.seq => {
+                    j += 1;
+                    b
+                }
+                (Some(a), _) => {
+                    i += 1;
+                    a
+                }
+                (None, Some(b)) => {
+                    j += 1;
+                    b
+                }
+                (None, None) => break,
+            };
+            if pred(&row.inflight) {
+                out.push(row.inflight);
+            }
+        }
+        if !out.is_empty() {
+            for pipe in &mut self.pipes {
+                pipe.retain(|r| !pred(&r.inflight));
+            }
+            self.refresh_min_retire();
+        }
+        self.note_squash(out.len());
     }
 
     /// Moves every in-flight instruction of `ctx` into `out` (cleared
@@ -160,18 +209,7 @@ impl IssueWindow {
     /// draining) complete normally, exactly as in a machine that squashes
     /// by CID at the detection point.
     pub fn squash_ctx_from_into(&mut self, ctx: usize, from: u64, out: &mut Vec<InFlight>) {
-        out.clear();
-        let mut write = 0;
-        for read in 0..self.ctx.len() {
-            if self.ctx[read] == ctx && self.fetch_index[read] >= from {
-                out.push(self.row(read));
-            } else {
-                self.copy_row(read, write);
-                write += 1;
-            }
-        }
-        self.truncate(write);
-        self.note_squash(out.len());
+        self.squash_where_into(out, |i| i.ctx == ctx && i.fetch_index >= from);
     }
 
     /// Removes and returns `ctx`'s in-flight instructions at or after
@@ -185,12 +223,7 @@ impl IssueWindow {
     /// Moves every in-flight instruction into `out` (cleared first) —
     /// the blocked scheme's full flush.
     pub fn squash_all_into(&mut self, out: &mut Vec<InFlight>) {
-        out.clear();
-        for i in 0..self.ctx.len() {
-            out.push(self.row(i));
-        }
-        self.truncate(0);
-        self.note_squash(out.len());
+        self.squash_where_into(out, |_| true);
     }
 
     /// Removes and returns every in-flight instruction.
@@ -225,17 +258,17 @@ impl IssueWindow {
 
     /// Number of in-flight instructions belonging to `ctx`.
     pub fn count_ctx(&self, ctx: usize) -> usize {
-        self.ctx.iter().filter(|&&c| c == ctx).count()
+        self.pipes.iter().flatten().filter(|r| r.inflight.ctx == ctx).count()
     }
 
     /// Total in-flight instructions.
     pub fn len(&self) -> usize {
-        self.ctx.len()
+        self.pipes[0].len() + self.pipes[1].len()
     }
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.ctx.is_empty()
+        self.pipes[0].is_empty() && self.pipes[1].is_empty()
     }
 }
 
@@ -244,13 +277,11 @@ mod tests {
     use super::*;
 
     fn inflight(ctx: usize, index: u64, issued: u64, retires: u64) -> InFlight {
-        InFlight {
-            ctx,
-            fetch_index: index,
-            instr: Instr::nop(index * 4),
-            issued_at: issued,
-            retires_at: retires,
-        }
+        InFlight { ctx, fetch_index: index, op: Op::IntAlu, issued_at: issued, retires_at: retires }
+    }
+
+    fn fp(ctx: usize, index: u64, issued: u64, retires: u64) -> InFlight {
+        InFlight { op: Op::FpAdd, ..inflight(ctx, index, issued, retires) }
     }
 
     #[test]
@@ -267,7 +298,7 @@ mod tests {
     #[test]
     fn younger_int_retires_past_older_fp() {
         let mut w = IssueWindow::new();
-        w.issue(inflight(0, 0, 1, 6)); // FP: retires at issue + 5
+        w.issue(fp(0, 0, 1, 6)); // FP: retires at issue + 5
         w.issue(inflight(0, 1, 2, 5)); // int: leaves its pipe first
         let r = w.retire_due(5);
         assert_eq!(r.len(), 1);
@@ -279,7 +310,7 @@ mod tests {
     #[test]
     fn squash_from_spares_older_instructions() {
         let mut w = IssueWindow::new();
-        w.issue(inflight(0, 5, 1, 8)); // older FP, still draining
+        w.issue(fp(0, 5, 1, 8)); // older FP, still draining
         w.issue(inflight(0, 7, 2, 5)); // the faulting load
         w.issue(inflight(0, 8, 3, 6)); // younger
         let squashed = w.squash_ctx_from(0, 7);
@@ -332,11 +363,10 @@ mod tests {
     fn into_variants_clear_reused_buffers() {
         let mut w = IssueWindow::new();
         w.issue(inflight(0, 0, 1, 4));
-        w.issue(inflight(1, 1, 2, 9));
+        w.issue(fp(1, 1, 2, 9));
+        assert_eq!(w.pop_due(4).map(|i| i.fetch_index), Some(0));
+        assert_eq!(w.pop_due(4), None);
         let mut buf = vec![inflight(9, 9, 9, 9)];
-        w.retire_due_into(4, &mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].fetch_index, 0);
         w.squash_all_into(&mut buf);
         assert_eq!(buf.len(), 1);
         assert_eq!(buf[0].ctx, 1);
@@ -349,6 +379,14 @@ mod tests {
         let mut w = IssueWindow::new();
         w.issue(inflight(0, 0, 5, 8));
         w.issue(inflight(0, 1, 4, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "pipe retire order")]
+    fn pipe_retire_order_enforced() {
+        let mut w = IssueWindow::new();
+        w.issue(inflight(0, 0, 5, 9));
+        w.issue(inflight(0, 1, 6, 8));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the pipeline building blocks: the scoreboard
-//! must never permit a true-dependence violation, and the BTB must agree
-//! with a reference predictor model.
+//! must never permit a true-dependence violation, and the BTB and the
+//! issue window must agree with reference models.
 
 use interleave_isa::{Instr, Op, Reg, TimingModel};
-use interleave_pipeline::{Btb, Scoreboard};
+use interleave_pipeline::{
+    Btb, InFlight, IssueWindow, Scoreboard, FP_ISSUE_TO_RETIRE, INT_ISSUE_TO_RETIRE,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -133,6 +135,79 @@ proptest! {
             } else if matches!(reference.get(&index), Some(&(t, _)) if t == tag) {
                 reference.remove(&index);
             }
+        }
+    }
+}
+
+/// Moves the rows of `model` matching `pred` out, in issue order — the
+/// single issue-ordered vector `IssueWindow` used before its per-pipe
+/// FIFOs.
+fn model_take(model: &mut Vec<InFlight>, pred: impl Fn(&InFlight) -> bool) -> Vec<InFlight> {
+    let (taken, kept) = model.drain(..).partition(|i| pred(i));
+    *model = kept;
+    taken
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `IssueWindow` matches an issue-ordered vector over random issue,
+    /// retire, `squash_ctx_from` and `squash_all` sequences: same rows
+    /// out, in the same order, same occupancy and squash counters.
+    #[test]
+    fn issue_window_matches_vector_model(
+        ops in proptest::collection::vec((0u8..6, 0usize..4, any::<bool>(), 0u64..4), 1..300),
+    ) {
+        let mut window = IssueWindow::new();
+        let mut model: Vec<InFlight> = Vec::new();
+        let mut next_index = [0u64; 4];
+        let mut now = 0u64;
+        let mut events = 0u64;
+        let mut squashed = 0u64;
+        for (kind, ctx, fp, step) in ops {
+            match kind {
+                0..=2 => {
+                    let ex = now + 1;
+                    let inflight = InFlight {
+                        ctx,
+                        fetch_index: next_index[ctx],
+                        op: if fp { Op::FpMul } else { Op::Load },
+                        issued_at: ex,
+                        retires_at: ex + if fp { FP_ISSUE_TO_RETIRE } else { INT_ISSUE_TO_RETIRE },
+                    };
+                    next_index[ctx] += 1;
+                    window.issue(inflight);
+                    model.push(inflight);
+                }
+                3 => {
+                    now += step;
+                    let expect = model_take(&mut model, |i| i.retires_at <= now);
+                    prop_assert_eq!(window.retire_due(now), expect);
+                }
+                4 => {
+                    let from = next_index[ctx].saturating_sub(step);
+                    let expect = model_take(&mut model, |i| i.ctx == ctx && i.fetch_index >= from);
+                    let got = window.squash_ctx_from(ctx, from);
+                    if !expect.is_empty() {
+                        events += 1;
+                        squashed += expect.len() as u64;
+                    }
+                    prop_assert_eq!(got, expect);
+                }
+                _ => {
+                    let expect = std::mem::take(&mut model);
+                    if !expect.is_empty() {
+                        events += 1;
+                        squashed += expect.len() as u64;
+                    }
+                    prop_assert_eq!(window.squash_all(), expect);
+                }
+            }
+            prop_assert_eq!(window.len(), model.len());
+            prop_assert_eq!(window.is_empty(), model.is_empty());
+            prop_assert_eq!(window.count_ctx(ctx), model.iter().filter(|i| i.ctx == ctx).count());
+            prop_assert_eq!(window.stats().squash_events.get(), events);
+            prop_assert_eq!(window.stats().squashed_instrs.get(), squashed);
         }
     }
 }

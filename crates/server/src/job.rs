@@ -7,11 +7,12 @@
 //! same spec are the same computation — the foundation of the
 //! byte-identity guarantee the determinism gates enforce.
 
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use interleave_bench::{artifact_spec, ExperimentSpec, Scale, Snapshot};
 use interleave_obs::bus::Watch;
-use interleave_obs::json::{escape, Value};
+use interleave_obs::json::{escape, Value, MAX_SAFE_INTEGER};
 use interleave_obs::Registry;
 
 /// Host worker threads a single job may claim (`"jobs"` knob cap): a
@@ -75,9 +76,9 @@ impl JobRequest {
         let num = |key: &str| -> Result<Option<u64>, String> {
             match doc.get(key) {
                 None => Ok(None),
-                Some(v) => {
-                    v.as_u64().map(Some).ok_or(format!("`{key}` must be a non-negative integer"))
-                }
+                Some(v) => v.as_u64().map(Some).ok_or(format!(
+                    "`{key}` must be a non-negative integer of at most {MAX_SAFE_INTEGER}"
+                )),
             }
         };
         let adaptive = match doc.get("adaptive") {
@@ -168,6 +169,11 @@ pub enum JobPhase {
 }
 
 impl JobPhase {
+    /// Whether the phase is `done` or `failed`.
+    fn is_terminal(&self) -> bool {
+        matches!(self, JobPhase::Done(_) | JobPhase::Failed(_))
+    }
+
     /// The wire name of the phase.
     pub fn name(&self) -> &'static str {
         match self {
@@ -198,6 +204,8 @@ pub struct Job {
     /// [`interleave_bench::Runner::with_bus`].
     pub bus: Watch<Snapshot>,
     phase: Mutex<JobPhase>,
+    /// Signalled on every phase transition.
+    phase_changed: Condvar,
 }
 
 impl Job {
@@ -225,7 +233,15 @@ impl Job {
             last_cell: String::new(),
             metrics: Registry::new(),
         });
-        Ok(Job { id, request, spec, total_cells, bus, phase: Mutex::new(JobPhase::Queued) })
+        Ok(Job {
+            id,
+            request,
+            spec,
+            total_cells,
+            bus,
+            phase: Mutex::new(JobPhase::Queued),
+            phase_changed: Condvar::new(),
+        })
     }
 
     /// Runs `f` with the current phase (the lock is held only for the
@@ -236,12 +252,24 @@ impl Job {
 
     /// Whether the job has reached `done` or `failed`.
     pub fn is_terminal(&self) -> bool {
-        self.with_phase(|p| matches!(p, JobPhase::Done(_) | JobPhase::Failed(_)))
+        self.with_phase(JobPhase::is_terminal)
+    }
+
+    /// Waits up to `timeout` for the job to reach `done` or `failed`;
+    /// returns whether it has.
+    pub fn wait_terminal(&self, timeout: Duration) -> bool {
+        let phase = self.phase.lock().expect("job phase lock");
+        let (phase, _) = self
+            .phase_changed
+            .wait_timeout_while(phase, timeout, |p| !p.is_terminal())
+            .expect("job phase lock");
+        phase.is_terminal()
     }
 
     /// Transitions the phase.
     pub fn set_phase(&self, phase: JobPhase) {
         *self.phase.lock().expect("job phase lock") = phase;
+        self.phase_changed.notify_all();
     }
 
     /// The `GET /jobs/<id>` status document.
@@ -315,6 +343,17 @@ mod tests {
     }
 
     #[test]
+    fn rejects_seeds_a_double_cannot_hold() {
+        let max = request(r#"{"artifact": "smoke", "seed": 9007199254740991}"#).unwrap();
+        assert_eq!(max.seed, Some(MAX_SAFE_INTEGER));
+        // 2^53 + 1 would parse as 2^53 and run (and cache) another seed.
+        for seed in ["9007199254740992", "9007199254740993", "18446744073709551615"] {
+            let err = request(&format!(r#"{{"artifact": "smoke", "seed": {seed}}}"#)).unwrap_err();
+            assert!(err.contains("`seed`"), "{seed} -> {err}");
+        }
+    }
+
+    #[test]
     fn job_resolves_spec_and_tracks_phase() {
         let job = Job::new(3, request(r#"{"artifact": "smoke", "seed": 5}"#).unwrap()).unwrap();
         assert_eq!(job.spec.name(), "smoke");
@@ -326,8 +365,10 @@ mod tests {
         let mut sub = job.bus.subscribe();
         let snap = sub.latest().expect("initial snapshot published");
         assert_eq!((snap.done, snap.total), (0, job.total_cells));
+        assert!(!job.wait_terminal(Duration::from_millis(1)));
         job.set_phase(JobPhase::Failed("boom".into()));
         assert!(job.is_terminal());
+        assert!(job.wait_terminal(Duration::ZERO));
         let status = job.status_json();
         assert!(status.contains("\"state\": \"failed\""), "{status}");
         assert!(status.contains("\"error\": \"boom\""), "{status}");

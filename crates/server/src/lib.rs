@@ -386,6 +386,10 @@ fn artifact(job: &Job, pick: impl Fn(&job::JobOutput) -> String) -> Response {
 
 /// `GET /jobs/<id>/events`: stream newline-delimited status snapshots
 /// from the job's bus until it finishes (or the client goes away).
+///
+/// The Runner publishes its `finished` snapshot before the worker stores
+/// the job's artifacts, so that snapshot is held back until the phase is
+/// terminal: once a client has read it, `/jobs/<id>/metrics` answers.
 fn stream_events(state: &Arc<ServerState>, id: u64, stream: &mut TcpStream) {
     let Some(job) = state.jobs.lock().expect("jobs lock").get(&id).cloned() else {
         let _ = Response::error(404, &format!("no job {id}")).write_to(stream);
@@ -405,6 +409,13 @@ fn stream_events(state: &Arc<ServerState>, id: u64, stream: &mut TcpStream) {
     loop {
         if let Some(snapshot) = pending.take() {
             let finished = snapshot.finished;
+            if finished {
+                while !job.wait_terminal(Duration::from_millis(250)) {
+                    if state.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                }
+            }
             if writeln!(stream, "{}", snapshot.to_json_line())
                 .and_then(|()| stream.flush())
                 .is_err()

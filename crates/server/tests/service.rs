@@ -190,6 +190,8 @@ fn malformed_requests_get_400_and_server_stays_up() {
         ("{\"artifact\": \"table99\"}", "unknown artifact"),
         ("{\"artifact\": \"smoke\", \"scale\": \"huge\"}", "scale"),
         ("{\"seed\": 4}", "artifact"),
+        // 2^53 + 1 would parse as 2^53: a different seed and cache key.
+        ("{\"artifact\": \"smoke\", \"seed\": 9007199254740993}", "`seed`"),
         ("[]", "object"),
     ] {
         let resp = client::post(&addr, "/jobs", body).unwrap();
@@ -270,6 +272,21 @@ fn events_stream_delivers_status_snapshots() {
     let err = client::stream_lines(&addr, "/jobs/999/events", |_| true).unwrap_err();
     assert!(err.to_string().contains("404"), "{err}");
 
+    stop(&addr, handle);
+}
+
+#[test]
+fn artifacts_are_ready_once_the_events_stream_closes() {
+    let (addr, handle) = start(config(None, 1));
+    for seed in 20..24 {
+        let body = format!("{{\"artifact\": \"smoke\", \"seed\": {seed}}}");
+        let id = field_u64(&submit(&addr, &body), "id");
+        client::stream_lines(&addr, &format!("/jobs/{id}/events"), |_| true)
+            .expect("stream to completion");
+        // No retry: the stream ends only after the artifacts are stored.
+        let metrics = client::get(&addr, &format!("/jobs/{id}/metrics")).unwrap();
+        assert_eq!(metrics.status, 200, "seed {seed}: {}", metrics.body);
+    }
     stop(&addr, handle);
 }
 
