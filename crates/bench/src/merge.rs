@@ -347,7 +347,7 @@ mod tests {
     fn empty_dir_is_a_clear_error() {
         let dir = std::env::temp_dir().join(format!("ilv_merge_empty_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let err = merge_dirs(&[dir.clone()]).unwrap_err();
+        let err = merge_dirs(std::slice::from_ref(&dir)).unwrap_err();
         assert!(err.to_string().contains("no shard artifacts"));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,11 @@
 //! Unified experiment API: specs, cells, and a parallel sweep runner.
 //!
-//! Every table/figure harness, the `interleave-sim sweep` subcommand, and
-//! the grid helpers in the crate root describe their work as an
-//! [`ExperimentSpec`] — a grid of (target × scheme × context-count ×
-//! seed) cells plus configuration overrides — and hand it to a
-//! [`Runner`], which executes the cells across OS threads and aggregates
-//! the results into a [`SweepResult`].
+//! Every registered artifact (see [`crate::artifacts`]), the
+//! `interleave-sim sweep` subcommand, and the serve daemon describe
+//! their work as an [`ExperimentSpec`] — a grid of (target × scheme ×
+//! context-count × seed) cells plus configuration overrides — and hand
+//! it to a [`Runner`], which executes the cells across OS threads and
+//! aggregates the results into a [`SweepResult`].
 //!
 //! Determinism is the design invariant: cells are enumerated in a fixed
 //! order, each cell's configuration (including its seed) is a pure
@@ -1348,36 +1348,6 @@ impl SweepResult {
         let path = dir.join(format!("PROFILE_{}.json", self.artifact_stem()));
         std::fs::write(&path, doc)?;
         Ok(Some(path))
-    }
-
-    /// When `INTERLEAVE_JSON=<dir>` is set, writes the `BENCH_*.json`
-    /// and `METRICS_*.json` artifacts there — plus `PROFILE_*.json` when
-    /// the sweep was profiled — logging to stderr; otherwise does
-    /// nothing.
-    pub fn maybe_emit_json(&self) {
-        let Ok(dir) = std::env::var("INTERLEAVE_JSON") else {
-            return;
-        };
-        let dir = std::path::Path::new(&dir);
-        match self.write_json(dir) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("warning: could not write BENCH_{}.json: {e}", self.artifact_stem())
-            }
-        }
-        match self.write_metrics_json(dir) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("warning: could not write METRICS_{}.json: {e}", self.artifact_stem())
-            }
-        }
-        match self.write_profile_json(dir) {
-            Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("warning: could not write PROFILE_{}.json: {e}", self.artifact_stem())
-            }
-        }
     }
 }
 

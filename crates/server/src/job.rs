@@ -24,7 +24,7 @@ pub const MAX_JOBS_PER_REQUEST: usize = 8;
 /// the `sweep` subcommand exposes. Knob names match the CLI flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
-    /// Grid to run (`table7`, `table10`, `smoke`).
+    /// One-grid artifact to run (see [`interleave_bench::artifacts`]).
     pub artifact: String,
     /// Problem scale (`None` = the server's default, [`Scale::Ci`]).
     pub scale: Option<Scale>,
@@ -61,7 +61,12 @@ impl JobRequest {
         let artifact = doc
             .get("artifact")
             .and_then(Value::as_str)
-            .ok_or("job spec requires a string `artifact` (table7, table10, or smoke)")?
+            .ok_or_else(|| {
+                format!(
+                    "job spec requires a string `artifact` ({})",
+                    interleave_bench::artifacts::one_grid_names().join(", ")
+                )
+            })?
             .to_string();
         let scale =
             match doc.get("scale") {
@@ -122,7 +127,8 @@ impl JobRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the unknown artifact.
+    /// Returns a message naming the artifact when it is unknown or not
+    /// exactly one grid.
     pub fn to_spec(&self) -> Result<ExperimentSpec, String> {
         let mut spec = artifact_spec(&self.artifact, self.scale.unwrap_or(Scale::Ci))?;
         if let Some(seed) = self.seed {

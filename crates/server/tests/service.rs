@@ -218,6 +218,21 @@ fn malformed_requests_get_400_and_server_stays_up() {
 }
 
 #[test]
+fn only_one_grid_artifacts_are_served() {
+    // workers = 0: an accepted job queues and never runs.
+    let (addr, handle) = start(config(None, 0));
+    for artifact in ["table4", "ablation_btb"] {
+        let body = format!("{{\"artifact\": \"{artifact}\"}}");
+        let resp = client::post(&addr, "/jobs", &body).unwrap();
+        assert_eq!(resp.status, 400, "{body} -> {}", resp.body);
+        assert!(resp.body.contains(&format!("artifact `{artifact}`")), "{}", resp.body);
+    }
+    let accepted = submit(&addr, "{\"artifact\": \"ablation_contexts\"}");
+    assert_eq!(field_u64(&accepted, "cells"), 6);
+    stop(&addr, handle);
+}
+
+#[test]
 fn admission_control_answers_429_with_retry_after() {
     // workers = 0: jobs queue but never drain, so the bound is exact
     // and deterministic.

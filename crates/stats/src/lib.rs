@@ -8,7 +8,7 @@
 //! * [`Category`] / [`Breakdown`] — per-cycle attribution counters,
 //! * [`Table`] — a minimal aligned ASCII table renderer used by every
 //!   benchmark harness to print the paper's tables and figure series,
-//! * [`summary`] — geometric means, speedups, and formatting helpers.
+//! * [`summary`] — the geometric mean and ratio formatting of Tables 7 and 10.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Summary statistics and formatting helpers for the report harnesses.
+//! Summary statistics and formatting helpers for the paper's tables.
 
 /// Geometric mean of a slice of positive values.
 ///
@@ -29,38 +29,9 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Arithmetic mean; `None` for an empty slice.
-pub fn arithmetic_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Speedup of `new` relative to `baseline` in cycles (baseline / new).
-///
-/// # Panics
-///
-/// Panics if `new_cycles` is zero.
-pub fn speedup(baseline_cycles: u64, new_cycles: u64) -> f64 {
-    assert!(new_cycles > 0, "speedup denominator must be non-zero");
-    baseline_cycles as f64 / new_cycles as f64
-}
-
 /// Formats a throughput ratio like the paper's Table 7 entries (e.g. `1.22`).
 pub fn fmt_ratio(ratio: f64) -> String {
     format!("{ratio:.2}")
-}
-
-/// Formats a throughput increase as a percentage (e.g. `+22%`).
-pub fn fmt_gain_pct(ratio: f64) -> String {
-    format!("{:+.0}%", (ratio - 1.0) * 100.0)
-}
-
-/// Formats a fraction as a percentage with no decimals (e.g. `63%`).
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:.0}%", fraction * 100.0)
 }
 
 #[cfg(test)]
@@ -82,28 +53,7 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_mean_basic() {
-        assert_eq!(arithmetic_mean(&[1.0, 3.0]), Some(2.0));
-        assert_eq!(arithmetic_mean(&[]), None);
-    }
-
-    #[test]
-    fn speedup_basic() {
-        assert!((speedup(200, 100) - 2.0).abs() < 1e-12);
-        assert!((speedup(100, 200) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn speedup_zero_denominator() {
-        let _ = speedup(10, 0);
-    }
-
-    #[test]
     fn formatting() {
         assert_eq!(fmt_ratio(1.2249), "1.22");
-        assert_eq!(fmt_gain_pct(1.5), "+50%");
-        assert_eq!(fmt_gain_pct(0.97), "-3%");
-        assert_eq!(fmt_pct(0.634), "63%");
     }
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// A minimal aligned ASCII table, used by the benchmark harnesses to print
+/// A minimal aligned ASCII table, used by the artifact registry to print
 /// the paper's tables and figure series.
 ///
 /// Columns are sized to their widest cell; the first column is
@@ -62,26 +62,9 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (headers first; cells quoted only when
-    /// they contain commas or quotes). The title is not included.
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        for row in std::iter::once(&self.headers).chain(self.rows.iter()) {
-            if row.is_empty() {
-                continue;
-            }
-            let line: Vec<String> = row.iter().map(|c| escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
+    /// The data rows, in insertion order.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -168,23 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_export() {
+    fn rows_are_exposed_in_order() {
         let mut t = Table::new("T");
-        t.headers(["name", "value"]);
-        t.row(["plain", "1"]);
-        t.row(["with,comma", "said \"hi\""]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"said \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn csv_of_headerless_table_has_no_blank_line() {
-        let mut t = Table::new("T");
-        t.row(["a", "b"]);
-        assert_eq!(t.to_csv(), "a,b\n");
+        t.row(["a", "1"]);
+        t.row(["b"]);
+        assert_eq!(t.rows(), [vec!["a", "1"], vec!["b"]]);
     }
 
     #[test]

@@ -104,7 +104,7 @@ if [ "$serve_only" -eq 1 ]; then
 fi
 
 cargo build --release
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo fmt --check
 

@@ -13,7 +13,7 @@ fn main() {
         Ok(()) => {}
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", interleave::cli::USAGE);
+            eprintln!("{}", interleave::cli::usage());
             std::process::exit(2);
         }
     }

@@ -1,5 +1,6 @@
 //! Integration tests asserting the paper's qualitative claims at reduced
-//! scale (the full-scale numbers are produced by `cargo bench`).
+//! scale (the full tables and figures are printed by `interleave-sim
+//! sweep --artifact NAME`; see `tests/artifacts.rs`).
 
 use interleave::core::{ProcConfig, Processor, Scheme, VecSource};
 use interleave::isa::{Instr, Reg};

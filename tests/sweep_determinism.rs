@@ -37,7 +37,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     assert_eq!(serial.cells.len(), 15);
     assert!(serial.results_match(&parallel), "parallel sweep diverged from serial execution");
     // And the rendered artifacts agree too.
-    assert_eq!(serial.to_table().to_csv(), parallel.to_table().to_csv());
+    assert_eq!(serial.to_table().to_string(), parallel.to_table().to_string());
 }
 
 #[test]
@@ -264,7 +264,7 @@ fn merge_of_shards_is_byte_identical_to_single_process_sweep() {
             sweep.write_json(&shard_dir).unwrap();
             sweep.write_metrics_json(&shard_dir).unwrap();
         }
-        let merged = merge::merge_dirs(&[shard_dir.clone()]).unwrap();
+        let merged = merge::merge_dirs(std::slice::from_ref(&shard_dir)).unwrap();
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].shards, count);
         assert_eq!(merged[0].grid_cells, 15);
