@@ -97,6 +97,90 @@ fn engine_backed_mp_driver_reproduces_seed_goldens() {
     }
 }
 
+/// 64-bit FNV-1a, the digest the repo benchmark pins its cells with.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// 8-node goldens for one app per sharing pattern (MP3D migratory,
+/// Water read-mostly with locks, Ocean neighbour), under the Blocked and
+/// Interleaved schemes: `(app index in splash_suite(), scheme, cycles,
+/// breakdown in Category::ALL order, FNV-64 of the metrics JSON line)`.
+/// They pin the shard, directory, fill-stamp, SPLASH-stream and
+/// barrier-exchange paths: any change to those must leave every bit of
+/// every run unchanged, serially and on worker threads. Recorded before
+/// the lock-free shard segments, bitmask directory, frame-indexed fill
+/// stamps, batched SPLASH streams and stall fast-forward landed.
+const MP_8NODE_GOLDENS: [(usize, Scheme, u64, [u64; 7], u64); 6] = [
+    (
+        0,
+        Scheme::Blocked,
+        71_936,
+        [65_524, 34_176, 8_213, 0, 396_324, 12_659, 58_592],
+        0x27a5_0bb1_9757_701e,
+    ),
+    (
+        0,
+        Scheme::Interleaved,
+        74_112,
+        [65_001, 28_550, 8_386, 0, 421_525, 14_490, 54_944],
+        0xa23d_26f0_af87_866b,
+    ),
+    (
+        2,
+        Scheme::Blocked,
+        59_520,
+        [65_281, 50_368, 62_990, 0, 250_099, 1_026, 46_396],
+        0x03d5_db32_5eda_084f,
+    ),
+    (
+        2,
+        Scheme::Interleaved,
+        60_544,
+        [65_759, 44_371, 65_472, 0, 268_087, 738, 39_925],
+        0x86d5_fd47_340e_b145,
+    ),
+    (
+        3,
+        Scheme::Blocked,
+        70_528,
+        [64_916, 45_934, 9_716, 0, 360_754, 26_423, 56_481],
+        0xc7d3_7bb4_937d_ceee,
+    ),
+    (
+        3,
+        Scheme::Interleaved,
+        72_576,
+        [64_709, 38_823, 9_474, 0, 387_669, 27_112, 52_821],
+        0x1577_bd38_22a6_1eb0,
+    ),
+];
+
+#[test]
+fn mp_8node_sharing_patterns_reproduce_goldens() {
+    let suite = splash_suite();
+    for (app, scheme, cycles, breakdown, digest) in MP_8NODE_GOLDENS {
+        for jobs in [1, 3] {
+            let r = MpSim::builder(suite[app].clone())
+                .scheme(scheme)
+                .nodes(8)
+                .contexts(2)
+                .work(64_000)
+                .warmup(1_000)
+                .mp_jobs(jobs)
+                .build()
+                .run();
+            let what = format!("{}/{scheme:?}/8x2 mp_jobs={jobs}", suite[app].name);
+            let got_digest = fnv64(r.metrics.to_json_line().as_bytes());
+            assert_eq!(r.cycles, cycles, "{what}: cycles diverged from the golden value");
+            assert_breakdown(&what, &r.breakdown, breakdown);
+            assert_eq!(got_digest, digest, "{what}: metrics digest diverged");
+        }
+    }
+}
+
 /// Sweep-level gate: a grid run with adaptive widening forced off must
 /// reproduce the default (adaptive) grid cell for cell, down to the
 /// serialized metrics artifact bytes — the widened schedule is a pure
