@@ -69,10 +69,11 @@ pub struct ProcConfig {
     /// Store-miss handling policy.
     pub store_policy: StorePolicy,
     /// Fast-forward over cycles in which the processor can only idle
-    /// (empty pipe, every context waiting). Purely a host-throughput
-    /// optimisation: results are bit-identical with it on or off. Disable
-    /// to force cycle-by-cycle simulation, e.g. when debugging the hot
-    /// loop itself.
+    /// (empty pipe, every context waiting) or stay frozen behind a
+    /// stalled RF occupant (see `Processor::stall_bound`). Purely a
+    /// host-throughput optimisation: results are bit-identical with it
+    /// on or off. Disable to force cycle-by-cycle simulation, e.g. when
+    /// debugging the hot loop itself.
     pub idle_skip: bool,
     /// Run the structural invariant checkers every tick (scoreboard
     /// hazards, cycle-accounting identity, memory-system structure; see

@@ -438,11 +438,9 @@ impl<P: SystemPort> Processor<P> {
         let _run = profile::enter("core.run");
         let end = self.now.saturating_add(n);
         while self.now < end {
-            if let Some(target) = self.skip_target(end) {
-                self.skip_idle_to(target);
-                continue;
+            if !self.fast_forward(end) {
+                self.tick();
             }
-            self.tick();
         }
     }
 
@@ -453,11 +451,9 @@ impl<P: SystemPort> Processor<P> {
         let start = self.now;
         let end = start.saturating_add(max_cycles);
         while !self.is_done() && self.now < end {
-            if let Some(target) = self.skip_target(end) {
-                self.skip_idle_to(target);
-                continue;
+            if !self.fast_forward(end) {
+                self.tick();
             }
-            self.tick();
         }
         self.now - start
     }
@@ -630,17 +626,68 @@ impl<P: SystemPort> Processor<P> {
         })
     }
 
-    /// Where to fast-forward to within a run bounded by `end`, if idle
-    /// skipping is enabled, possible, and worth more than a plain tick.
-    fn skip_target(&self, end: u64) -> Option<u64> {
+    /// With idle skipping enabled, fast-forwards over an idle
+    /// ([`Processor::idle_bound`]) or frozen ([`Processor::stall_bound`])
+    /// stretch of more than one cycle, never past `end`, and returns
+    /// whether it did; otherwise the caller ticks.
+    pub fn fast_forward(&mut self, end: u64) -> bool {
         if !self.cfg.idle_skip {
+            return false;
+        }
+        let (target, idle) = match self.idle_bound() {
+            Some(IdleBound::Until(t)) => (t.min(end), true),
+            Some(IdleBound::External) => (end, true),
+            None => (self.stall_bound().map_or(self.now, |t| t.min(end)), false),
+        };
+        if target <= self.now + 1 {
+            return false;
+        }
+        if idle {
+            self.skip_idle_to(target);
+        } else {
+            self.skip_stall_to(target);
+        }
+        true
+    }
+
+    /// How long the processor stays frozen behind a stalled RF
+    /// occupant: `Some(t)` means every tick before cycle `t` would only
+    /// charge the occupant's stall class, so
+    /// [`Processor::fast_forward`] may jump there with bit-identical
+    /// results.
+    ///
+    /// Frozen means the RF occupant has stalled at least once, so its
+    /// scoreboard verdict and stall class are both cached, and the
+    /// verdict has not cleared: nothing issues and the front end cannot
+    /// shift. The stretch ends one cycle before the verdict (that tick
+    /// issues), or at the first cycle an event is due, a timed context
+    /// wait ends, or a window instruction retires. `None` when not
+    /// frozen, and always while the trace or validation is on (both
+    /// observe every tick).
+    pub fn stall_bound(&self) -> Option<u64> {
+        if self.trace.is_some() || self.cfg.validate || self.rf_stall_class.is_none() {
             return None;
         }
-        let target = match self.idle_bound()? {
-            IdleBound::Until(t) => t.min(end),
-            IdleBound::External => end,
-        };
-        (target > self.now + 1).then_some(target)
+        let verdict = self.rf_verdict?;
+        if verdict <= self.now + 1 {
+            return None;
+        }
+        let due = self.events.next_due().unwrap_or(u64::MAX);
+        Some((verdict - 1).min(due).min(self.next_wake).min(self.window.next_retire()))
+    }
+
+    /// Fast-forwards a frozen processor to `target`, charging every
+    /// skipped cycle to the RF occupant's stall class exactly as ticking
+    /// them one by one would. Debug-asserts that `target` does not cross
+    /// the bound reported by [`Processor::stall_bound`].
+    fn skip_stall_to(&mut self, target: u64) {
+        debug_assert!(
+            self.stall_bound().is_some_and(|t| target <= t),
+            "skip_stall_to past the stall bound"
+        );
+        let class = self.rf_stall_class.expect("a frozen RF occupant has a stall class");
+        self.breakdown.record(class, target - self.now);
+        self.now = target;
     }
 
     /// Fast-forwards an idle processor to `target`, charging the skipped

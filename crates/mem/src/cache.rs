@@ -68,6 +68,12 @@ impl DirectCache {
         ((addr >> self.line_shift) & self.index_mask) as usize
     }
 
+    /// The set (frame) the line containing `addr` maps to, in
+    /// `0..sets()`: two addresses with the same set evict each other.
+    pub fn set_of(&self, addr: u64) -> usize {
+        self.index(addr)
+    }
+
     fn tag(&self, addr: u64) -> u64 {
         addr >> self.line_shift >> self.index_mask.count_ones()
     }

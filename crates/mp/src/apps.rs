@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use interleave_core::InstrSource;
 use interleave_isa::{Access, Instr, SyncKind};
 use interleave_workloads::{spec, AppProfile, SyntheticApp};
@@ -197,8 +195,15 @@ pub struct SplashThread {
     thread: usize,
     n_threads: usize,
     inner: SyntheticApp,
+    /// Compute instructions pulled from `inner` ahead of use, in runs of
+    /// [`COMPUTE_RUN`]; `compute_pos` indexes the next one. The inner
+    /// stream is a pure function of the instruction index, so pulling
+    /// ahead never changes it.
+    compute: Vec<Instr>,
+    compute_pos: usize,
     rng: SmallRng,
-    pending: VecDeque<Instr>,
+    /// The release queued behind a critical section's last instruction.
+    pending: Option<Instr>,
     since_lock: u64,
     since_barrier: u64,
     /// Remaining critical-section instructions and the held lock.
@@ -213,6 +218,8 @@ const SHARED_BASE: u64 = 0x7000_0000;
 /// Size of a migratory block (a particle/task record spanning a few
 /// lines).
 const BLOCK_BYTES: u64 = 256;
+/// Compute instructions pulled from the inner generator per refill.
+const COMPUTE_RUN: usize = 32;
 
 impl SplashThread {
     /// Creates thread `thread` of `n_threads` for `profile`.
@@ -227,9 +234,11 @@ impl SplashThread {
         SplashThread {
             rng: SmallRng::seed_from_u64(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9)),
             inner,
+            compute: Vec::with_capacity(COMPUTE_RUN),
+            compute_pos: 0,
             thread,
             n_threads,
-            pending: VecDeque::new(),
+            pending: None,
             since_lock: 0,
             since_barrier: 0,
             in_cs: None,
@@ -278,12 +287,24 @@ impl SplashThread {
         };
         self.rng.gen_bool(frac.clamp(0.0, 1.0))
     }
-}
 
-impl InstrSource for SplashThread {
-    fn next_instr(&mut self) -> Option<Instr> {
-        if let Some(q) = self.pending.pop_front() {
-            return Some(q);
+    /// The next instruction of the inner compute stream.
+    fn next_compute(&mut self) -> Instr {
+        if self.compute_pos == self.compute.len() {
+            self.compute.clear();
+            self.compute_pos = 0;
+            self.inner.next_run(&mut self.compute, COMPUTE_RUN);
+        }
+        let instr = *self.compute.get(self.compute_pos).expect("compute stream is unbounded");
+        self.compute_pos += 1;
+        instr
+    }
+
+    /// The next instruction of the thread's stream (shared by both pull
+    /// granularities, so the stream does not depend on how it is batched).
+    fn produce(&mut self) -> Instr {
+        if let Some(release) = self.pending.take() {
+            return release;
         }
 
         // Synchronization insertion points (never inside a critical
@@ -294,7 +315,7 @@ impl InstrSource for SplashThread {
                     self.since_barrier = 0;
                     let instance = self.barrier_instance;
                     self.barrier_instance = self.barrier_instance.wrapping_add(1);
-                    return Some(Instr::sync(0x1000, SyncKind::BarrierArrive, instance));
+                    return Instr::sync(0x1000, SyncKind::BarrierArrive, instance);
                 }
             }
             if let Some(period) = self.profile.lock_period {
@@ -302,12 +323,12 @@ impl InstrSource for SplashThread {
                     self.since_lock = 0;
                     let id = self.rng.gen_range(0..self.profile.n_locks);
                     self.in_cs = Some((self.profile.cs_len, id));
-                    return Some(Instr::sync(0x1004, SyncKind::LockAcquire, id));
+                    return Instr::sync(0x1004, SyncKind::LockAcquire, id);
                 }
             }
         }
 
-        let mut instr = self.inner.next_instr().expect("compute stream is unbounded");
+        let mut instr = self.next_compute();
         self.since_lock += 1;
         self.since_barrier += 1;
 
@@ -323,13 +344,24 @@ impl InstrSource for SplashThread {
         if let Some((left, id)) = self.in_cs {
             if left <= 1 {
                 self.in_cs = None;
-                self.pending.push_back(Instr::sync(0x1008, SyncKind::LockRelease, id));
+                self.pending = Some(Instr::sync(0x1008, SyncKind::LockRelease, id));
             } else {
                 self.in_cs = Some((left - 1, id));
             }
         }
 
-        Some(instr)
+        instr
+    }
+}
+
+impl InstrSource for SplashThread {
+    fn next_instr(&mut self) -> Option<Instr> {
+        Some(self.produce())
+    }
+
+    fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
+        out.extend((0..max).map(|_| self.produce()));
+        max
     }
 }
 
@@ -345,6 +377,7 @@ impl std::fmt::Debug for SplashThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn take(profile: SplashProfile, thread: usize, n: usize, count: usize) -> Vec<Instr> {
         let mut t = SplashThread::new(profile, thread, n, 11);
@@ -450,6 +483,44 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// `next_run` at any run lengths yields exactly the `next_instr`
+        /// stream, lock and barrier insertion included.
+        #[test]
+        fn next_run_matches_next_instr(plan in proptest::collection::vec(1usize..=64, 1..9)) {
+            const LEN: usize = 6_500;
+            for p in splash_suite() {
+                for n in [2, 8, 32] {
+                    let one_by_one = take(p.clone(), n - 1, n, LEN);
+                    let mut t = SplashThread::new(p.clone(), n - 1, n, 11);
+                    let mut batched = Vec::new();
+                    for &want in plan.iter().cycle() {
+                        let room = LEN - batched.len();
+                        if room == 0 {
+                            break;
+                        }
+                        prop_assert_eq!(t.next_run(&mut batched, want.min(room)), want.min(room));
+                    }
+                    prop_assert_eq!(&one_by_one, &batched, "{} with {} threads", p.name, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compute_stream_is_pulled_in_batches() {
+        for p in splash_suite() {
+            let mut t = SplashThread::new(p.clone(), 0, 8, 11);
+            for _ in 0..10_000 {
+                t.next_instr();
+            }
+            let mean = t.inner.batch_lens().mean();
+            assert!(mean >= 16.0, "{}: mean compute batch {mean}", p.name);
         }
     }
 

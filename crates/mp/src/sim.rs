@@ -1,15 +1,15 @@
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock};
 
-use interleave_core::{IdleBound, ProcConfig, Processor, Scheme, WaitReason};
+use interleave_core::{ProcConfig, Processor, Scheme, WaitReason};
 use interleave_engine::{
-    lock, read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Quiescence, Segment, Shard,
+    read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Quiescence, Segment, Shard,
 };
 use interleave_mem::CacheParams;
 use interleave_obs::validate::Violation;
 use interleave_obs::{profile, Histogram, Registry};
 use interleave_stats::Breakdown;
 
-use crate::node::{barrier_exchange, ShardPort, ShardState};
+use crate::node::{Exchange, Parked, ShardPort, ShardSlot, ShardState};
 use crate::{Directory, DirectoryStats, LatencyModel, MissClass, SplashProfile, SplashThread};
 
 /// Multiprocessor simulation driver (paper Section 5.2).
@@ -71,7 +71,8 @@ pub struct MpSim {
     latency: LatencyModel,
     /// Seed for streams and latency sampling.
     seed: u64,
-    /// Fast-forward cycles in which a shard's processor is idle.
+    /// Fast-forward cycles in which a shard's processor is idle or
+    /// frozen behind a stalled instruction.
     idle_skip: bool,
     /// Widen quanta across machine-wide quiescent stretches.
     adaptive: bool,
@@ -141,9 +142,10 @@ impl MpSimBuilder {
         self
     }
 
-    /// Fast-forward cycles in which a shard's processor is idle (default
-    /// true). Purely a host-throughput optimisation — results are
-    /// bit-identical with it on or off.
+    /// Fast-forward cycles in which a shard's processor is idle or
+    /// frozen behind a stalled instruction (default true). Purely a
+    /// host-throughput optimisation — results are bit-identical with it
+    /// on or off.
     pub fn idle_skip(mut self, enabled: bool) -> Self {
         self.sim.idle_skip = enabled;
         self
@@ -303,8 +305,8 @@ impl MpSim {
 
         let line_size = CacheParams::primary_data().line;
         let master = Arc::new(RwLock::new(Directory::new(self.nodes, line_size)));
-        let states: Vec<Arc<Mutex<ShardState>>> = (0..self.nodes)
-            .map(|n| Arc::new(Mutex::new(ShardState::new(n, contexts, threads as u32, hop))))
+        let states: Vec<Arc<ShardSlot>> = (0..self.nodes)
+            .map(|n| Arc::new(ShardSlot::new(ShardState::new(n, contexts, threads as u32, hop))))
             .collect();
         let mut shards: Vec<NodeShard> = (0..self.nodes)
             .map(|n| {
@@ -319,12 +321,7 @@ impl MpSim {
                     states[n].clone(),
                     master.clone(),
                 );
-                NodeShard {
-                    cpu: Processor::new(cfg, port),
-                    state: states[n].clone(),
-                    contexts,
-                    idle_skip: self.idle_skip,
-                }
+                NodeShard { cpu: Processor::new(cfg, port), contexts }
             })
             .collect();
         for (node, shard) in shards.iter_mut().enumerate() {
@@ -353,8 +350,7 @@ impl MpSim {
             sim: self,
             master: &master,
             states: &states,
-            hop,
-            eff_seq: 0,
+            exchange: Exchange::new(hop),
             fault_pending: self.fault_at,
             quota,
         };
@@ -379,7 +375,7 @@ impl MpSim {
         let mut mlp = (0u64, 0u64);
         let mut sync_stats = (0u64, 0u64);
         for state in &states {
-            let st = lock(state);
+            let st = state.lock();
             for (h, shard) in merged.iter_mut().zip(st.latencies.iter()) {
                 h.merge(shard);
             }
@@ -402,13 +398,12 @@ impl MpSim {
     }
 }
 
-/// One node as an engine shard: the processor plus a handle to the
-/// node's locked [`ShardState`].
+/// One node as an engine shard: the processor over the node's
+/// [`ShardPort`], which checks the node's [`ShardState`] out of its slot
+/// for each segment.
 struct NodeShard {
     cpu: Processor<ShardPort>,
-    state: Arc<Mutex<ShardState>>,
     contexts: usize,
-    idle_skip: bool,
 }
 
 impl Shard for NodeShard {
@@ -420,29 +415,28 @@ impl Shard for NodeShard {
                 self.cpu.reset_retired(ctx);
             }
         }
-        advance_shard(&mut self.cpu, &self.state, seg.from, seg.to, self.contexts, self.idle_skip);
+        self.cpu.port_mut().check_out();
+        advance_shard(&mut self.cpu, seg.from, seg.to, self.contexts);
+        self.cpu.port_mut().check_in();
     }
 }
 
 /// The machine-level callbacks the engine schedule drives between
 /// segments. All of them run on the driver thread while every worker is
-/// parked at a barrier, so the shard locks are uncontended.
+/// parked at a barrier, so every shard state is parked in its slot and
+/// the slot locks are uncontended.
 struct MachineHooks<'a> {
     sim: &'a MpSim,
     master: &'a RwLock<Directory>,
-    states: &'a [Arc<Mutex<ShardState>>],
-    hop: u64,
-    /// Persistent sequence counter of the effect lanes (lives across
-    /// barriers so effect keys never repeat while earlier effects are
-    /// still queued).
-    eff_seq: u64,
+    states: &'a [Arc<ShardSlot>],
+    exchange: Exchange,
     fault_pending: Option<u64>,
     quota: u64,
 }
 
 impl Hooks for MachineHooks<'_> {
     fn exchange(&mut self, _now: u64) {
-        barrier_exchange(self.master, self.states, self.hop, &mut self.eff_seq);
+        self.exchange.run(self.master, self.states);
     }
 
     /// Machine-wide coherence checks are O(tracked lines), so they run
@@ -457,7 +451,7 @@ impl Hooks for MachineHooks<'_> {
         dir.check_invariants(now).map_err(fail)?;
         // Cross-check: every copy the master tracks must actually be
         // cached by its node.
-        let guards: Vec<MutexGuard<'_, ShardState>> = self.states.iter().map(|s| lock(s)).collect();
+        let guards: Vec<Parked<'_>> = self.states.iter().map(|s| s.lock()).collect();
         let mut missing = None;
         dir.for_each_cached_copy(|line, node, dirty| {
             if missing.is_none() && (node >= self.sim.nodes || !guards[node].cache.probe(line)) {
@@ -485,7 +479,7 @@ impl Hooks for MachineHooks<'_> {
     fn begin_measurement(&mut self, _now: u64) {
         write_lock(self.master).reset_stats();
         for state in self.states {
-            for h in &mut lock(state).latencies {
+            for h in &mut state.lock().latencies {
                 h.reset();
             }
         }
@@ -501,7 +495,7 @@ impl Hooks for MachineHooks<'_> {
     }
 
     fn done(&mut self) -> bool {
-        self.states.iter().all(|s| lock(s).retired.iter().all(|&r| r >= self.quota))
+        self.states.iter().all(|s| s.lock().retired.iter().all(|&r| r >= self.quota))
     }
 
     /// Folds every shard's published processor idle bound and earliest
@@ -512,7 +506,7 @@ impl Hooks for MachineHooks<'_> {
     fn quiescent(&mut self) -> Quiescence {
         let mut q = Quiescence::External;
         for state in self.states {
-            let st = lock(state);
+            let st = state.lock();
             q = q.also_idle(st.cpu_idle).also_due(st.next_due());
             if q == Quiescence::Active {
                 break;
@@ -523,18 +517,12 @@ impl Hooks for MachineHooks<'_> {
 }
 
 /// Advances one shard's processor from `from` to exactly `to`, applying
-/// queued messages at their due cycles and skipping idle stretches (the
-/// per-node reuse of the event-driven uniprocessor machinery: the jump
-/// target is clamped to the segment end, the processor's own idle bound,
-/// and the earliest queued message).
-fn advance_shard(
-    cpu: &mut Processor<ShardPort>,
-    state: &Mutex<ShardState>,
-    from: u64,
-    to: u64,
-    contexts: usize,
-    idle_skip: bool,
-) {
+/// queued messages at their due cycles and fast-forwarding idle and
+/// stalled stretches (the per-node reuse of the event-driven
+/// uniprocessor machinery: the jump target is clamped to the segment
+/// end, the processor's own bound, and the earliest queued message).
+/// The node's state is checked out, so nothing here takes a lock.
+fn advance_shard(cpu: &mut Processor<ShardPort>, from: u64, to: u64, contexts: usize) {
     debug_assert_eq!(cpu.now(), from);
     let mut wakes = Vec::new();
     loop {
@@ -542,13 +530,11 @@ fn advance_shard(
         if now >= to {
             break;
         }
-        // One state lock per iteration: apply due messages, then read
-        // the next due cycle to bound any idle jump.
-        let next_due = {
-            let mut st = lock(state);
-            st.deliver_due(now, &mut wakes);
-            st.next_due()
-        };
+        // Apply due messages, then read the next due cycle to bound any
+        // fast-forward.
+        let st = cpu.port_mut().state();
+        st.deliver_due(now, &mut wakes);
+        let next_due = st.next_due();
         for ctx in wakes.drain(..) {
             if cpu.ctx_view(ctx).waiting_on == Some(WaitReason::Sync) {
                 cpu.wake_context(ctx);
@@ -556,30 +542,18 @@ fn advance_shard(
             // Otherwise the context spins at issue and will observe its
             // token on retry.
         }
-        if idle_skip {
-            if let Some(bound) = cpu.idle_bound() {
-                let mut target = to;
-                if let IdleBound::Until(t) = bound {
-                    target = target.min(t);
-                }
-                if let Some(due) = next_due {
-                    target = target.min(due);
-                }
-                if target > now + 1 {
-                    cpu.skip_idle_to(target);
-                    continue;
-                }
-            }
+        if !cpu.fast_forward(next_due.map_or(to, |due| due.min(to))) {
+            cpu.tick();
         }
-        cpu.tick();
     }
     // Publish retired counts and the idle bound for the driver's
     // barrier-time done-check and quiescence fold.
-    let mut st = lock(state);
     for ctx in 0..contexts {
-        st.retired[ctx] = cpu.retired(ctx);
+        let retired = cpu.retired(ctx);
+        cpu.port_mut().state().retired[ctx] = retired;
     }
-    st.cpu_idle = cpu.idle_bound();
+    let idle = cpu.idle_bound();
+    cpu.port_mut().state().cpu_idle = idle;
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ proptest! {
                         expected.insert(owner);
                     }
                     expected.remove(&node);
-                    let got: HashSet<u8> = tx.invalidate.iter().map(|&n| n as u8).collect();
+                    let got: HashSet<u8> = tx.invalidated().map(|n| n as u8).collect();
                     prop_assert_eq!(&got, &expected, "invalidation set for line {}", line);
                     state.sharers.clear();
                     state.dirty_owner = Some(node);

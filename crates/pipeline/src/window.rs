@@ -150,6 +150,13 @@ impl IssueWindow {
         row.map(|row| row.inflight)
     }
 
+    /// The earliest cycle an instruction in the window retires
+    /// (`u64::MAX` when empty): [`IssueWindow::pop_due`] yields nothing
+    /// before it.
+    pub fn next_retire(&self) -> u64 {
+        self.min_retire
+    }
+
     /// Removes and returns the instructions retiring at or before `now`,
     /// in issue order.
     pub fn retire_due(&mut self, now: u64) -> Vec<InFlight> {

@@ -35,6 +35,13 @@
 # table (share of wall, calls) so CI logs always carry the attribution
 # data a later regression hunt needs.
 #
+# Rate keys are also compared against the last line of
+# `ci/perf_history.jsonl` (one JSON object per line: `rev`, `host`, and
+# rates under the baseline file's key names). A fresh rate more than 10%
+# below that line's value for the same key prints a warning naming the
+# recorded rev; it never fails the gate, because the history comes from
+# one reference host and CI hardware differs.
+#
 # A missing or malformed rate on either side is a hard failure — an
 # artifact without the key means the instrumentation came unwired, which
 # is exactly the regression this gate exists to catch (an earlier
@@ -164,8 +171,25 @@ case "$baseline_key" in
     ;;
 esac
 
+# Warns (never fails) when rate `$2` is more than 10% below key `$1`
+# on the last line of the perf history.
+history_warning() {
+  local key="$1" cur="$2" history last prev rev
+  history="$(dirname "$0")/../ci/perf_history.jsonl"
+  [ -f "$history" ] || return 0
+  last="$(grep -v '^[[:space:]]*$' "$history" | tail -1 || true)"
+  prev="$(printf '%s\n' "$last" | grep -o "\"$key\": *[0-9.]*" | head -1 | sed 's/.*: *//' || true)"
+  [ -n "$prev" ] || return 0
+  rev="$(printf '%s\n' "$last" | grep -o '"rev": *"[^"]*"' | sed 's/.*: *"//; s/"$//' || true)"
+  if awk -v c="$cur" -v p="$prev" 'BEGIN { exit (c + 0 < p * 0.9) ? 0 : 1 }'; then
+    echo "throughput_gate: WARNING — $cur cycles/sec is more than 10% below the last" \
+      "ci/perf_history.jsonl entry ($key=$prev at rev ${rev:-?})" >&2
+  fi
+}
+
 current="$(extract_rate "$current_json" sim_cycles_per_sec)"
 baseline="$(extract_rate "$baseline_json" "$baseline_key")"
+history_warning "$baseline_key" "$current"
 
 # Pass iff current >= 0.7 * baseline (awk handles the floats; its exit
 # status carries the verdict).
