@@ -77,8 +77,8 @@ pub fn find(name: &str) -> Result<&'static Artifact, String> {
     })
 }
 
-/// Names of the artifacts that are exactly one grid — the ones
-/// `profile`, `submit`, and the serve daemon accept.
+/// Names of the artifacts that are exactly one grid — the ones `submit`
+/// and the serve daemon accept.
 pub fn one_grid_names() -> Vec<&'static str> {
     ARTIFACTS.iter().filter(|a| (a.specs)(Scale::Ci).len() == 1).map(|a| a.name).collect()
 }

@@ -24,37 +24,28 @@ use std::time::{Duration, Instant};
 use interleave_core::{Scheme, StorePolicy};
 use interleave_mp::{LatencyModel, MpResult, MpSim, SplashProfile};
 use interleave_obs::bus::{Subscriber, Watch};
+use interleave_obs::json;
 use interleave_obs::profile::{self, PhaseProfile};
 use interleave_obs::Registry;
 use interleave_stats::{Breakdown, Category, Table};
 use interleave_workloads::mixes::Workload;
 use interleave_workloads::{MultiprogramResult, MultiprogramSim, OsModel};
 
-/// Problem scale, resolved once from `INTERLEAVE_FULL`.
+/// Problem scale (`--scale ci|full`).
 ///
 /// [`Scale::Ci`] preserves the paper's shapes at sizes that finish in
 /// seconds; [`Scale::Full`] is the paper-scale configuration (36 ×
 /// 6M-cycle time slices, 16-node machines). All scale-dependent knobs in
-/// the workspace resolve through this type — nothing else should read
-/// `INTERLEAVE_FULL`.
+/// the workspace resolve through this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Scaled-down configuration for CI and quick iteration (default).
     Ci,
-    /// Paper-scale configuration (`INTERLEAVE_FULL=1`).
+    /// Paper-scale configuration (`--scale full`).
     Full,
 }
 
 impl Scale {
-    /// Resolves the scale from the `INTERLEAVE_FULL` environment
-    /// variable (`1` means [`Scale::Full`]).
-    pub fn from_env() -> Scale {
-        match std::env::var("INTERLEAVE_FULL") {
-            Ok(v) if v == "1" => Scale::Full,
-            _ => Scale::Ci,
-        }
-    }
-
     /// Parses `"ci"` / `"full"` (as accepted by `sweep --scale`).
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
@@ -157,20 +148,6 @@ impl Shard {
         let index = k.trim().parse::<usize>().ok()?;
         let count = n.trim().parse::<usize>().ok()?;
         (1..=count).contains(&index).then_some(Shard { index, count })
-    }
-
-    /// The `INTERLEAVE_SHARD=K/N` fallback for runners that do not set
-    /// a shard explicitly. A malformed value is reported on stderr and
-    /// ignored rather than silently running the full grid as if it were
-    /// a slice — the resulting unstamped artifacts would then fail the
-    /// merge step loudly instead of corrupting it quietly.
-    pub fn from_env() -> Option<Shard> {
-        let raw = std::env::var("INTERLEAVE_SHARD").ok()?;
-        let shard = Shard::parse(&raw);
-        if shard.is_none() {
-            eprintln!("warning: ignoring malformed INTERLEAVE_SHARD={raw:?} (expected K/N)");
-        }
-        shard
     }
 
     /// 1-based shard index.
@@ -441,20 +418,18 @@ impl ExperimentSpec {
         self
     }
 
-    /// Overrides idle-cycle skipping (default on). When unset, the
-    /// `INTERLEAVE_IDLE_SKIP` environment variable applies. Purely a
-    /// host-throughput knob: simulated results are bit-identical either
-    /// way (asserted by the `sweep_determinism` integration test).
+    /// Overrides idle-cycle skipping (default on). A test-oracle
+    /// switch, not a user knob: simulated results are bit-identical
+    /// either way (asserted by the `sweep_determinism` integration test).
     pub fn idle_skip(mut self, enabled: bool) -> Self {
         self.overrides.idle_skip = Some(enabled);
         self
     }
 
     /// Overrides adaptive lookahead widening for multiprocessor cells
-    /// (see [`interleave_mp::MpSimBuilder::adaptive`]; default on). When
-    /// unset, the `INTERLEAVE_ADAPTIVE` environment variable applies.
-    /// Purely a host-throughput knob: simulated results are
-    /// bit-identical either way.
+    /// (see [`interleave_mp::MpSimBuilder::adaptive`]; default on). A
+    /// test-oracle switch, not a user knob: simulated results are
+    /// bit-identical either way (asserted by `tests/engine_equivalence.rs`).
     pub fn adaptive(mut self, enabled: bool) -> Self {
         self.overrides.adaptive = Some(enabled);
         self
@@ -462,9 +437,8 @@ impl ExperimentSpec {
 
     /// Overrides the host worker threads each multiprocessor cell uses
     /// to advance its node shards between conservative quantum barriers
-    /// (see [`interleave_mp::MpSimBuilder::mp_jobs`]). When unset, the
-    /// `INTERLEAVE_MP_JOBS` environment variable applies, defaulting to
-    /// 1 (serial). Purely a host-throughput knob: simulated results are
+    /// (see [`interleave_mp::MpSimBuilder::mp_jobs`]; default 1, serial).
+    /// Purely a host-throughput knob: simulated results are
     /// bit-identical for every value.
     pub fn mp_jobs(mut self, jobs: usize) -> Self {
         self.overrides.mp_jobs = Some(jobs);
@@ -527,7 +501,7 @@ impl ExperimentSpec {
                 if let Some(policy) = ov.store_policy {
                     b = b.store_policy(policy);
                 }
-                if let Some(skip) = ov.idle_skip.or_else(idle_skip_from_env) {
+                if let Some(skip) = ov.idle_skip {
                     b = b.idle_skip(skip);
                 }
                 CellResult::Uni(Box::new(b.build().run()))
@@ -545,13 +519,13 @@ impl ExperimentSpec {
                 if let Some(latency) = ov.latency {
                     b = b.latency(latency);
                 }
-                if let Some(skip) = ov.idle_skip.or_else(idle_skip_from_env) {
+                if let Some(skip) = ov.idle_skip {
                     b = b.idle_skip(skip);
                 }
-                if let Some(adaptive) = ov.adaptive.or_else(adaptive_from_env) {
+                if let Some(adaptive) = ov.adaptive {
                     b = b.adaptive(adaptive);
                 }
-                if let Some(jobs) = ov.mp_jobs.or_else(mp_jobs_from_env) {
+                if let Some(jobs) = ov.mp_jobs {
                     b = b.mp_jobs(jobs);
                 }
                 CellResult::Mp(Box::new(b.build().run()))
@@ -615,7 +589,7 @@ impl ExperimentSpec {
 /// metrics), which in-process clients read via [`Runner::subscribe`] and
 /// out-of-process clients read from the atomically-replaced
 /// `STATUS_<name>.json` written when a status directory is configured
-/// ([`Runner::status_dir`] / `INTERLEAVE_STATUS=<dir>`), e.g. with
+/// ([`Runner::status_dir`], `sweep --status-dir`), e.g. with
 /// `interleave-sim watch`.
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -667,7 +641,7 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"artifact\": {},\n", json_str(&self.artifact)));
+        out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.artifact)));
         out.push_str("  \"schema\": \"interleave-status-v1\",\n");
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
         out.push_str(&format!("  \"done\": {},\n", self.done));
@@ -678,7 +652,7 @@ impl Snapshot {
         out.push_str(&format!("  \"eta_secs\": {:.1},\n", self.eta_secs));
         out.push_str(&format!("  \"sim_cycles\": {},\n", self.sim_cycles));
         out.push_str(&format!("  \"sim_cycles_per_sec\": {:.1},\n", self.sim_cycles_per_sec));
-        out.push_str(&format!("  \"last_cell\": {},\n", json_str(&self.last_cell)));
+        out.push_str(&format!("  \"last_cell\": {},\n", json::escape(&self.last_cell)));
         out.push_str(&format!("  \"metrics\": {}\n", self.metrics.to_json(2)));
         out.push_str("}\n");
         out
@@ -694,7 +668,7 @@ impl Snapshot {
              \"done\": {}, \"total\": {}, \"finished\": {}, \"wall_ms\": {}, \
              \"cells_per_sec\": {:.3}, \"eta_secs\": {:.1}, \"sim_cycles\": {}, \
              \"sim_cycles_per_sec\": {:.1}, \"last_cell\": {}, \"metrics\": {}}}",
-            json_str(&self.artifact),
+            json::escape(&self.artifact),
             self.scale,
             self.done,
             self.total,
@@ -704,7 +678,7 @@ impl Snapshot {
             self.eta_secs,
             self.sim_cycles,
             self.sim_cycles_per_sec,
-            json_str(&self.last_cell),
+            json::escape(&self.last_cell),
             self.metrics.to_json_line()
         )
     }
@@ -871,36 +845,6 @@ impl Runner {
         Runner::new(1)
     }
 
-    /// A runner using `INTERLEAVE_JOBS` if set, else the machine's
-    /// available parallelism. Progress reporting is enabled when
-    /// `INTERLEAVE_PROGRESS=1`, and `INTERLEAVE_STATUS=<dir>` configures
-    /// the live status-file directory.
-    pub fn from_env() -> Runner {
-        let jobs = std::env::var("INTERLEAVE_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        let mut runner = Runner::new(jobs)
-            .progress(matches!(std::env::var("INTERLEAVE_PROGRESS"), Ok(v) if v == "1"));
-        if let Ok(dir) = std::env::var("INTERLEAVE_STATUS") {
-            runner = runner.status_dir(dir);
-        }
-        if let Some(shard) = Shard::from_env() {
-            runner = runner.shard(shard);
-        }
-        if let Ok(dir) = std::env::var("INTERLEAVE_CHECKPOINT_DIR") {
-            runner = runner.checkpoint_dir(dir);
-        }
-        runner
-    }
-
-    /// Overrides the worker-thread count (clamped to at least 1),
-    /// keeping any progress/status configuration already applied.
-    pub fn with_jobs(mut self, jobs: usize) -> Runner {
-        self.jobs = jobs.max(1);
-        self
-    }
-
     /// Enables or disables the per-second completion heartbeat on stderr
     /// (default off).
     pub fn progress(mut self, on: bool) -> Runner {
@@ -931,7 +875,7 @@ impl Runner {
     /// checkpoint), and cells whose checkpoint already exists are
     /// restored instead of recomputed. The key is a canonical hash of
     /// the resolved result-affecting configuration plus the cell
-    /// coordinates (see [`crate::checkpoint`]), so stale checkpoints
+    /// coordinates (see [`crate::cache`]), so stale checkpoints
     /// from a different spec, seed, or code version are ignored — a
     /// resumed sweep is byte-identical to an uninterrupted one.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Runner {
@@ -1185,7 +1129,7 @@ impl SweepResult {
             .unwrap_or(0);
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"artifact\": {},\n", json_str(&self.name)));
+        out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str(&format!("  \"unix_timestamp\": {timestamp},\n"));
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
@@ -1213,7 +1157,7 @@ impl SweepResult {
                  \"seed\": {seed}, \"cycles\": {}, \"utilization\": {:.6}, \"wall_ms\": {}, \
                  \"sim_cycles_per_sec\": {:.1}",
                 self.grid_indices.get(i).copied().unwrap_or(i),
-                json_str(cell.target.name()),
+                json::escape(cell.target.name()),
                 cell.scheme.name(),
                 cell.contexts,
                 result.cycles(),
@@ -1249,7 +1193,7 @@ impl SweepResult {
     pub fn metrics_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"artifact\": {},\n", json_str(&self.name)));
+        out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
         if let Some(shard) = self.shard {
@@ -1271,7 +1215,7 @@ impl SweepResult {
                 "    {{\"grid_index\": {}, \"target\": {}, \"scheme\": \"{}\", \
                  \"contexts\": {}, \"seed\": {seed}, \"metrics\": {}}}{comma}\n",
                 self.grid_indices.get(i).copied().unwrap_or(i),
-                json_str(cell.target.name()),
+                json::escape(cell.target.name()),
                 cell.scheme.name(),
                 cell.contexts,
                 result.metrics().to_json_line(),
@@ -1316,7 +1260,7 @@ impl SweepResult {
         let profile = self.profile.as_ref()?;
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"artifact\": {},\n", json_str(&self.name)));
+        out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str("  \"schema\": \"interleave-profile-v1\",\n");
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
@@ -1356,35 +1300,6 @@ fn wall_ns(wall: Duration) -> u64 {
     u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The `INTERLEAVE_MP_JOBS` fallback for specs that do not set
-/// [`ExperimentSpec::mp_jobs`] explicitly.
-fn mp_jobs_from_env() -> Option<usize> {
-    std::env::var("INTERLEAVE_MP_JOBS").ok().and_then(|v| v.parse::<usize>().ok())
-}
-
-/// The `INTERLEAVE_IDLE_SKIP` fallback for specs that do not set
-/// [`ExperimentSpec::idle_skip`] explicitly.
-fn idle_skip_from_env() -> Option<bool> {
-    bool_env("INTERLEAVE_IDLE_SKIP")
-}
-
-/// The `INTERLEAVE_ADAPTIVE` fallback for specs that do not set
-/// [`ExperimentSpec::adaptive`] explicitly.
-fn adaptive_from_env() -> Option<bool> {
-    bool_env("INTERLEAVE_ADAPTIVE")
-}
-
-/// Parses a boolean knob: `1`/`true`/`on` and `0`/`false`/`off`;
-/// anything else (including unset) falls through to the built-in
-/// default.
-fn bool_env(var: &str) -> Option<bool> {
-    match std::env::var(var).ok()?.as_str() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
 /// Simulated-cycles-per-host-second rate, or 0 when the wall time is too
 /// small to measure.
 fn cycles_per_sec(cycles: u64, wall: Duration) -> f64 {
@@ -1394,22 +1309,6 @@ fn cycles_per_sec(cycles: u64, wall: Duration) -> f64 {
     } else {
         0.0
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1497,49 +1396,6 @@ mod tests {
         let off = Runner::serial().run(&tiny_spec().adaptive(false));
         assert!(on.results_match(&off), "adaptive lookahead must not change simulated results");
         assert_eq!(on.metrics_json(), off.metrics_json());
-    }
-
-    /// One test covers every env knob so concurrent test threads never
-    /// race on the same variable. The knobs themselves are all
-    /// host-throughput-only (bit-invisible), so a concurrently running
-    /// sweep observing a transient value cannot change any result.
-    #[test]
-    fn env_knobs_round_trip() {
-        std::env::set_var("INTERLEAVE_MP_JOBS", "3");
-        std::env::set_var("INTERLEAVE_IDLE_SKIP", "0");
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "off");
-        assert_eq!(mp_jobs_from_env(), Some(3));
-        assert_eq!(idle_skip_from_env(), Some(false));
-        assert_eq!(adaptive_from_env(), Some(false));
-        std::env::set_var("INTERLEAVE_IDLE_SKIP", "true");
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "1");
-        assert_eq!(idle_skip_from_env(), Some(true));
-        assert_eq!(adaptive_from_env(), Some(true));
-        // Garbage falls through to the built-in default rather than
-        // silently picking a side.
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "maybe");
-        assert_eq!(adaptive_from_env(), None);
-        std::env::remove_var("INTERLEAVE_MP_JOBS");
-        std::env::remove_var("INTERLEAVE_IDLE_SKIP");
-        std::env::remove_var("INTERLEAVE_ADAPTIVE");
-        assert_eq!(mp_jobs_from_env(), None);
-        assert_eq!(idle_skip_from_env(), None);
-        assert_eq!(adaptive_from_env(), None);
-        std::env::set_var("INTERLEAVE_SHARD", "3/4");
-        assert_eq!(Shard::from_env(), Some(Shard::new(3, 4)));
-        // Malformed shard values are ignored (with a warning), never
-        // silently reinterpreted.
-        std::env::set_var("INTERLEAVE_SHARD", "4/3");
-        assert_eq!(Shard::from_env(), None);
-        std::env::remove_var("INTERLEAVE_SHARD");
-        assert_eq!(Shard::from_env(), None);
-        std::env::set_var("INTERLEAVE_CHECKPOINT_DIR", "/tmp/ckpt");
-        assert_eq!(
-            Runner::from_env().cache.as_deref().map(ResultCache::dir),
-            Some(Path::new("/tmp/ckpt"))
-        );
-        std::env::remove_var("INTERLEAVE_CHECKPOINT_DIR");
-        assert!(Runner::from_env().cache.is_none());
     }
 
     #[test]

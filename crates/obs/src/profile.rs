@@ -29,8 +29,7 @@
 //! Mirrors `INTERLEAVE_VALIDATE`: the instrumentation is always
 //! compiled, and [`enabled`] resolves once from the `profile` cargo
 //! feature or `INTERLEAVE_PROFILE=1` (overridable at runtime with
-//! [`set_enabled`], which the `interleave-sim profile` subcommand
-//! uses). Disabled cost per site is one relaxed atomic load and a
+//! [`set_enabled`], which `interleave-sim sweep --trace-out` uses). Disabled cost per site is one relaxed atomic load and a
 //! branch — no clock read, no TLS access.
 //!
 //! # Test hook
@@ -254,7 +253,7 @@ fn resolve_enabled() -> bool {
 }
 
 /// Overrides the enable switch at runtime (used by `interleave-sim
-/// profile`, which profiles regardless of the environment).
+/// sweep --trace-out`, which profiles regardless of the environment).
 pub fn set_enabled(on: bool) {
     if on {
         let _ = epoch();

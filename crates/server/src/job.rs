@@ -2,7 +2,7 @@
 //!
 //! A `POST /jobs` body is a [`JobRequest`]: the same artifact name and
 //! knobs the `sweep` subcommand resolves, as JSON. It resolves through
-//! [`interleave_bench::artifact_spec`] into exactly the grid the CLI
+//! [`interleave_bench::one_grid_spec`] into exactly the grid the CLI
 //! would run, so a job served over the wire and an offline sweep of the
 //! same spec are the same computation — the foundation of the
 //! byte-identity guarantee the determinism gates enforce.
@@ -10,7 +10,7 @@
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use interleave_bench::{artifact_spec, ExperimentSpec, Scale, Snapshot};
+use interleave_bench::{one_grid_spec, ExperimentSpec, Scale, Snapshot};
 use interleave_obs::bus::Watch;
 use interleave_obs::json::{escape, Value, MAX_SAFE_INTEGER};
 use interleave_obs::Registry;
@@ -35,8 +35,6 @@ pub struct JobRequest {
     pub jobs: Option<usize>,
     /// Host threads per multiprocessor cell (bit-invisible).
     pub mp_jobs: Option<usize>,
-    /// Adaptive lookahead widening (bit-invisible).
-    pub adaptive: Option<bool>,
 }
 
 impl JobRequest {
@@ -53,8 +51,7 @@ impl JobRequest {
             return Err("job spec must be a JSON object".into());
         };
         for key in fields.keys() {
-            if !["artifact", "scale", "seed", "jobs", "mp_jobs", "adaptive"].contains(&key.as_str())
-            {
+            if !["artifact", "scale", "seed", "jobs", "mp_jobs"].contains(&key.as_str()) {
                 return Err(format!("unknown job-spec key `{key}`"));
             }
         }
@@ -86,17 +83,12 @@ impl JobRequest {
                 )),
             }
         };
-        let adaptive = match doc.get("adaptive") {
-            None => None,
-            Some(v) => Some(v.as_bool().ok_or("`adaptive` must be true or false")?),
-        };
         Ok(JobRequest {
             artifact,
             scale,
             seed: num("seed")?,
             jobs: num("jobs")?.map(|n| n as usize),
             mp_jobs: num("mp_jobs")?.map(|n| n as usize),
-            adaptive,
         })
     }
 
@@ -116,9 +108,6 @@ impl JobRequest {
         if let Some(mp_jobs) = self.mp_jobs {
             fields.push(format!("\"mp_jobs\": {mp_jobs}"));
         }
-        if let Some(adaptive) = self.adaptive {
-            fields.push(format!("\"adaptive\": {adaptive}"));
-        }
         format!("{{{}}}\n", fields.join(", "))
     }
 
@@ -130,17 +119,7 @@ impl JobRequest {
     /// Returns a message naming the artifact when it is unknown or not
     /// exactly one grid.
     pub fn to_spec(&self) -> Result<ExperimentSpec, String> {
-        let mut spec = artifact_spec(&self.artifact, self.scale.unwrap_or(Scale::Ci))?;
-        if let Some(seed) = self.seed {
-            spec = spec.seeds([seed]);
-        }
-        if let Some(mp_jobs) = self.mp_jobs {
-            spec = spec.mp_jobs(mp_jobs);
-        }
-        if let Some(adaptive) = self.adaptive {
-            spec = spec.adaptive(adaptive);
-        }
-        Ok(spec)
+        one_grid_spec(&self.artifact, self.scale.unwrap_or(Scale::Ci), self.seed, self.mp_jobs)
     }
 }
 
@@ -317,16 +296,13 @@ mod tests {
         let minimal = request(r#"{"artifact": "smoke"}"#).unwrap();
         assert_eq!(minimal.artifact, "smoke");
         assert_eq!(minimal.seed, None);
-        let full = request(
-            r#"{"artifact": "table7", "scale": "ci", "seed": 7, "jobs": 2,
-                "mp_jobs": 4, "adaptive": false}"#,
-        )
-        .unwrap();
+        let full =
+            request(r#"{"artifact": "table7", "scale": "ci", "seed": 7, "jobs": 2, "mp_jobs": 4}"#)
+                .unwrap();
         assert_eq!(full.scale, Some(Scale::Ci));
         assert_eq!(full.seed, Some(7));
         assert_eq!(full.jobs, Some(2));
         assert_eq!(full.mp_jobs, Some(4));
-        assert_eq!(full.adaptive, Some(false));
         // Wire round-trip: to_json parses back to the same request.
         let reparsed = request(&full.to_json()).unwrap();
         assert_eq!(reparsed, full);
@@ -339,7 +315,8 @@ mod tests {
             (r#"{"artifact": 7}"#, "artifact"),
             (r#"{"artifact": "smoke", "scale": "huge"}"#, "scale"),
             (r#"{"artifact": "smoke", "seed": -1}"#, "seed"),
-            (r#"{"artifact": "smoke", "adaptive": "maybe"}"#, "adaptive"),
+            // A retired host switch is an unknown key like any typo.
+            (r#"{"artifact": "smoke", "adaptive": false}"#, "unknown job-spec key `adaptive`"),
             (r#"{"artifact": "smoke", "sede": 1}"#, "sede"),
             (r#"[1, 2]"#, "object"),
         ] {

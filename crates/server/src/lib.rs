@@ -53,9 +53,8 @@ use interleave_obs::Registry;
 use http::{Request, Response};
 use job::{Job, JobPhase, JobRequest};
 
-/// How the daemon is configured; every field has a CLI flag and an
-/// `INTERLEAVE_*` environment fallback (see [`ServerConfig::from_env`]).
-#[derive(Debug, Clone)]
+/// How the daemon is configured; every field has a `serve` flag.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// `host:port` to bind; port 0 picks an ephemeral port (the bound
     /// address is printed by the CLI for scripts to capture).
@@ -82,26 +81,6 @@ impl Default for ServerConfig {
             cache_dir: None,
             status_dir: None,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The default configuration with `INTERLEAVE_ADDR`,
-    /// `INTERLEAVE_QUEUE_DEPTH`, and `INTERLEAVE_CACHE_DIR` applied.
-    pub fn from_env() -> ServerConfig {
-        let mut config = ServerConfig::default();
-        if let Ok(addr) = std::env::var("INTERLEAVE_ADDR") {
-            config.addr = addr;
-        }
-        if let Some(depth) =
-            std::env::var("INTERLEAVE_QUEUE_DEPTH").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            config.queue_depth = depth.max(1);
-        }
-        if let Ok(dir) = std::env::var("INTERLEAVE_CACHE_DIR") {
-            config.cache_dir = Some(PathBuf::from(dir));
-        }
-        config
     }
 }
 

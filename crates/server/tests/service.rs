@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use interleave_bench::{artifact_spec, checkpoint, ResultCache, Runner, Scale};
+use interleave_bench::{artifact_spec, ResultCache, Runner, Scale};
 use interleave_obs::json::{self, Value};
 use interleave_server::{client, Server, ServerConfig};
 
@@ -113,8 +113,9 @@ fn wire_round_trip_matches_in_process_runner_and_dedupes() {
 
     // IEEE-754-exact: every served cell restores from the cache equal
     // (by exact PartialEq, f64s included) to the in-process result.
+    let served_cache = ResultCache::new(&cache_dir);
     for (cell, result) in &local.cells {
-        let served = checkpoint::load(&cache_dir, &spec, cell).expect("cell was cached");
+        let served = served_cache.load(&spec, cell).expect("cell was cached");
         assert_eq!(&served, result, "served cell must round-trip bit-for-bit");
     }
 
@@ -158,12 +159,9 @@ fn cache_keys_discriminate_result_affecting_knobs() {
     let done = wait_done(&addr, seed_2);
     assert_eq!(field_u64(&done, "cached_cells"), 0, "a new seed must not hit the cache");
     // Bit-invisible host knobs must share entries: same seed, different
-    // worker counts and lookahead policy, full cache hit.
-    let retuned = submit(
-        &addr,
-        "{\"artifact\": \"smoke\", \"seed\": 1, \"jobs\": 2, \"mp_jobs\": 4, \
-         \"adaptive\": false}",
-    );
+    // worker counts, full cache hit.
+    let retuned =
+        submit(&addr, "{\"artifact\": \"smoke\", \"seed\": 1, \"jobs\": 2, \"mp_jobs\": 4}");
     let retuned_id = field_u64(&retuned, "id");
     let done = wait_done(&addr, retuned_id);
     assert_eq!(

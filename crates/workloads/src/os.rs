@@ -51,8 +51,8 @@ impl Default for InterferenceTable {
 /// The paper uses a 30 ms slice on a 200 MHz processor (six million
 /// cycles) and runs 36 slices; the default here scales the slice down by
 /// 100× so the full evaluation grid completes quickly while keeping many
-/// slices per run. Set `INTERLEAVE_FULL=1` in the environment to run the
-/// paper-scale configuration from the benchmark harnesses.
+/// slices per run. `--scale full` runs the paper-scale configuration
+/// from the benchmark harnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OsModel {
     /// Scheduler interrupt period in cycles.

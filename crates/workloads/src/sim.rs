@@ -337,10 +337,6 @@ impl MultiprogramSim {
             if all_done {
                 break;
             }
-            if std::env::var("ILV_DEBUG").is_ok() && slice.is_multiple_of(50) {
-                let live: Vec<u64> = (0..resident_count).map(|c| cpu.retired(c)).collect();
-                eprintln!("slice={slice} now={} completed={completed:?} live={live:?} resident={resident:?}", cpu.now());
-            }
             assert!(
                 cpu.now() - start < safety,
                 "multiprogram run exceeded safety bound (livelock?)"

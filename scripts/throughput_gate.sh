@@ -15,8 +15,8 @@
 #
 # The optional third argument names the baseline-file key to compare
 # against (default `sim_cycles_per_sec`, the uniprocessor smoke rate;
-# the nightly MP tier passes `table10_sim_cycles_per_sec` to gate the
-# multiprocessor loop against the same baseline file).
+# the full tier passes `table10_adaptive_sim_cycles_per_sec` to gate
+# the multiprocessor loop against the same baseline file).
 #
 # A baseline key ending in `_ms` flips the gate into latency mode:
 # lower is better, the current document must carry the same key (e.g.
@@ -28,7 +28,8 @@
 #
 # The optional fourth/fifth arguments attribute the verdict to host
 # phases: both are `interleave-profile-v1` documents (as written by
-# `interleave-sim profile --json` or a sweep under INTERLEAVE_PROFILE=1).
+# `interleave-sim sweep --trace-out PATH --json DIR` or a sweep under
+# INTERLEAVE_PROFILE=1).
 # On a rate failure the gate names the phase whose share of the wall
 # clock grew the most against the baseline profile (default
 # `ci/baseline_phases.json`); on a pass it prints the current phase

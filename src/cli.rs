@@ -1,18 +1,20 @@
 //! Argument parsing and report rendering for the `interleave-sim` binary.
 //!
-//! Hand-rolled (no external dependencies): subcommands `uni`, `mp`,
-//! `sweep`, `profile`, `serve`, `submit`, `poll`, `watch`, `trace`,
-//! `metrics`, and `list`, each with `--flag value` options (plus bare
-//! switches such as `--progress` and `--once`); `watch` additionally
-//! takes a positional status-file path or a
-//! `http://host:port/jobs/<id>/events` stream URL, and `poll` an
-//! optional positional job id.
+//! Hand-rolled (no external dependencies) and table-driven: `SUBCOMMANDS`
+//! gives every subcommand's usage line — its `--flag VALUE` options, bare
+//! switches and positional arguments. [`parse`] rejects any flag the line
+//! does not list, a repeated flag, and a value flag with no value, and
+//! [`usage`] prints the same lines. The flag table is the binary's only
+//! configuration surface: no environment variable changes what a command
+//! computes.
 
 use crate::bench::artifacts::one_grid_names;
-use crate::bench::{merge, Runner, Scale, Shard, SweepResult, ARTIFACTS};
+use crate::bench::{merge, resolve_specs, Runner, Scale, Shard, SweepResult, ARTIFACTS};
 use crate::core::Scheme;
 use crate::mp::{splash_suite, MpSim, SplashProfile};
-use crate::obs::Metric;
+use crate::obs::{Metric, Registry};
+use crate::server::job::JobRequest;
+use crate::server::ServerConfig;
 use crate::stats::{Category, Table};
 use crate::workloads::mixes::{self, Workload};
 use crate::workloads::{MultiprogramSim, SyntheticApp};
@@ -20,7 +22,8 @@ use crate::workloads::{MultiprogramSim, SyntheticApp};
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Run a workstation multiprogramming simulation.
+    /// Run a workstation multiprogramming simulation and print its
+    /// breakdown and metric registry.
     Uni {
         /// Table 5 workload.
         workload: String,
@@ -32,6 +35,8 @@ pub enum Command {
         quota: u64,
         /// Stream seed.
         seed: u64,
+        /// Where to write the registry JSON (`None` = tables only).
+        json: Option<String>,
     },
     /// Run a multiprocessor simulation.
     Mp {
@@ -53,32 +58,33 @@ pub enum Command {
         /// Registered artifact (see `list`): its grids run on the sweep
         /// runner and its paper tables render from the results.
         artifact: String,
-        /// Worker threads (`None` = `INTERLEAVE_JOBS` / machine).
+        /// Worker threads (`None` = the machine's parallelism).
         jobs: Option<usize>,
-        /// Problem scale (`None` = `INTERLEAVE_FULL`).
-        scale: Option<Scale>,
+        /// Problem scale.
+        scale: Scale,
         /// Directory for each grid's `BENCH_<spec>.json` and
-        /// `METRICS_<spec>.json` artifacts.
+        /// `METRICS_<spec>.json` artifacts (plus `PROFILE_*` when the
+        /// profiler ran).
         json: Option<String>,
         /// Explicit stream seed (`None` = the sims' defaults).
         seed: Option<u64>,
-        /// Host threads per multiprocessor cell (`None` =
-        /// `INTERLEAVE_MP_JOBS` / serial). Purely a host-side knob:
-        /// results are bit-identical at every value.
+        /// Host threads per multiprocessor cell (`None` = serial).
+        /// Purely a host-side knob: results are bit-identical at every
+        /// value.
         mp_jobs: Option<usize>,
-        /// Adaptive lookahead widening for multiprocessor cells (`None`
-        /// = `INTERLEAVE_ADAPTIVE` / on). Purely a host-side knob:
-        /// results are bit-identical either way.
-        adaptive: Option<bool>,
-        /// Run only one disjoint slice of the grid (`--shard K/N`;
-        /// `None` = `INTERLEAVE_SHARD` / whole grid). Shard identity is
-        /// stamped into the artifact names and headers for `merge`.
+        /// Run only one disjoint slice of the grid (`--shard K/N`).
+        /// Shard identity is stamped into the artifact names and headers
+        /// for `merge`.
         shard: Option<Shard>,
-        /// Per-cell checkpoint directory (`None` =
-        /// `INTERLEAVE_CHECKPOINT_DIR` / no checkpointing). An
-        /// interrupted sweep rerun with the same directory resumes its
-        /// completed cells.
+        /// Per-cell checkpoint directory. An interrupted sweep rerun
+        /// with the same directory resumes its completed cells.
         checkpoint_dir: Option<String>,
+        /// Directory for the live `STATUS_<spec>.json` snapshots that
+        /// `watch` tails.
+        status_dir: Option<String>,
+        /// Run under the host-phase profiler and write a Chrome trace of
+        /// the recorded host spans here.
+        trace_out: Option<String>,
         /// Print a per-second completion heartbeat to stderr.
         progress: bool,
     },
@@ -91,56 +97,19 @@ pub enum Command {
         /// `METRICS_*` counterparts); positional, at least one.
         dirs: Vec<String>,
     },
-    /// Run an experiment grid under the host-phase profiler and print
-    /// a sorted phase table.
-    Profile {
-        /// One-grid artifact to run (see `list`).
-        artifact: String,
-        /// Worker threads (`None` = `INTERLEAVE_JOBS` / machine).
-        jobs: Option<usize>,
-        /// Problem scale (`None` = `INTERLEAVE_FULL`).
-        scale: Option<Scale>,
-        /// Directory for `BENCH_*`/`METRICS_*`/`PROFILE_*` artifacts.
-        json: Option<String>,
-        /// Explicit stream seed (`None` = the sims' defaults).
-        seed: Option<u64>,
-        /// Where to write a Chrome trace of the recorded host spans.
-        trace_out: Option<String>,
-    },
-    /// Run the simulation service daemon (`interleave-sim serve`).
-    Serve {
-        /// `host:port` to bind (`None` = `INTERLEAVE_ADDR` /
-        /// `127.0.0.1:4994`). Port 0 binds an ephemeral port; the bound
-        /// address is printed for scripts to capture.
-        addr: Option<String>,
-        /// Pending-queue bound before `POST /jobs` answers 429 (`None`
-        /// = `INTERLEAVE_QUEUE_DEPTH` / 64).
-        queue_depth: Option<usize>,
-        /// Worker threads draining the queue (`None` = machine-sized).
-        workers: Option<usize>,
-        /// Content-addressed result-cache directory (`None` =
-        /// `INTERLEAVE_CACHE_DIR` / no caching).
-        cache_dir: Option<String>,
-        /// Per-job `STATUS_*.json` mirror root (`None` = bus-only).
-        status_dir: Option<String>,
-    },
+    /// Run the simulation service daemon (`interleave-sim serve`) with
+    /// the flags applied over [`ServerConfig::default`]. Port 0 binds an
+    /// ephemeral port; the bound address is printed for scripts to
+    /// capture.
+    Serve(ServerConfig),
     /// Submit a job to a running daemon and optionally wait for it.
     Submit {
-        /// Daemon address (`None` = `INTERLEAVE_ADDR` /
-        /// `127.0.0.1:4994`); `http://host:port` prefixes are accepted.
+        /// Daemon address (`None` = `127.0.0.1:4994`); `http://host:port`
+        /// prefixes are accepted.
         addr: Option<String>,
-        /// One-grid artifact to run (see `list`).
-        artifact: String,
-        /// Problem scale (`None` = the server default, ci).
-        scale: Option<Scale>,
-        /// Explicit stream seed (result-affecting).
-        seed: Option<u64>,
-        /// Worker threads for this job (bit-invisible, server-capped).
-        jobs: Option<usize>,
-        /// Host threads per multiprocessor cell (bit-invisible).
-        mp_jobs: Option<usize>,
-        /// Adaptive lookahead widening (bit-invisible).
-        adaptive: Option<bool>,
+        /// The job: the same artifact and knobs the daemon's `POST /jobs`
+        /// wire body carries.
+        request: JobRequest,
         /// Poll the job to completion before exiting.
         wait: bool,
         /// Fetch the finished `BENCH_*`/`METRICS_*` artifacts into this
@@ -153,8 +122,7 @@ pub enum Command {
     /// Query a running daemon: job status, `--stats`, or (with no id)
     /// `/healthz`.
     Poll {
-        /// Daemon address (`None` = `INTERLEAVE_ADDR` /
-        /// `127.0.0.1:4994`).
+        /// Daemon address (`None` = `127.0.0.1:4994`).
         addr: Option<String>,
         /// Job id to query (positional; `None` = server health).
         id: Option<u64>,
@@ -192,21 +160,6 @@ pub enum Command {
         /// Where to write the Chrome trace JSON (`None` = report only).
         out: Option<String>,
     },
-    /// Run a multiprogramming simulation and print its metric registry.
-    Metrics {
-        /// Table 5 workload.
-        workload: String,
-        /// Scheduling scheme.
-        scheme: Scheme,
-        /// Hardware contexts.
-        contexts: usize,
-        /// Instructions per application.
-        quota: u64,
-        /// Stream seed.
-        seed: u64,
-        /// Where to write the registry JSON (`None` = table only).
-        json: Option<String>,
-    },
     /// List available workloads and applications.
     List,
     /// Show usage.
@@ -225,299 +178,327 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn parse_scheme(value: &str) -> Result<Scheme, CliError> {
-    match value.to_ascii_lowercase().as_str() {
-        "single" => Ok(Scheme::Single),
-        "blocked" => Ok(Scheme::Blocked),
-        "interleaved" => Ok(Scheme::Interleaved),
-        "fine-grained" | "finegrained" | "hep" => Ok(Scheme::FineGrained),
-        other => Err(CliError(format!(
-            "unknown scheme `{other}` (expected single, blocked, interleaved, fine-grained)"
-        ))),
+/// Every subcommand and its usage line: the one table `parse` checks a
+/// command line against and `usage` prints. A usage line lists the
+/// arguments as the help shows them: `--flag HINT` is a required value
+/// flag, `[--flag HINT]` an optional one and `[--flag]` a switch; `ARG`
+/// is one positional, `[ARG]` an optional one and `ARG...` one or more.
+const SUBCOMMANDS: &[(&str, &str)] = &[
+    ("uni", "[--workload W] [--scheme S] [--contexts N] [--quota N] [--seed N] [--json PATH]"),
+    ("mp", "[--app NAME] [--scheme S] [--nodes N] [--contexts N] [--work N] [--seed N]"),
+    (
+        "sweep",
+        "--artifact ARTIFACT [--jobs N] [--mp-jobs N] [--scale ci|full] [--json DIR] \
+         [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--status-dir DIR] \
+         [--trace-out PATH] [--progress]",
+    ),
+    ("merge", "--out DIR SHARD_DIR..."),
+    (
+        "serve",
+        "[--addr HOST:PORT] [--queue-depth N] [--workers N] [--cache-dir DIR] \
+         [--status-dir DIR]",
+    ),
+    (
+        "submit",
+        "--artifact GRID [--addr HOST:PORT] [--scale ci|full] [--seed N] [--jobs N] \
+         [--mp-jobs N] [--wait] [--json DIR] [--timeout-secs N]",
+    ),
+    ("poll", "[JOB_ID] [--addr HOST:PORT] [--stats]"),
+    ("watch", "STATUS_FILE_OR_EVENTS_URL [--once] [--interval-ms N] [--timeout-secs N]"),
+    (
+        "trace",
+        "[--file PATH] [--workload W] [--scheme S] [--contexts N] [--max-cycles N] \
+         [--seed N] [--out PATH]",
+    ),
+    ("list", ""),
+    ("help", ""),
+];
+
+/// One argument of a usage line.
+struct UsageArg {
+    /// The argument as the usage line writes it.
+    text: &'static str,
+    /// `--flag`, or a positional's placeholder.
+    name: &'static str,
+    /// A value flag's value placeholder (`None` for switches and
+    /// positionals).
+    hint: Option<&'static str>,
+    /// Written in brackets.
+    optional: bool,
+}
+
+/// Splits a usage line into its arguments.
+fn usage_args(line: &'static str) -> Vec<UsageArg> {
+    let mut args = Vec::new();
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        let optional = rest.starts_with('[');
+        // A bracketed argument ends at `]`; a required flag spans its hint.
+        let end = if optional {
+            rest.find(']').map_or(rest.len(), |i| i + 1)
+        } else {
+            let words = if rest.starts_with("--") { 2 } else { 1 };
+            rest.match_indices(' ').nth(words - 1).map_or(rest.len(), |(i, _)| i)
+        };
+        let text = &rest[..end];
+        let body = text.trim_start_matches('[').trim_end_matches(']');
+        let (name, hint) = match body.split_once(' ') {
+            Some((name, hint)) => (name, Some(hint)),
+            None => (body, None),
+        };
+        args.push(UsageArg { text, name, hint, optional });
+        rest = rest[end..].trim_start();
     }
+    args
 }
 
-struct Flags<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+/// Usage text, generated from the subcommand table; the workload and
+/// artifact names come from their registries.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "interleave-sim — cycle-level multiple-context processor simulator\n\nUSAGE:\n",
+    );
+    for &(name, line) in SUBCOMMANDS {
+        let mut row = format!("  interleave-sim {name:<5}");
+        let indent = row.len();
+        for arg in usage_args(line) {
+            if row.len() + 1 + arg.text.len() > 80 && row.len() > indent {
+                out.push_str(&row);
+                out.push('\n');
+                row = " ".repeat(indent);
+            }
+            row.push(' ');
+            row.push_str(arg.text);
+        }
+        out.push_str(row.trim_end());
+        out.push('\n');
+    }
+    out.push_str(&format!(
+        "\nSCHEMES: single, blocked, interleaved, fine-grained\nWORKLOADS: {}\n\
+         ARTIFACTS: {}\nGRIDS (the one-grid artifacts): {}\n",
+        mixes::all().iter().map(|w| w.name).collect::<Vec<_>>().join(", "),
+        ARTIFACTS.iter().map(|a| a.name).collect::<Vec<_>>().join(", "),
+        one_grid_names().join(", ")
+    ));
+    out
 }
 
-impl<'a> Flags<'a> {
-    /// Parses `--flag value` pairs; names listed in `switches` take no
-    /// value and read back as `"1"`.
-    fn parse(args: &'a [String], switches: &[&str]) -> Result<Flags<'a>, CliError> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let Some(name) = flag.strip_prefix("--") else {
-                return Err(CliError(format!("expected a --flag, got `{flag}`")));
-            };
-            if switches.contains(&name) {
-                pairs.push((name, "1"));
+/// A command line checked against its subcommand's usage line.
+struct Args {
+    sub: &'static str,
+    /// `(flag without --, value)` in command-line order; switches carry
+    /// `""`.
+    values: Vec<(&'static str, String)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    fn parse(sub: &'static str, line: &'static str, raw: &[String]) -> Result<Args, CliError> {
+        let fail = |msg: String| CliError(format!("{sub}: {msg}"));
+        let (flags, positional): (Vec<_>, Vec<_>) =
+            usage_args(line).into_iter().partition(|a| a.name.starts_with("--"));
+        let mut args = Args { sub, values: Vec::new(), positionals: Vec::new() };
+        let mut it = raw.iter();
+        while let Some(word) = it.next() {
+            if !word.starts_with("--") {
+                args.positionals.push(word.clone());
                 continue;
             }
-            let Some(value) = it.next() else {
-                return Err(CliError(format!("--{name} needs a value")));
+            let flag = flags
+                .iter()
+                .find(|f| f.name == word)
+                .ok_or_else(|| fail(format!("unknown flag {word}")))?;
+            if args.get(&flag.name[2..]).is_some() {
+                return Err(fail(format!("{word} given more than once")));
+            }
+            let value = match flag.hint {
+                None => String::new(),
+                Some(hint) => match it.next() {
+                    Some(value) if !value.starts_with("--") => value.clone(),
+                    _ => return Err(fail(format!("{word} needs a value ({hint})"))),
+                },
             };
-            pairs.push((name, value.as_str()));
+            args.values.push((&flag.name[2..], value));
         }
-        Ok(Flags { pairs })
+        if let Some(flag) = flags.iter().find(|f| !f.optional && args.get(&f.name[2..]).is_none()) {
+            return Err(fail(format!("{} is required", flag.text)));
+        }
+        let n = args.positionals.len();
+        let fits = match positional.first() {
+            None => n == 0,
+            Some(p) if p.name.ends_with("...") => n >= 1,
+            Some(p) => n == 1 || (n == 0 && p.optional),
+        };
+        if !fits {
+            let wanted = positional.first().map_or("no positional argument", |p| p.text);
+            return Err(fail(format!("takes {wanted}, got `{}`", args.positionals.join(" "))));
+        }
+        Ok(args)
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.values.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.get(name).map(str::to_string)
     }
 
     fn switch(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
 
-    fn num(&self, name: &str, default: u64) -> Result<u64, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => {
-                v.parse().map_err(|_| CliError(format!("--{name} expects a number, got `{v}`")))
+    /// The flag's value converted by `convert`; an unconvertible value is
+    /// an error naming the flag and what it expects.
+    fn typed<T>(
+        &self,
+        name: &str,
+        expects: &str,
+        convert: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| {
+                convert(v).ok_or_else(|| {
+                    CliError(format!("{}: --{name} expects {expects}, got `{v}`", self.sub))
+                })
+            })
+            .transpose()
+    }
+
+    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.typed(name, "a number", |v| v.parse().ok())
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        Ok(self.opt_num(name)?.unwrap_or(default))
+    }
+
+    fn scheme(&self) -> Result<Scheme, CliError> {
+        let parsed = self.typed("scheme", "single, blocked, interleaved or fine-grained", |v| {
+            match v.to_ascii_lowercase().as_str() {
+                "single" => Some(Scheme::Single),
+                "blocked" => Some(Scheme::Blocked),
+                "interleaved" => Some(Scheme::Interleaved),
+                "fine-grained" | "finegrained" | "hep" => Some(Scheme::FineGrained),
+                _ => None,
             }
-        }
-    }
-
-    fn opt_num(&self, name: &str) -> Result<Option<u64>, CliError> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| CliError(format!("--{name} expects a number, got `{v}`"))),
-        }
-    }
-
-    fn scheme(&self, default: Scheme) -> Result<Scheme, CliError> {
-        match self.get("scheme") {
-            None => Ok(default),
-            Some(v) => parse_scheme(v),
-        }
+        })?;
+        Ok(parsed.unwrap_or(Scheme::Interleaved))
     }
 
     fn scale(&self) -> Result<Option<Scale>, CliError> {
-        match self.get("scale") {
-            None => Ok(None),
-            Some(v) => Scale::parse(v)
-                .map(Some)
-                .ok_or_else(|| CliError(format!("--scale expects `ci` or `full`, got `{v}`"))),
-        }
+        self.typed("scale", "`ci` or `full`", Scale::parse)
     }
-
-    fn on_off(&self, name: &str) -> Result<Option<bool>, CliError> {
-        match self.get(name) {
-            None => Ok(None),
-            Some("on") => Ok(Some(true)),
-            Some("off") => Ok(Some(false)),
-            Some(v) => Err(CliError(format!("--{name} expects `on` or `off`, got `{v}`"))),
-        }
-    }
-
-    fn shard(&self) -> Result<Option<Shard>, CliError> {
-        match self.get("shard") {
-            None => Ok(None),
-            Some(v) => Shard::parse(v).map(Some).ok_or_else(|| {
-                CliError(format!("--shard expects K/N with 1 <= K <= N, got `{v}`"))
-            }),
-        }
-    }
-}
-
-/// Usage text; the artifact names come from the registry.
-pub fn usage() -> String {
-    format!(
-        "\
-interleave-sim — cycle-level multiple-context processor simulator
-
-USAGE:
-  interleave-sim uni   [--workload IC|DC|DT|FP|R0|R1|SP] [--scheme S] [--contexts N]
-                       [--quota N] [--seed N]
-  interleave-sim mp    [--app NAME] [--scheme S] [--nodes N] [--contexts N]
-                       [--work N] [--seed N]
-  interleave-sim sweep --artifact ARTIFACT [--jobs N] [--mp-jobs N]
-                       [--adaptive on|off] [--scale ci|full] [--json DIR]
-                       [--seed N] [--shard K/N] [--checkpoint-dir DIR]
-                       [--progress]
-  interleave-sim merge --out DIR SHARD_DIR [SHARD_DIR ...]
-  interleave-sim profile --artifact GRID [--jobs N]
-                       [--scale ci|full] [--json DIR] [--seed N]
-                       [--trace-out PATH]
-  interleave-sim serve [--addr HOST:PORT] [--queue-depth N] [--workers N]
-                       [--cache-dir DIR] [--status-dir DIR]
-  interleave-sim submit --artifact GRID [--addr HOST:PORT]
-                       [--scale ci|full] [--seed N] [--jobs N] [--mp-jobs N]
-                       [--adaptive on|off] [--wait] [--json DIR]
-                       [--timeout-secs N]
-  interleave-sim poll  [JOB_ID] [--addr HOST:PORT] [--stats]
-  interleave-sim watch STATUS_FILE_OR_EVENTS_URL [--once] [--interval-ms N]
-                       [--timeout-secs N]
-  interleave-sim trace [--file PATH] [--workload W] [--scheme S] [--contexts N]
-                       [--max-cycles N] [--seed N] [--out PATH]
-  interleave-sim metrics [--workload W] [--scheme S] [--contexts N] [--quota N]
-                       [--seed N] [--json PATH]
-  interleave-sim list
-  interleave-sim help
-
-SCHEMES: single, blocked, interleaved, fine-grained
-ARTIFACTS: {}
-GRIDS (the one-grid artifacts): {}
-",
-        crate::bench::ARTIFACTS.iter().map(|a| a.name).collect::<Vec<_>>().join(", "),
-        one_grid_names().join(", ")
-    )
 }
 
 /// Parses a command line (without the program name).
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on unknown subcommands, flags, or values.
+/// Returns [`CliError`] on an unknown subcommand; an unknown, repeated
+/// or value-less flag; a missing required flag; the wrong positional
+/// arguments; or a malformed value.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = args.first() else {
+    let Some(name) = args.first() else {
         return Ok(Command::Help);
     };
-    // `watch` takes its status file as a positional argument, so it is
-    // parsed before the generic `--flag value` loop.
-    if sub == "watch" {
-        let Some(file) = args.get(1).filter(|a| !a.starts_with("--")) else {
-            return Err(CliError("watch requires a status-file path".into()));
-        };
-        let flags = Flags::parse(&args[2..], &["once"])?;
-        return Ok(Command::Watch {
-            file: file.clone(),
-            once: flags.switch("once"),
-            interval_ms: flags.num("interval-ms", 250)?,
-            timeout_secs: flags.opt_num("timeout-secs")?,
-        });
+    if name == "--help" || name == "-h" {
+        return Ok(Command::Help);
     }
-    // `merge` takes its shard directories as positional arguments, so
-    // it is also parsed before the generic `--flag value` loop.
-    if sub == "merge" {
-        let mut out = None;
-        let mut dirs = Vec::new();
-        let mut it = args[1..].iter();
-        while let Some(arg) = it.next() {
-            if arg == "--out" {
-                out =
-                    Some(it.next().ok_or_else(|| CliError("--out needs a value".into()))?.clone());
-            } else if let Some(flag) = arg.strip_prefix("--") {
-                return Err(CliError(format!("merge does not take --{flag}")));
-            } else {
-                dirs.push(arg.clone());
-            }
+    let &(sub, line) = SUBCOMMANDS
+        .iter()
+        .find(|(sub, _)| sub == name)
+        .ok_or_else(|| CliError(format!("unknown subcommand `{name}` (try `help`)")))?;
+    let a = Args::parse(sub, line, &args[1..])?;
+    let workload = || a.get("workload").unwrap_or("FP").to_string();
+    Ok(match sub {
+        "uni" => Command::Uni {
+            workload: workload(),
+            scheme: a.scheme()?,
+            contexts: a.num("contexts", 4)?,
+            quota: a.num("quota", 40_000)?,
+            seed: a.num("seed", 0x19940501)?,
+            json: a.string("json"),
+        },
+        "mp" => Command::Mp {
+            app: a.get("app").unwrap_or("Water").to_string(),
+            scheme: a.scheme()?,
+            nodes: a.num("nodes", 8)?,
+            contexts: a.num("contexts", 4)?,
+            work: a.num("work", 400_000)?,
+            seed: a.num("seed", 0x19941004)?,
+        },
+        "sweep" => Command::Sweep {
+            artifact: a.string("artifact").unwrap_or_default(),
+            jobs: a.opt_num("jobs")?,
+            scale: a.scale()?.unwrap_or(Scale::Ci),
+            json: a.string("json"),
+            seed: a.opt_num("seed")?,
+            mp_jobs: a.opt_num("mp-jobs")?,
+            shard: a.typed("shard", "K/N with 1 <= K <= N", Shard::parse)?,
+            checkpoint_dir: a.string("checkpoint-dir"),
+            status_dir: a.string("status-dir"),
+            trace_out: a.string("trace-out"),
+            progress: a.switch("progress"),
+        },
+        "merge" => {
+            Command::Merge { out: a.string("out").unwrap_or_default(), dirs: a.positionals.clone() }
         }
-        if dirs.is_empty() {
-            return Err(CliError(
-                "merge requires at least one shard-artifact directory (and --out DIR)".into(),
-            ));
+        "serve" => {
+            let default = ServerConfig::default();
+            Command::Serve(ServerConfig {
+                addr: a.string("addr").unwrap_or(default.addr),
+                queue_depth: a.num("queue-depth", default.queue_depth)?.max(1),
+                workers: a.num("workers", default.workers)?,
+                cache_dir: a.get("cache-dir").map(Into::into),
+                status_dir: a.get("status-dir").map(Into::into),
+            })
         }
-        let out = out.ok_or_else(|| CliError("merge requires --out DIR".into()))?;
-        return Ok(Command::Merge { out, dirs });
-    }
-    // `poll` takes an optional positional job id.
-    if sub == "poll" {
-        let (id, rest) = match args.get(1).filter(|a| !a.starts_with("--")) {
-            Some(raw) => {
-                let id = raw
-                    .parse::<u64>()
-                    .map_err(|_| CliError(format!("poll expects a numeric job id, got `{raw}`")))?;
-                (Some(id), &args[2..])
-            }
-            None => (None, &args[1..]),
-        };
-        let flags = Flags::parse(rest, &["stats"])?;
-        return Ok(Command::Poll {
-            addr: flags.get("addr").map(str::to_string),
-            id,
-            stats: flags.switch("stats"),
-        });
-    }
-    let flags = Flags::parse(&args[1..], &["progress", "wait"])?;
-    match sub.as_str() {
-        "uni" => Ok(Command::Uni {
-            workload: flags.get("workload").unwrap_or("FP").to_string(),
-            scheme: flags.scheme(Scheme::Interleaved)?,
-            contexts: flags.num("contexts", 4)? as usize,
-            quota: flags.num("quota", 40_000)?,
-            seed: flags.num("seed", 0x19940501)?,
-        }),
-        "mp" => Ok(Command::Mp {
-            app: flags.get("app").unwrap_or("Water").to_string(),
-            scheme: flags.scheme(Scheme::Interleaved)?,
-            nodes: flags.num("nodes", 8)? as usize,
-            contexts: flags.num("contexts", 4)? as usize,
-            work: flags.num("work", 400_000)?,
-            seed: flags.num("seed", 0x19941004)?,
-        }),
-        "sweep" => Ok(Command::Sweep {
-            artifact: artifact_flag(&flags, "sweep", ARTIFACTS.iter().map(|a| a.name).collect())?,
-            jobs: flags.opt_num("jobs")?.map(|n| n as usize),
-            scale: flags.scale()?,
-            json: flags.get("json").map(str::to_string),
-            seed: flags.opt_num("seed")?,
-            mp_jobs: flags.opt_num("mp-jobs")?.map(|n| n as usize),
-            adaptive: flags.on_off("adaptive")?,
-            shard: flags.shard()?,
-            checkpoint_dir: flags.get("checkpoint-dir").map(str::to_string),
-            progress: flags.switch("progress"),
-        }),
-        "profile" => Ok(Command::Profile {
-            artifact: artifact_flag(&flags, "profile", one_grid_names())?,
-            jobs: flags.opt_num("jobs")?.map(|n| n as usize),
-            scale: flags.scale()?,
-            json: flags.get("json").map(str::to_string),
-            seed: flags.opt_num("seed")?,
-            trace_out: flags.get("trace-out").map(str::to_string),
-        }),
-        "trace" => Ok(Command::Trace {
-            file: flags.get("file").map(str::to_string),
-            workload: flags.get("workload").unwrap_or("FP").to_string(),
-            scheme: flags.scheme(Scheme::Interleaved)?,
-            contexts: flags.num("contexts", 2)? as usize,
-            max_cycles: flags.num("max-cycles", 20_000)?,
-            seed: flags.num("seed", 0x19940501)?,
-            out: flags.get("out").map(str::to_string),
-        }),
-        "metrics" => Ok(Command::Metrics {
-            workload: flags.get("workload").unwrap_or("FP").to_string(),
-            scheme: flags.scheme(Scheme::Interleaved)?,
-            contexts: flags.num("contexts", 4)? as usize,
-            quota: flags.num("quota", 40_000)?,
-            seed: flags.num("seed", 0x19940501)?,
-            json: flags.get("json").map(str::to_string),
-        }),
-        "serve" => Ok(Command::Serve {
-            addr: flags.get("addr").map(str::to_string),
-            queue_depth: flags.opt_num("queue-depth")?.map(|n| n as usize),
-            workers: flags.opt_num("workers")?.map(|n| n as usize),
-            cache_dir: flags.get("cache-dir").map(str::to_string),
-            status_dir: flags.get("status-dir").map(str::to_string),
-        }),
-        "submit" => Ok(Command::Submit {
-            addr: flags.get("addr").map(str::to_string),
-            artifact: artifact_flag(&flags, "submit", one_grid_names())?,
-            scale: flags.scale()?,
-            seed: flags.opt_num("seed")?,
-            jobs: flags.opt_num("jobs")?.map(|n| n as usize),
-            mp_jobs: flags.opt_num("mp-jobs")?.map(|n| n as usize),
-            adaptive: flags.on_off("adaptive")?,
-            wait: flags.switch("wait"),
-            json: flags.get("json").map(str::to_string),
-            timeout_secs: flags.num("timeout-secs", 600)?,
-        }),
-        "list" => Ok(Command::List),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(CliError(format!("unknown subcommand `{other}` (try `help`)"))),
-    }
-}
-
-fn artifact_flag(flags: &Flags<'_>, sub: &str, names: Vec<&str>) -> Result<String, CliError> {
-    flags
-        .get("artifact")
-        .map(str::to_string)
-        .ok_or_else(|| CliError(format!("{sub} requires --artifact {}", names.join("|"))))
+        "submit" => Command::Submit {
+            addr: a.string("addr"),
+            request: JobRequest {
+                artifact: a.string("artifact").unwrap_or_default(),
+                scale: a.scale()?,
+                seed: a.opt_num("seed")?,
+                jobs: a.opt_num("jobs")?,
+                mp_jobs: a.opt_num("mp-jobs")?,
+            },
+            wait: a.switch("wait"),
+            json: a.string("json"),
+            timeout_secs: a.num("timeout-secs", 600)?,
+        },
+        "poll" => Command::Poll {
+            addr: a.string("addr"),
+            id: a
+                .positionals
+                .first()
+                .map(|raw| {
+                    raw.parse::<u64>().map_err(|_| {
+                        CliError(format!("poll: JOB_ID must be a number, got `{raw}`"))
+                    })
+                })
+                .transpose()?,
+            stats: a.switch("stats"),
+        },
+        "watch" => Command::Watch {
+            file: a.positionals[0].clone(),
+            once: a.switch("once"),
+            interval_ms: a.num("interval-ms", 250)?,
+            timeout_secs: a.opt_num("timeout-secs")?,
+        },
+        "trace" => Command::Trace {
+            file: a.string("file"),
+            workload: workload(),
+            scheme: a.scheme()?,
+            contexts: a.num("contexts", 2)?,
+            max_cycles: a.num("max-cycles", 20_000)?,
+            seed: a.num("seed", 0x19940501)?,
+            out: a.string("out"),
+        },
+        "list" => Command::List,
+        "help" => Command::Help,
+        other => unreachable!("subcommand `{other}` is in the table but has no command"),
+    })
 }
 
 fn find_workload(name: &str) -> Result<Workload, CliError> {
@@ -549,12 +530,10 @@ fn write_artifacts(sweep: &SweepResult, dir: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Resolves a daemon address: flag value, else `INTERLEAVE_ADDR`, else
-/// the default port. Tolerates a pasted `http://` prefix.
+/// Resolves a daemon address: flag value, else the default port.
+/// Tolerates a pasted `http://` prefix.
 fn service_addr(addr: Option<String>) -> String {
-    let addr = addr
-        .or_else(|| std::env::var("INTERLEAVE_ADDR").ok())
-        .unwrap_or_else(|| "127.0.0.1:4994".into());
+    let addr = addr.unwrap_or_else(|| ServerConfig::default().addr);
     addr.strip_prefix("http://").unwrap_or(&addr).trim_end_matches('/').to_string()
 }
 
@@ -624,6 +603,26 @@ fn breakdown_report(title: &str, b: &crate::stats::Breakdown) -> Table {
     t
 }
 
+fn registry_table(metrics: &Registry) -> Table {
+    let mut t = Table::new("metric registry");
+    t.headers(["name", "value", "count", "mean", "min..max"]);
+    for (name, metric) in metrics.iter() {
+        t.row(match metric {
+            Metric::Counter(v) => {
+                [name.to_string(), v.to_string(), "-".into(), "-".into(), "-".into()]
+            }
+            Metric::Histogram(h) => [
+                name.to_string(),
+                "-".into(),
+                h.count().to_string(),
+                format!("{:.1}", h.mean()),
+                format!("{}..{}", h.min(), h.max()),
+            ],
+        });
+    }
+    t
+}
+
 /// Executes a parsed command, printing reports to stdout.
 ///
 /// # Errors
@@ -666,7 +665,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 println!("  {:<22}{:>2}  {}", a.name, (a.specs)(Scale::Ci).len(), a.about);
             }
         }
-        Command::Uni { workload, scheme, contexts, quota, seed } => {
+        Command::Uni { workload, scheme, contexts, quota, seed, json } => {
             let workload = find_workload(&workload)?;
             let result = MultiprogramSim::builder(workload.clone())
                 .scheme(scheme)
@@ -689,6 +688,12 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 result.mem_stats.dtlb_misses,
                 result.mem_stats.l2_hit_fraction() * 100.0,
             );
+            println!("\n{}", registry_table(&result.metrics));
+            if let Some(path) = json {
+                std::fs::write(&path, result.metrics.to_json(0))
+                    .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
+                println!("wrote {path}");
+            }
         }
         Command::Mp { app, scheme, nodes, contexts, work, seed } => {
             let app = find_app(&app)?;
@@ -718,19 +723,21 @@ pub fn run(command: Command) -> Result<(), CliError> {
             json,
             seed,
             mp_jobs,
-            adaptive,
             shard,
             checkpoint_dir,
+            status_dir,
+            trace_out,
             progress,
         } => {
-            let scale = scale.unwrap_or_else(Scale::from_env);
             let artifact = crate::bench::artifacts::find(&artifact).map_err(CliError)?;
-            let specs = (artifact.specs)(scale);
+            let specs = resolve_specs(artifact.name, scale, seed, mp_jobs).map_err(CliError)?;
             if specs.is_empty() {
                 let grid_flags = [
                     ("--json", json.is_some()),
                     ("--shard", shard.is_some()),
                     ("--checkpoint-dir", checkpoint_dir.is_some()),
+                    ("--status-dir", status_dir.is_some()),
+                    ("--trace-out", trace_out.is_some()),
                 ];
                 if let Some((flag, _)) = grid_flags.iter().find(|(_, set)| *set) {
                     return Err(CliError(format!(
@@ -739,35 +746,24 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     )));
                 }
             }
-            let specs = specs.into_iter().map(|mut spec| {
-                if let Some(seed) = seed {
-                    spec = spec.seeds([seed]);
-                }
-                if let Some(mp_jobs) = mp_jobs {
-                    spec = spec.mp_jobs(mp_jobs);
-                }
-                if let Some(adaptive) = adaptive {
-                    spec = spec.adaptive(adaptive);
-                }
-                spec
-            });
-            // `from_env` first so `INTERLEAVE_PROGRESS` / `INTERLEAVE_STATUS`
-            // (and the shard/checkpoint env knobs) apply even when flags
-            // override them.
-            let mut runner = Runner::from_env();
-            if let Some(jobs) = jobs {
-                runner = runner.with_jobs(jobs);
+            if trace_out.is_some() {
+                crate::obs::profile::set_enabled(true);
+                crate::obs::profile::record_spans(true);
             }
+            let jobs = jobs.unwrap_or_else(|| {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            });
+            let mut runner = Runner::new(jobs).progress(progress);
             if let Some(shard) = shard {
                 runner = runner.shard(shard);
             }
             if let Some(dir) = checkpoint_dir {
                 runner = runner.checkpoint_dir(dir);
             }
-            if progress {
-                runner = runner.progress(true);
+            if let Some(dir) = status_dir {
+                runner = runner.status_dir(dir);
             }
-            let sweeps: Vec<SweepResult> = specs.map(|spec| runner.run(&spec)).collect();
+            let sweeps: Vec<SweepResult> = specs.iter().map(|spec| runner.run(spec)).collect();
             // A shard holds only a slice of each grid, which the paper
             // layouts cannot render; show the generic per-cell table.
             if sweeps.iter().any(|s| s.shard.is_some()) {
@@ -800,9 +796,35 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     sweep.wall,
                     sweep.scale.name()
                 );
+                // Present whenever the profiler ran: `--trace-out`, or the
+                // process-wide `INTERLEAVE_PROFILE=1` switch.
+                if let Some(profile) = sweep.profile.as_ref().filter(|p| !p.is_empty()) {
+                    println!("{}", phase_table(&sweep.name, profile, sweep.wall));
+                    println!(
+                        "phase self-times cover {:.1}% of wall",
+                        profile.total_self_ns() as f64 / sweep.wall.as_nanos().max(1) as f64
+                            * 100.0
+                    );
+                }
                 if let Some(dir) = &json {
                     write_artifacts(sweep, dir)?;
                 }
+            }
+            if let Some(out) = trace_out {
+                let (spans, dropped) = crate::obs::profile::take_spans();
+                if dropped > 0 {
+                    eprintln!("warning: dropped {dropped} host spans (per-thread cap)");
+                }
+                let doc = crate::obs::profile::spans_to_chrome(&spans).to_json();
+                let summary = crate::obs::chrome::validate(&doc)
+                    .map_err(|e| CliError(format!("host trace failed validation: {e}")))?;
+                std::fs::write(&out, &doc)
+                    .map_err(|e| CliError(format!("cannot write `{out}`: {e}")))?;
+                println!(
+                    "wrote {out} ({} spans on {} tracks)",
+                    summary.spans,
+                    summary.spans_by_track.len()
+                );
             }
         }
         Command::Merge { out, dirs } => {
@@ -823,76 +845,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 );
             }
         }
-        Command::Profile { artifact, jobs, scale, json, seed, trace_out } => {
-            let scale = scale.unwrap_or_else(Scale::from_env);
-            // The resolver the serve daemon uses too, so a profiled and
-            // a served grid are the same cells.
-            let mut spec = crate::bench::artifact_spec(&artifact, scale).map_err(CliError)?;
-            if let Some(seed) = seed {
-                spec = spec.seeds([seed]);
-            }
-            crate::obs::profile::set_enabled(true);
-            if trace_out.is_some() {
-                crate::obs::profile::record_spans(true);
-            }
-            let mut runner = Runner::from_env();
-            if let Some(jobs) = jobs {
-                runner = runner.with_jobs(jobs);
-            }
-            let sweep = runner.run(&spec);
-            let profile = sweep
-                .profile
-                .clone()
-                .filter(|p| !p.is_empty())
-                .ok_or_else(|| CliError("profiler recorded no phases".into()))?;
-            println!("{}", phase_table(&artifact, &profile, sweep.wall));
-            let wall_ns = (sweep.wall.as_nanos().max(1)) as f64;
-            println!(
-                "{} cells, {} jobs, {:.2?} wall, {} scale; phase self-times cover {:.1}% \
-                 of wall",
-                sweep.cells.len(),
-                sweep.jobs,
-                sweep.wall,
-                sweep.scale.name(),
-                profile.total_self_ns() as f64 / wall_ns * 100.0
-            );
-            if let Some(dir) = json {
-                write_artifacts(&sweep, &dir)?;
-            }
-            if let Some(out) = trace_out {
-                let (spans, dropped) = crate::obs::profile::take_spans();
-                if dropped > 0 {
-                    eprintln!("warning: dropped {dropped} host spans (per-thread cap)");
-                }
-                let doc = crate::obs::profile::spans_to_chrome(&spans).to_json();
-                let summary = crate::obs::chrome::validate(&doc)
-                    .map_err(|e| CliError(format!("host trace failed validation: {e}")))?;
-                std::fs::write(&out, &doc)
-                    .map_err(|e| CliError(format!("cannot write `{out}`: {e}")))?;
-                println!(
-                    "wrote {out} ({} spans on {} tracks)",
-                    summary.spans,
-                    summary.spans_by_track.len()
-                );
-            }
-        }
-        Command::Serve { addr, queue_depth, workers, cache_dir, status_dir } => {
-            let mut config = crate::server::ServerConfig::from_env();
-            if let Some(addr) = addr {
-                config.addr = addr;
-            }
-            if let Some(depth) = queue_depth {
-                config.queue_depth = depth.max(1);
-            }
-            if let Some(workers) = workers {
-                config.workers = workers;
-            }
-            if let Some(dir) = cache_dir {
-                config.cache_dir = Some(dir.into());
-            }
-            if let Some(dir) = status_dir {
-                config.status_dir = Some(dir.into());
-            }
+        Command::Serve(config) => {
             let bind_addr = config.addr.clone();
             let cache_note = config
                 .cache_dir
@@ -911,27 +864,9 @@ pub fn run(command: Command) -> Result<(), CliError> {
             server.run().map_err(|e| CliError(format!("server error: {e}")))?;
             println!("serve: shut down cleanly");
         }
-        Command::Submit {
-            addr,
-            artifact,
-            scale,
-            seed,
-            jobs,
-            mp_jobs,
-            adaptive,
-            wait,
-            json,
-            timeout_secs,
-        } => {
+        Command::Submit { addr, request, wait, json, timeout_secs } => {
             let addr = service_addr(addr);
-            let request = crate::server::job::JobRequest {
-                artifact: artifact.clone(),
-                scale,
-                seed,
-                jobs,
-                mp_jobs,
-                adaptive,
-            };
+            let artifact = &request.artifact;
             let started = std::time::Instant::now();
             let response = crate::server::client::post(&addr, "/jobs", &request.to_json())
                 .map_err(|e| CliError(format!("cannot reach daemon at `{addr}`: {e}")))?;
@@ -1005,7 +940,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 }
                 let mut fields = vec![
                     "\"schema\": \"interleave-serve-v1\"".to_string(),
-                    format!("\"artifact\": {}", crate::obs::json::escape(&artifact)),
+                    format!("\"artifact\": {}", crate::obs::json::escape(artifact)),
                     format!("\"job\": {id}"),
                     format!("\"cells\": {total}"),
                     format!("\"cached_cells\": {cached}"),
@@ -1157,52 +1092,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 println!("wrote {out}");
             }
         }
-        Command::Metrics { workload, scheme, contexts, quota, seed, json } => {
-            let workload = find_workload(&workload)?;
-            let result = MultiprogramSim::builder(workload.clone())
-                .scheme(scheme)
-                .contexts(contexts)
-                .quota(quota)
-                .seed(seed)
-                .build()
-                .run();
-            println!(
-                "{} | {scheme:?} x{contexts} | {} cycles | IPC {:.3}\n",
-                workload.name,
-                result.cycles,
-                result.throughput()
-            );
-            let mut t = Table::new("metric registry");
-            t.headers(["name", "value", "count", "mean", "min..max"]);
-            for (name, metric) in result.metrics.iter() {
-                match metric {
-                    Metric::Counter(v) => {
-                        t.row([
-                            name.to_string(),
-                            v.to_string(),
-                            "-".into(),
-                            "-".into(),
-                            "-".into(),
-                        ]);
-                    }
-                    Metric::Histogram(h) => {
-                        t.row([
-                            name.to_string(),
-                            "-".into(),
-                            h.count().to_string(),
-                            format!("{:.1}", h.mean()),
-                            format!("{}..{}", h.min(), h.max()),
-                        ]);
-                    }
-                }
-            }
-            println!("{t}");
-            if let Some(path) = json {
-                std::fs::write(&path, result.metrics.to_json(0))
-                    .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
-                println!("wrote {path}");
-            }
-        }
     }
     Ok(())
 }
@@ -1226,23 +1115,41 @@ mod tests {
                 contexts: 4,
                 quota: 40_000,
                 seed: 0x19940501,
+                json: None,
             }
         );
     }
 
     #[test]
     fn parses_uni_flags() {
-        let cmd =
-            parse(&argv("uni --workload DC --scheme blocked --contexts 2 --quota 999")).unwrap();
+        let cmd = parse(&argv(
+            "uni --workload DC --scheme blocked --contexts 2 --quota 999 --json m.json",
+        ))
+        .unwrap();
         match cmd {
-            Command::Uni { workload, scheme, contexts, quota, .. } => {
+            Command::Uni { workload, scheme, contexts, quota, json, .. } => {
                 assert_eq!(workload, "DC");
                 assert_eq!(scheme, Scheme::Blocked);
                 assert_eq!(contexts, 2);
                 assert_eq!(quota, 999);
+                assert_eq!(json.as_deref(), Some("m.json"));
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn parses_metrics() {
+        // The registry dump that `metrics` produced is now `uni --json`.
+        match parse(&argv("uni --workload DC --quota 500 --json m.json")).unwrap() {
+            Command::Uni { workload, quota, json, .. } => {
+                assert_eq!(workload, "DC");
+                assert_eq!(quota, 500);
+                assert_eq!(json.as_deref(), Some("m.json"));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(parse(&argv("metrics --workload DC --quota 500 --json m.json")).is_err());
     }
 
     #[test]
@@ -1268,18 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_metrics() {
-        match parse(&argv("metrics --workload DC --quota 500 --json m.json")).unwrap() {
-            Command::Metrics { workload, quota, json, .. } => {
-                assert_eq!(workload, "DC");
-                assert_eq!(quota, 500);
-                assert_eq!(json.as_deref(), Some("m.json"));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn rejects_bad_input() {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("uni --scheme warp")).is_err());
@@ -1291,14 +1186,75 @@ mod tests {
         assert!(parse(&argv("sweep --artifact table7 --scale huge")).is_err());
         assert!(parse(&argv("sweep --artifact table7 --jobs x")).is_err());
         assert!(parse(&argv("sweep --artifact table10 --mp-jobs x")).is_err());
-        assert!(parse(&argv("sweep --artifact table10 --adaptive maybe")).is_err());
+        // Retired: the fixed barrier schedule is a test-oracle switch now.
+        assert!(parse(&argv("sweep --artifact table10 --adaptive off")).is_err());
+    }
+
+    /// Every subcommand in the table rejects an unknown flag, a repeated
+    /// flag and a value flag with no value, naming the flag each time.
+    #[test]
+    fn parser_rejects_unknown_repeated_and_valueless_flags() {
+        let expect_err = |line: Vec<String>, flag: &str| {
+            let err = parse(&line).expect_err(&format!("{line:?} should be rejected"));
+            assert!(err.0.contains(flag) && err.0.contains(&line[0]), "{line:?} -> {err}");
+        };
+        for &(sub, line) in SUBCOMMANDS {
+            let spec = usage_args(line);
+            // The smallest accepted command line: one of each required
+            // positional, every required flag.
+            let mut base = vec![sub.to_string()];
+            for arg in spec.iter().filter(|a| !a.optional) {
+                match arg.hint {
+                    Some(_) => base.extend([arg.name.to_string(), "1".into()]),
+                    None => base.push("x".into()),
+                }
+            }
+            let with = |extra: &[&str]| {
+                base.iter().cloned().chain(extra.iter().map(|s| s.to_string())).collect::<Vec<_>>()
+            };
+            if sub != "help" {
+                assert!(parse(&base).is_ok(), "{base:?} should parse");
+            }
+            expect_err(with(&["--nope", "x"]), "--nope");
+            let Some(flag) = spec.iter().find(|a| a.hint.is_some()) else { continue };
+            let name = flag.name;
+            if flag.optional {
+                expect_err(with(&[name, "1", name, "1"]), name);
+                expect_err(with(&[name]), name);
+            } else {
+                expect_err(with(&[name, "1"]), name);
+            }
+        }
+        for (line, flag) in [
+            ("uni --sede 7", "--sede"),
+            ("sweep --artifact smoke --jbos 1", "--jbos"),
+            ("uni --quota 1 --quota 2", "--quota"),
+            ("merge --frob x d --out o", "--frob"),
+            ("uni --contexts --quota 3", "--contexts"),
+        ] {
+            expect_err(argv(line), flag);
+        }
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_table() {
+        let text = usage();
+        for &(sub, line) in SUBCOMMANDS {
+            assert!(text.contains(&format!("interleave-sim {sub}")), "{sub}");
+            for arg in usage_args(line) {
+                assert!(text.contains(arg.text), "{sub} {}", arg.text);
+            }
+        }
+        assert_eq!(SUBCOMMANDS.len(), 11);
+        let commands = text.split("SCHEMES:").next().unwrap();
+        assert!(commands.lines().all(|l| l.len() <= 80 && l == l.trim_end()), "{text}");
     }
 
     #[test]
     fn parses_sweep() {
         let cmd = parse(&argv(
-            "sweep --artifact table7 --jobs 4 --scale ci --json out --seed 9 --mp-jobs 2 \
-             --adaptive off --progress",
+            "sweep --artifact table7 --jobs 4 --scale full --json out --seed 9 --mp-jobs 2 \
+             --status-dir st --trace-out h.json --progress",
         ))
         .unwrap();
         assert_eq!(
@@ -1306,42 +1262,61 @@ mod tests {
             Command::Sweep {
                 artifact: "table7".into(),
                 jobs: Some(4),
-                scale: Some(Scale::Ci),
+                scale: Scale::Full,
                 json: Some("out".into()),
                 seed: Some(9),
                 mp_jobs: Some(2),
-                adaptive: Some(false),
                 shard: None,
                 checkpoint_dir: None,
+                status_dir: Some("st".into()),
+                trace_out: Some("h.json".into()),
                 progress: true,
             }
         );
-        match parse(&argv("sweep --artifact table10 --adaptive on")).unwrap() {
+        // Defaults: machine jobs, ci scale, serial MP cells.
+        assert_eq!(
+            parse(&argv("sweep --artifact table10")).unwrap(),
             Command::Sweep {
-                artifact,
-                jobs,
-                scale,
-                json,
-                seed,
-                mp_jobs,
-                adaptive,
-                shard,
-                checkpoint_dir,
-                progress,
-            } => {
-                assert_eq!(artifact, "table10");
-                assert_eq!(jobs, None);
-                assert_eq!(scale, None);
-                assert_eq!(json, None);
-                assert_eq!(seed, None);
-                assert_eq!(mp_jobs, None);
-                assert_eq!(adaptive, Some(true));
-                assert_eq!(shard, None);
-                assert_eq!(checkpoint_dir, None);
-                assert!(!progress);
+                artifact: "table10".into(),
+                jobs: None,
+                scale: Scale::Ci,
+                json: None,
+                seed: None,
+                mp_jobs: None,
+                shard: None,
+                checkpoint_dir: None,
+                status_dir: None,
+                trace_out: None,
+                progress: false,
             }
-            other => panic!("{other:?}"),
-        }
+        );
+    }
+
+    #[test]
+    fn parses_profile() {
+        // The phase profile that `profile` produced is now `sweep --trace-out`.
+        let cmd = parse(&argv(
+            "sweep --artifact smoke --jobs 2 --scale ci --json out --seed 7 --trace-out h.json",
+        ))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Sweep {
+                artifact: "smoke".into(),
+                jobs: Some(2),
+                scale: Scale::Ci,
+                json: Some("out".into()),
+                seed: Some(7),
+                mp_jobs: None,
+                shard: None,
+                checkpoint_dir: None,
+                status_dir: None,
+                trace_out: Some("h.json".into()),
+                progress: false,
+            }
+        );
+        assert!(parse(&argv("profile --artifact smoke --trace-out h.json")).is_err());
+        assert!(parse(&argv("sweep --artifact smoke --scale huge --trace-out h.json")).is_err());
     }
 
     #[test]
@@ -1392,27 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_profile() {
-        let cmd = parse(&argv(
-            "profile --artifact smoke --jobs 2 --scale ci --json out --seed 7 --trace-out h.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Profile {
-                artifact: "smoke".into(),
-                jobs: Some(2),
-                scale: Some(Scale::Ci),
-                json: Some("out".into()),
-                seed: Some(7),
-                trace_out: Some("h.json".into()),
-            }
-        );
-        assert!(parse(&argv("profile")).is_err());
-        assert!(parse(&argv("profile --artifact smoke --scale huge")).is_err());
-    }
-
-    #[test]
     fn parses_watch() {
         let cmd =
             parse(&argv("watch STATUS_t.json --once --interval-ms 50 --timeout-secs 2")).unwrap();
@@ -1447,24 +1401,15 @@ mod tests {
                  --status-dir s"
             ))
             .unwrap(),
-            Command::Serve {
-                addr: Some("127.0.0.1:0".into()),
-                queue_depth: Some(8),
-                workers: Some(2),
+            Command::Serve(ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                queue_depth: 8,
+                workers: 2,
                 cache_dir: Some("c".into()),
                 status_dir: Some("s".into()),
-            }
+            })
         );
-        assert_eq!(
-            parse(&argv("serve")).unwrap(),
-            Command::Serve {
-                addr: None,
-                queue_depth: None,
-                workers: None,
-                cache_dir: None,
-                status_dir: None,
-            }
-        );
+        assert_eq!(parse(&argv("serve")).unwrap(), Command::Serve(ServerConfig::default()));
         assert_eq!(
             parse(&argv(
                 "submit --artifact smoke --addr 127.0.0.1:4994 --seed 7 --wait --json out \
@@ -1473,19 +1418,20 @@ mod tests {
             .unwrap(),
             Command::Submit {
                 addr: Some("127.0.0.1:4994".into()),
-                artifact: "smoke".into(),
-                scale: None,
-                seed: Some(7),
-                jobs: None,
-                mp_jobs: None,
-                adaptive: None,
+                request: JobRequest {
+                    artifact: "smoke".into(),
+                    scale: None,
+                    seed: Some(7),
+                    jobs: None,
+                    mp_jobs: None,
+                },
                 wait: true,
                 json: Some("out".into()),
                 timeout_secs: 30,
             }
         );
         assert!(parse(&argv("submit")).is_err(), "submit needs --artifact");
-        assert!(parse(&argv("submit --artifact smoke --adaptive maybe")).is_err());
+        assert!(parse(&argv("submit --artifact smoke --adaptive off")).is_err());
         assert_eq!(
             parse(&argv("poll 3 --addr a:1")).unwrap(),
             Command::Poll { addr: Some("a:1".into()), id: Some(3), stats: false }
@@ -1507,7 +1453,7 @@ mod tests {
     fn submit_wait_fetches_artifacts_and_watch_streams() {
         let dir = std::env::temp_dir().join(format!("ilv_cli_serve_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let server = crate::server::Server::bind(crate::server::ServerConfig {
+        let server = crate::server::Server::bind(ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_depth: 4,
             workers: 1,
@@ -1520,12 +1466,13 @@ mod tests {
         let submit = |addr: String, out: &std::path::Path| {
             run(Command::Submit {
                 addr: Some(addr),
-                artifact: "smoke".into(),
-                scale: Some(Scale::Ci),
-                seed: Some(11),
-                jobs: Some(1),
-                mp_jobs: None,
-                adaptive: None,
+                request: JobRequest {
+                    artifact: "smoke".into(),
+                    scale: Some(Scale::Ci),
+                    seed: Some(11),
+                    jobs: Some(1),
+                    mp_jobs: None,
+                },
                 wait: true,
                 json: Some(out.to_string_lossy().into_owned()),
                 timeout_secs: 120,
@@ -1635,19 +1582,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_smoke_emits_phase_artifacts() {
+    fn sweep_trace_out_emits_phase_artifacts() {
         let dir = std::env::temp_dir().join(format!("ilv_profile_{}", std::process::id()));
         let trace = dir.join("host_trace.json");
         std::fs::create_dir_all(&dir).unwrap();
-        run(Command::Profile {
-            artifact: "smoke".into(),
-            jobs: Some(1),
-            scale: Some(Scale::Ci),
-            json: Some(dir.to_string_lossy().into_owned()),
-            seed: None,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-        })
-        .unwrap();
+        let line = format!(
+            "sweep --artifact smoke --jobs 1 --json {} --trace-out {}",
+            dir.display(),
+            trace.display()
+        );
+        run(parse(&argv(&line)).unwrap()).unwrap();
         // The acceptance bar: the phase self-times in the emitted
         // PROFILE document cover at least 90% of the measured wall.
         let doc = std::fs::read_to_string(dir.join("PROFILE_smoke.json")).unwrap();
@@ -1669,42 +1613,18 @@ mod tests {
 
     #[test]
     fn sweep_rejects_unknown_artifact() {
-        let err = run(Command::Sweep {
-            artifact: "table99".into(),
-            jobs: Some(1),
-            scale: Some(Scale::Ci),
-            json: None,
-            seed: None,
-            mp_jobs: None,
-            adaptive: None,
-            shard: None,
-            checkpoint_dir: None,
-            progress: false,
-        })
-        .unwrap_err();
+        let err = run(parse(&argv("sweep --artifact table99 --jobs 1")).unwrap()).unwrap_err();
         assert!(err.0.contains("unknown artifact"));
     }
 
     #[test]
     fn sweep_rejects_grid_flags_for_artifacts_without_a_grid() {
-        let sweep = |json: Option<&str>, shard, checkpoint_dir: Option<&str>| Command::Sweep {
-            artifact: "table4".into(),
-            jobs: None,
-            scale: Some(Scale::Ci),
-            json: json.map(str::to_string),
-            seed: None,
-            mp_jobs: None,
-            adaptive: None,
-            shard,
-            checkpoint_dir: checkpoint_dir.map(str::to_string),
-            progress: false,
-        };
-        for (cmd, flag) in [
-            (sweep(Some("out"), None, None), "--json"),
-            (sweep(None, Some(Shard::new(1, 2)), None), "--shard"),
-            (sweep(None, None, Some("ckpt")), "--checkpoint-dir"),
-        ] {
+        for flag in
+            ["--json out", "--shard 1/2", "--checkpoint-dir c", "--status-dir s", "--trace-out t"]
+        {
+            let cmd = parse(&argv(&format!("sweep --artifact table4 {flag}"))).unwrap();
             let err = run(cmd).unwrap_err();
+            let flag = flag.split(' ').next().unwrap();
             assert!(err.0.contains("artifact `table4`") && err.0.contains(flag), "{}", err.0);
         }
     }
@@ -1728,8 +1648,33 @@ mod tests {
             contexts: 1,
             quota: 10,
             seed: 1,
+            json: None,
         })
         .unwrap_err();
         assert!(err.0.contains("unknown workload"));
+    }
+
+    /// `uni --json` writes exactly the registry JSON of the same run.
+    #[test]
+    fn uni_json_writes_the_registry_of_the_same_run() {
+        let path = std::env::temp_dir().join(format!("ilv_uni_{}.json", std::process::id()));
+        run(Command::Uni {
+            workload: "DC".into(),
+            scheme: Scheme::Blocked,
+            contexts: 2,
+            quota: 2_000,
+            seed: 7,
+            json: Some(path.to_string_lossy().into_owned()),
+        })
+        .unwrap();
+        let result = MultiprogramSim::builder(mixes::dc())
+            .scheme(Scheme::Blocked)
+            .contexts(2)
+            .quota(2_000)
+            .seed(7)
+            .build()
+            .run();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), result.metrics.to_json(0));
+        std::fs::remove_file(&path).ok();
     }
 }

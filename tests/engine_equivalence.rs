@@ -207,3 +207,24 @@ fn adaptive_schedule_produces_byte_identical_metrics_artifacts() {
         "METRICS artifact must be byte-identical with adaptive widening on or off"
     );
 }
+
+/// Nightly gate (the binary has no flag for the fixed schedule): the
+/// full-scale `table10` grid with 4 host workers per cell must give the
+/// same results and METRICS bytes under the fixed barrier schedule as
+/// under the default adaptive one. (`table7` is left out: its uni cells
+/// ignore `adaptive`.) Run with `cargo test --release --test
+/// engine_equivalence -- --ignored`.
+#[test]
+#[ignore = "full-scale grid; nightly"]
+fn full_table10_grid_is_identical_with_adaptive_off() {
+    let grid = |spec: ExperimentSpec| Runner::new(2).run(&spec.mp_jobs(4));
+    let spec = interleave::bench::artifact_spec("table10", Scale::Full).unwrap();
+    let adaptive = grid(spec.clone());
+    let fixed = grid(spec.adaptive(false));
+    assert!(adaptive.results_match(&fixed), "adaptive widening changed table10 results");
+    assert_eq!(
+        adaptive.metrics_json(),
+        fixed.metrics_json(),
+        "METRICS_table10 must be byte-identical with adaptive widening on or off"
+    );
+}

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use interleave::bench::{checkpoint, merge, ExperimentSpec, Runner, Scale, Shard};
+use interleave::bench::{cache, merge, ExperimentSpec, Runner, Scale, Shard};
 use interleave::core::Scheme;
 use interleave::mp::{splash_suite, MpSim};
 use interleave::stats::{Breakdown, Category};
@@ -204,8 +204,8 @@ proptest! {
 fn checkpoint_keys_are_stable_and_distinct_across_the_grid() {
     let spec = small_grid();
     let cells = spec.cells();
-    let keys: Vec<u64> = cells.iter().map(|c| checkpoint::cell_key(&spec, c)).collect();
-    let again: Vec<u64> = cells.iter().map(|c| checkpoint::cell_key(&spec, c)).collect();
+    let keys: Vec<u64> = cells.iter().map(|c| cache::cell_key(&spec, c)).collect();
+    let again: Vec<u64> = cells.iter().map(|c| cache::cell_key(&spec, c)).collect();
     assert_eq!(keys, again, "checkpoint keys must be stable across invocations");
     let mut unique = keys.clone();
     unique.sort_unstable();
@@ -213,7 +213,7 @@ fn checkpoint_keys_are_stable_and_distinct_across_the_grid() {
     assert_eq!(unique.len(), cells.len(), "every cell must get a distinct checkpoint key");
     // A result-affecting knob moves every key.
     let tightened = small_grid().quota(1_000);
-    assert_ne!(checkpoint::cell_key(&tightened, &cells[0]), keys[0]);
+    assert_ne!(cache::cell_key(&tightened, &cells[0]), keys[0]);
 }
 
 /// Drops the volatile host-side keys from a BENCH document, mirroring
