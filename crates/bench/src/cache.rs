@@ -17,8 +17,8 @@
 //!    result; host-throughput knobs proven bit-invisible (`idle_skip`,
 //!    `adaptive`, `mp_jobs`, worker counts) are excluded, so entries
 //!    survive across them.
-//! 2. **Atomicity.** Files are written to a process-unique temp name and
-//!    renamed into place, so a sweep killed mid-write never leaves a
+//! 2. **Atomicity.** Files are written to a temp name unique to the
+//!    process and the call, then renamed into place, so a sweep killed mid-write never leaves a
 //!    torn entry — the next run recomputes that cell.
 //! 3. **Exactness.** The serialization round-trips every field of the
 //!    result bit-for-bit (histograms and registries via their exact
@@ -42,6 +42,10 @@ use crate::runner::{Cell, CellResult, ExperimentSpec};
 
 /// Schema tag written into (and required of) every checkpoint file.
 const SCHEMA: &str = "interleave-checkpoint-v1";
+
+/// Numbers every `store` call of the process, so concurrent stores of
+/// one cell never share a temp file.
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit hash: tiny, dependency-free, and stable across
 /// platforms and releases — exactly what a file-name key needs (this is
@@ -117,9 +121,9 @@ impl ResultCache {
     }
 
     /// Stores a freshly computed cell result (write-to-temp then rename;
-    /// the temp name is process-unique so parallel shards sharing a
-    /// directory never trample each other mid-write). Returns the final
-    /// path.
+    /// the temp name carries the pid and a per-call number, so parallel
+    /// shards sharing a directory and threads sharing this cache never
+    /// trample each other mid-write). Returns the final path.
     pub fn store(
         &self,
         spec: &ExperimentSpec,
@@ -128,7 +132,8 @@ impl ResultCache {
     ) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.cell_path(spec, cell);
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
+        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("json.tmp.{}.{seq}", std::process::id()));
         std::fs::write(&tmp, to_json(spec, cell, result))?;
         std::fs::rename(&tmp, &path)?;
         Ok(path)
@@ -361,13 +366,20 @@ fn hist_json(h: &Histogram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Runner, Scale};
+    use crate::runner::{Runner, Scale, Target};
+    use interleave_core::StorePolicy;
     use interleave_mp::splash_suite;
+    use interleave_mp::LatencyModel;
     use interleave_workloads::mixes;
+    use interleave_workloads::OsModel;
     use std::sync::Arc;
 
     fn spec() -> ExperimentSpec {
-        ExperimentSpec::new("ckpt", Scale::Ci)
+        named_spec("ckpt")
+    }
+
+    fn named_spec(name: &str) -> ExperimentSpec {
+        ExperimentSpec::new(name, Scale::Ci)
             .uni(mixes::ic())
             .mp(splash_suite()[0].clone())
             .contexts([2])
@@ -451,20 +463,66 @@ mod tests {
         let keys: std::collections::BTreeSet<u64> =
             cells.iter().map(|c| cell_key(&spec1, c)).collect();
         assert_eq!(keys.len(), cells.len());
-        // A result-affecting knob changes the key...
-        let requota = spec().quota(2_001);
-        assert_ne!(cell_key(&spec1, &cells[0]), cell_key(&requota, &requota.cells()[0]));
-        // ...a bit-invisible knob does not (checkpoints stay reusable).
-        let retuned = spec().mp_jobs(4).adaptive(false).idle_skip(false);
-        assert_eq!(cell_key(&spec1, &cells[0]), cell_key(&retuned, &retuned.cells()[0]));
-        // The spec *name* doesn't key either: same resolved config, same
-        // result.
-        let renamed = ExperimentSpec::new("other", Scale::Ci)
-            .uni(mixes::ic())
-            .contexts([2])
-            .quota(2_000)
-            .warmup(500);
-        assert_eq!(cell_key(&spec1, &cells[0]), cell_key(&renamed, &renamed.cells()[0]));
+        // The key of the first uni cell and of the first mp cell.
+        let key = |s: &ExperimentSpec, uni: bool| {
+            let cells = s.cells();
+            let cell = cells.iter().find(|c| matches!(c.target, Target::Uni(_)) == uni).unwrap();
+            cell_key(s, cell)
+        };
+        // (setting, target kind it affects, spec with it changed, changes
+        // the key?), each against `spec1` — the seed against another seed.
+        let other_os = OsModel { affinity_slices: 4, ..OsModel::scaled() };
+        let far = LatencyModel { remote: (90, 140), ..LatencyModel::dash_like() };
+        let cases = [
+            ("quota", true, spec().quota(2_001), true),
+            ("uni warmup", true, spec().warmup(501), true),
+            ("os", true, spec().os(other_os), true),
+            ("btb_entries", true, spec().btb_entries(64), true),
+            ("store_policy", true, spec().store_policy(StorePolicy::WriteBuffer), true),
+            ("nodes", false, spec().nodes(2), true),
+            ("work", false, spec().work(8_001), true),
+            ("mp warmup", false, spec().warmup(501), true),
+            ("latency", false, spec().latency(far), true),
+            // Bit-invisible settings leave the key alone, so checkpoints
+            // stay reusable across them.
+            ("idle_skip", true, spec().idle_skip(false), false),
+            ("adaptive", false, spec().adaptive(false), false),
+            ("mp_jobs", false, spec().mp_jobs(4), false),
+            ("uni name", true, named_spec("other"), false),
+            ("mp name", false, named_spec("other"), false),
+        ];
+        for (setting, uni, changed, moves) in cases {
+            assert_eq!(key(&spec1, uni) != key(&changed, uni), moves, "{setting}");
+        }
+        for uni in [true, false] {
+            let (seven, eight) = (spec().seeds([7]), spec().seeds([8]));
+            assert_ne!(key(&seven, uni), key(&eight, uni), "seed (uni: {uni})");
+        }
+    }
+
+    /// Threads sharing one cache (as the serve daemon's workers do) may
+    /// store the same cell at once; every store must succeed and leave a
+    /// loadable entry.
+    #[test]
+    fn concurrent_stores_of_one_cell_all_succeed() {
+        let dir = temp_dir("race");
+        let cache = ResultCache::new(&dir);
+        let spec = spec();
+        let cell = &spec.cells()[0];
+        let result = spec.run_cell(cell);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        cache.store(&spec, cell, &result).expect("store succeeds");
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.load(&spec, cell).as_ref(), Some(&result));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

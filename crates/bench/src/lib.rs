@@ -19,12 +19,10 @@
 
 pub mod artifacts;
 pub mod cache;
-pub mod merge;
 pub mod runner;
 
 pub use artifacts::{Artifact, ARTIFACTS};
 pub use cache::ResultCache;
-pub use merge::{MergeError, MergedSweep};
 pub use runner::{
     Cell, CellResult, ExperimentSpec, Runner, Scale, Shard, Snapshot, SweepResult, Target,
 };

@@ -160,8 +160,8 @@ impl Shard {
         self.count
     }
 
-    /// Artifact-name suffix (`shard2of4`), kept free of `/` so shard
-    /// uploads from a CI matrix never collide or nest.
+    /// Status-file suffix (`shard2of4`), kept free of `/` so shards
+    /// sharing one status directory never overwrite each other.
     pub fn label(self) -> String {
         format!("shard{}of{}", self.index, self.count)
     }
@@ -717,9 +717,8 @@ struct TelemetryState {
 impl<'a> SweepTelemetry<'a> {
     fn new(runner: &'a Runner, spec: &'a ExperimentSpec, total: usize) -> SweepTelemetry<'a> {
         let now = Instant::now();
-        // Shard identity is part of the telemetry artifact stem so
-        // concurrent shards of one spec never clobber each other's
-        // status files.
+        // Shard identity is part of the telemetry name so concurrent
+        // shards of one spec never clobber each other's status files.
         let artifact = match runner.shard {
             Some(shard) => format!("{}.{}", spec.name(), shard.label()),
             None => spec.name().to_string(),
@@ -861,9 +860,9 @@ impl Runner {
     }
 
     /// Restricts the sweep to one disjoint slice of the grid (see
-    /// [`Shard`]). Shard identity is stamped into the sweep's artifact
-    /// names and JSON headers so a later `interleave-sim merge` can fold
-    /// the slices back into the canonical single-process documents.
+    /// [`Shard`]). A slice is not an artifact: shards share one
+    /// checkpoint directory ([`Runner::checkpoint_dir`]), and a whole-grid
+    /// sweep over it restores every cell and writes the artifacts.
     pub fn shard(mut self, shard: Shard) -> Runner {
         self.shard = Some(shard);
         self
@@ -920,12 +919,10 @@ impl Runner {
     /// shard's slice of the grid) and returns the aggregated sweep.
     pub fn run(&self, spec: &ExperimentSpec) -> SweepResult {
         let grid = spec.cells();
-        let grid_cells = grid.len();
-        let grid_indices: Vec<usize> = match self.shard {
-            Some(shard) => shard.indices(grid_cells).collect(),
-            None => (0..grid_cells).collect(),
+        let cells: Vec<Cell> = match self.shard {
+            Some(shard) => shard.indices(grid.len()).map(|i| grid[i].clone()).collect(),
+            None => grid,
         };
-        let cells: Vec<Cell> = grid_indices.iter().map(|&i| grid[i].clone()).collect();
         let started = Instant::now();
         // Scope the host-phase profile to this sweep: discard anything
         // accumulated before it, harvest after the workers are done.
@@ -1025,9 +1022,6 @@ impl Runner {
             name: spec.name.clone(),
             scale: spec.scale,
             jobs: self.jobs,
-            shard: self.shard,
-            grid_cells,
-            grid_indices,
             resumed: resumed_cells.load(Ordering::Relaxed),
             wall,
             cell_walls,
@@ -1040,20 +1034,12 @@ impl Runner {
 /// The aggregated outcome of running an [`ExperimentSpec`].
 #[derive(Debug, Clone)]
 pub struct SweepResult {
-    /// Spec name (JSON artifact stem; sharded sweeps append the shard
-    /// label — see [`SweepResult::artifact_stem`]).
+    /// Spec name (JSON artifact stem).
     pub name: String,
     /// Scale the sweep ran at.
     pub scale: Scale,
     /// Worker threads used.
     pub jobs: usize,
-    /// The grid slice this sweep ran, or `None` for the whole grid.
-    pub shard: Option<Shard>,
-    /// Total cells in the spec's canonical grid (across all shards).
-    pub grid_cells: usize,
-    /// Canonical grid index of each entry of `cells`, index-aligned.
-    /// Without a shard this is simply `0..grid_cells`.
-    pub grid_indices: Vec<usize>,
     /// Cells restored from checkpoints instead of recomputed.
     pub resumed: usize,
     /// Wall-clock duration of the sweep.
@@ -1132,14 +1118,7 @@ impl SweepResult {
         out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str(&format!("  \"unix_timestamp\": {timestamp},\n"));
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
-        if let Some(shard) = self.shard {
-            out.push_str(&format!(
-                "  \"shard\": {{\"index\": {}, \"count\": {}}},\n",
-                shard.index(),
-                shard.count()
-            ));
-        }
+        out.push_str(&format!("  \"grid_cells\": {},\n", self.cells.len()));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!("  \"wall_ms\": {},\n", self.wall.as_millis()));
         let total_sim_cycles: u64 = self.cells.iter().map(|(_, r)| r.cycles()).sum();
@@ -1156,7 +1135,7 @@ impl SweepResult {
                 "\"grid_index\": {}, \"target\": {}, \"scheme\": \"{}\", \"contexts\": {}, \
                  \"seed\": {seed}, \"cycles\": {}, \"utilization\": {:.6}, \"wall_ms\": {}, \
                  \"sim_cycles_per_sec\": {:.1}",
-                self.grid_indices.get(i).copied().unwrap_or(i),
+                i,
                 json::escape(cell.target.name()),
                 cell.scheme.name(),
                 cell.contexts,
@@ -1195,26 +1174,17 @@ impl SweepResult {
         out.push_str("{\n");
         out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
-        if let Some(shard) = self.shard {
-            out.push_str(&format!(
-                "  \"shard\": {{\"index\": {}, \"count\": {}}},\n",
-                shard.index(),
-                shard.count()
-            ));
-        }
+        out.push_str(&format!("  \"grid_cells\": {},\n", self.cells.len()));
         out.push_str("  \"cells\": [\n");
-        // One line per cell (single-line registry serialization): shard
-        // merge reassembles the canonical document by splicing these
-        // exact lines in grid order, so byte-identity with a
-        // single-process sweep holds by construction.
+        // One line per cell (single-line registry serialization), so a
+        // cell's row can be grepped out of the document whole.
         for (i, (cell, result)) in self.cells.iter().enumerate() {
             let seed = cell.seed.map(|s| s.to_string()).unwrap_or_else(|| "null".into());
             let comma = if i + 1 < self.cells.len() { "," } else { "" };
             out.push_str(&format!(
                 "    {{\"grid_index\": {}, \"target\": {}, \"scheme\": \"{}\", \
                  \"contexts\": {}, \"seed\": {seed}, \"metrics\": {}}}{comma}\n",
-                self.grid_indices.get(i).copied().unwrap_or(i),
+                i,
                 json::escape(cell.target.name()),
                 cell.scheme.name(),
                 cell.contexts,
@@ -1225,29 +1195,18 @@ impl SweepResult {
         out
     }
 
-    /// File-name stem for the sweep's artifacts: the spec name, with
-    /// the shard label appended (`table7.shard2of4`) when the sweep ran
-    /// one slice — so N shard processes sharing an artifact directory
-    /// (or a CI artifact namespace) never collide.
-    pub fn artifact_stem(&self) -> String {
-        match self.shard {
-            Some(shard) => format!("{}.{}", self.name, shard.label()),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Writes `BENCH_<stem>.json` into `dir`.
+    /// Writes `BENCH_<name>.json` into `dir`.
     pub fn write_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.artifact_stem()));
+        let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 
-    /// Writes `METRICS_<stem>.json` into `dir`.
+    /// Writes `METRICS_<name>.json` into `dir`.
     pub fn write_metrics_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("METRICS_{}.json", self.artifact_stem()));
+        let path = dir.join(format!("METRICS_{}.json", self.name));
         std::fs::write(&path, self.metrics_json())?;
         Ok(path)
     }
@@ -1263,14 +1222,7 @@ impl SweepResult {
         out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.name)));
         out.push_str("  \"schema\": \"interleave-profile-v1\",\n");
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"grid_cells\": {},\n", self.grid_cells));
-        if let Some(shard) = self.shard {
-            out.push_str(&format!(
-                "  \"shard\": {{\"index\": {}, \"count\": {}}},\n",
-                shard.index(),
-                shard.count()
-            ));
-        }
+        out.push_str(&format!("  \"grid_cells\": {},\n", self.cells.len()));
         out.push_str(&format!("  \"wall_ns\": {},\n", wall_ns(self.wall)));
         let total_sim_cycles: u64 = self.cells.iter().map(|(_, r)| r.cycles()).sum();
         out.push_str(&format!("  \"total_sim_cycles\": {total_sim_cycles},\n"));
@@ -1289,7 +1241,7 @@ impl SweepResult {
             return Ok(None);
         };
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("PROFILE_{}.json", self.artifact_stem()));
+        let path = dir.join(format!("PROFILE_{}.json", self.name));
         std::fs::write(&path, doc)?;
         Ok(Some(path))
     }
@@ -1563,37 +1515,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_runs_its_slice_and_stamps_artifacts() {
+    fn sharded_sweep_runs_its_slice() {
         let spec = tiny_spec();
         let full = Runner::serial().run(&spec);
         let shard = Shard::new(2, 3);
         let slice = Runner::serial().shard(shard).run(&spec);
-        assert_eq!(slice.grid_cells, 6);
-        assert_eq!(slice.grid_indices, vec![1, 4]);
         assert_eq!(slice.cells.len(), 2);
-        assert_eq!(slice.artifact_stem(), "tiny.shard2of3");
         // The slice's results equal the corresponding full-grid cells.
-        for (&gi, (cell, result)) in slice.grid_indices.iter().zip(&slice.cells) {
+        for (gi, (cell, result)) in shard.indices(6).zip(&slice.cells) {
             let (full_cell, full_result) = &full.cells[gi];
             assert_eq!(cell.target.name(), full_cell.target.name());
             assert_eq!(cell.scheme, full_cell.scheme);
             assert_eq!(cell.contexts, full_cell.contexts);
             assert_eq!(result, full_result);
         }
-        let json = slice.to_json();
-        assert!(json.contains("\"shard\": {\"index\": 2, \"count\": 3}"));
-        assert!(json.contains("\"grid_cells\": 6"));
-        assert!(json.contains("\"grid_index\": 4"));
-        let metrics = slice.metrics_json();
-        assert!(metrics.contains("\"shard\": {\"index\": 2, \"count\": 3}"));
-        // Unsharded artifacts carry the grid header but no shard key.
-        assert!(!full.to_json().contains("\"shard\""));
-        assert!(full.metrics_json().contains("\"grid_cells\": 6"));
-        assert_eq!(full.artifact_stem(), "tiny");
     }
 
-    /// Every METRICS cell row is a single line, so shard merge can
-    /// splice rows byte-exactly (the merge module depends on this).
+    /// Every METRICS cell row is a single line, so a cell's row can be
+    /// grepped out of the document whole.
     #[test]
     fn metrics_cells_are_single_lines() {
         let sweep = Runner::serial().run(&tiny_spec());

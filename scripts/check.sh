@@ -267,15 +267,22 @@ fi
 scripts/determinism_gate.sh "$tmpdir/resume" "$tmpdir/unprofiled"
 echo "check.sh: resume smoke ok ($resumed cells skipped after the mid-grid kill)"
 
-# Shard smoke: a 2-way sharded run of the same grid, folded with the
-# merge subcommand, must byte-match the single-process artifacts
-# (METRICS strict, BENCH with volatile host keys stripped).
-mkdir -p "$tmpdir/shards" "$tmpdir/merged"
-./target/release/interleave-sim sweep --artifact smoke --shard 1/2 --json "$tmpdir/shards" >/dev/null
-./target/release/interleave-sim sweep --artifact smoke --shard 2/2 --json "$tmpdir/shards" >/dev/null
-./target/release/interleave-sim merge --out "$tmpdir/merged" "$tmpdir/shards"
-scripts/determinism_gate.sh "$tmpdir/merged" "$tmpdir/unprofiled"
-echo "check.sh: shard smoke ok (2-way shard set merged byte-identical)"
+# Shard smoke: a 2-way sharded run of the same grid fills one
+# checkpoint directory; a whole-grid sweep over it must restore every
+# cell and byte-match the single-process artifacts (METRICS strict,
+# BENCH with volatile host keys stripped).
+shard_ckpt="$tmpdir/shard_ckpt"
+./target/release/interleave-sim sweep --artifact smoke --shard 1/2 --checkpoint-dir "$shard_ckpt" >/dev/null
+./target/release/interleave-sim sweep --artifact smoke --shard 2/2 --checkpoint-dir "$shard_ckpt" >/dev/null
+./target/release/interleave-sim sweep --artifact smoke --checkpoint-dir "$shard_ckpt" \
+  --json "$tmpdir/assembled" >"$tmpdir/assemble.log" 2>&1
+if ! grep -Eq '^smoke: ([0-9]+) cells \(\1 resumed from checkpoints\)' "$tmpdir/assemble.log"; then
+  echo "check.sh: assembling the shard checkpoints recomputed cells:" >&2
+  cat "$tmpdir/assemble.log" >&2
+  exit 1
+fi
+scripts/determinism_gate.sh "$tmpdir/assembled" "$tmpdir/unprofiled"
+echo "check.sh: shard smoke ok (2-way shard checkpoints assembled byte-identical)"
 
 # Serve smoke: the daemon round-trip contract (see the function above).
 serve_smoke

@@ -2,32 +2,23 @@
 # Nightly determinism gate: the parallel multiprocessor driver
 # (`--mp-jobs`) is a pure host optimization, so two sweep runs that
 # differ only in that knob must produce identical simulated artifacts.
-# The same contract covers distributed sweeps: `interleave-sim merge`
-# of a full `--shard K/N` set must reproduce the single-process output.
+# The same contract covers distributed sweeps: a whole-grid sweep over
+# the checkpoints of a full `--shard K/N` set must reproduce the
+# single-process output.
 #
 #   scripts/determinism_gate.sh <dir A> <dir B>
-#   scripts/determinism_gate.sh <merged artifact file> <reference file or dir>
 #
-# Directory mode compares every METRICS_*.json present in dir A
+# The gate compares every METRICS_*.json present in dir A
 # byte-for-byte against dir B, and every BENCH_*.json with the
 # host-side volatile keys (unix_timestamp, jobs, wall_ms,
 # sim_cycles_per_sec) stripped — those describe the machine that ran
 # the sweep, not the simulated results. A file present on one side but
 # not the other is a failure, as is an empty directory (nothing
 # compared must not read as success).
-#
-# Merged-artifact mode (first argument is a file, e.g. the
-# BENCH/METRICS output of `interleave-sim merge`) compares just that
-# artifact against the reference — a file, or a directory holding a
-# file of the same name.
-#
-# Unmerged shard slices (`*.shard<K>of<N>.json`) are partial grids and
-# can never byte-match a full run; if any are present the gate fails
-# immediately and tells you to merge first.
 set -euo pipefail
 
-side_a="${1:?usage: scripts/determinism_gate.sh <dir A|merged artifact> <dir B|reference>}"
-side_b="${2:?usage: scripts/determinism_gate.sh <dir A|merged artifact> <dir B|reference>}"
+side_a="${1:?usage: scripts/determinism_gate.sh <dir A> <dir B>}"
+side_b="${2:?usage: scripts/determinism_gate.sh <dir A> <dir B>}"
 
 # Removes the volatile host-side keys from a BENCH json: the top-level
 # unix_timestamp/jobs/wall_ms/sim_cycles_per_sec lines, and the inline
@@ -40,31 +31,6 @@ strip_volatile() {
       -e 's/"wall_ms": [0-9]*, //g' \
       -e 's/"sim_cycles_per_sec": [0-9.]*, //g' \
       "$1"
-}
-
-# Hard-fails when a path (or a directory containing one) is an
-# unmerged per-shard slice: comparing a slice against a full grid can
-# only ever fail confusingly, so name the actual fix instead.
-reject_shards() {
-  local side="$1" found=()
-  if [ -d "$side" ]; then
-    local f
-    for f in "$side"/BENCH_*.shard*of*.json "$side"/METRICS_*.shard*of*.json \
-             "$side"/PROFILE_*.shard*of*.json; do
-      [ -e "$f" ] && found+=("$f")
-    done
-  else
-    case "$(basename "$side")" in
-      *.shard*of*.json) found+=("$side") ;;
-    esac
-  fi
-  if [ "${#found[@]}" -gt 0 ]; then
-    echo "determinism_gate: FAIL — unmerged shard artifacts present:" >&2
-    printf '  %s\n' "${found[@]}" >&2
-    echo "determinism_gate: a shard slice is a partial grid and cannot match a full run;" >&2
-    echo "determinism_gate: fold the shard set first: interleave-sim merge --out <dir> <shard dir>" >&2
-    exit 1
-  fi
 }
 
 compared=0
@@ -102,24 +68,11 @@ compare_one() {
   compared=$((compared + 1))
 }
 
-reject_shards "$side_a"
-reject_shards "$side_b"
-
-if [ -f "$side_a" ]; then
-  # Merged-artifact mode: one file against a reference file or dir.
-  name="$(basename "$side_a")"
-  if [ -d "$side_b" ]; then
-    compare_one "$side_a" "$side_b/$name" "$name"
-  else
-    compare_one "$side_a" "$side_b" "$name"
-  fi
-else
-  for a in "$side_a"/METRICS_*.json "$side_a"/BENCH_*.json; do
-    [ -e "$a" ] || continue
-    name="$(basename "$a")"
-    compare_one "$a" "$side_b/$name" "$name"
-  done
-fi
+for a in "$side_a"/METRICS_*.json "$side_a"/BENCH_*.json; do
+  [ -e "$a" ] || continue
+  name="$(basename "$a")"
+  compare_one "$a" "$side_b/$name" "$name"
+done
 
 if [ "$compared" -eq 0 ]; then
   echo "determinism_gate: no BENCH_*/METRICS_* artifacts found in $side_a" >&2

@@ -9,9 +9,7 @@
 #
 # The first argument may be a directory, in which case the gate
 # resolves the single BENCH_*.json inside it explicitly. Zero or
-# multiple candidates are a hard failure — in particular, per-shard
-# slices (`BENCH_*.shard<K>of<N>.json`) rate only part of the grid and
-# must be folded with `interleave-sim merge` before gating.
+# multiple candidates are a hard failure.
 #
 # The optional third argument names the baseline-file key to compare
 # against (default `sim_cycles_per_sec`, the uniprocessor smoke rate;
@@ -55,21 +53,11 @@ baseline_key="${3:-sim_cycles_per_sec}"
 current_profile="${4:-}"
 baseline_phases="${5:-$(dirname "$0")/../ci/baseline_phases.json}"
 
-# Resolve a directory argument to the one full-grid BENCH artifact it
-# holds. Explicit globbing: zero matches, several matches, and
-# unmerged shard slices each fail with a message naming the fix,
-# instead of `head -1`-style silent arbitration.
+# Resolve a directory argument to the one BENCH artifact it holds.
+# Explicit globbing: zero or several matches fail with a message naming
+# the fix, instead of `head -1`-style silent arbitration.
 if [ -d "$current_json" ]; then
   dir="$current_json"
-  shards=()
-  for f in "$dir"/BENCH_*.shard*of*.json; do [ -e "$f" ] && shards+=("$f"); done
-  if [ "${#shards[@]}" -gt 0 ]; then
-    echo "throughput_gate: FAIL — $dir holds unmerged per-shard slices:" >&2
-    printf '  %s\n' "${shards[@]}" >&2
-    echo "throughput_gate: a shard slice rates only part of the grid; fold the set first" >&2
-    echo "throughput_gate: (interleave-sim merge --out <dir> $dir) and gate the merged BENCH" >&2
-    exit 1
-  fi
   benches=()
   for f in "$dir"/BENCH_*.json; do [ -e "$f" ] && benches+=("$f"); done
   if [ "${#benches[@]}" -eq 0 ]; then
@@ -82,14 +70,6 @@ if [ -d "$current_json" ]; then
     exit 1
   fi
   current_json="${benches[0]}"
-else
-  case "$(basename "$current_json")" in
-    *.shard*of*.json)
-      echo "throughput_gate: FAIL — $current_json is a per-shard slice, not a full run;" >&2
-      echo "throughput_gate: fold the shard set first (interleave-sim merge) and gate the merged BENCH" >&2
-      exit 1
-      ;;
-  esac
 fi
 
 extract_rate() {

@@ -9,7 +9,7 @@
 //! computes.
 
 use crate::bench::artifacts::one_grid_names;
-use crate::bench::{merge, resolve_specs, Runner, Scale, Shard, SweepResult, ARTIFACTS};
+use crate::bench::{resolve_specs, Runner, Scale, Shard, SweepResult, ARTIFACTS};
 use crate::core::Scheme;
 use crate::mp::{splash_suite, MpSim, SplashProfile};
 use crate::obs::{Metric, Registry};
@@ -72,12 +72,14 @@ pub enum Command {
         /// Purely a host-side knob: results are bit-identical at every
         /// value.
         mp_jobs: Option<usize>,
-        /// Run only one disjoint slice of the grid (`--shard K/N`).
-        /// Shard identity is stamped into the artifact names and headers
-        /// for `merge`.
+        /// Run only one disjoint slice of the grid (`--shard K/N`) into
+        /// the checkpoint directory; requires `checkpoint_dir` and
+        /// rejects `json`.
         shard: Option<Shard>,
         /// Per-cell checkpoint directory. An interrupted sweep rerun
-        /// with the same directory resumes its completed cells.
+        /// with the same directory resumes its completed cells, and a
+        /// whole-grid sweep over the shards' combined directory
+        /// assembles their slices.
         checkpoint_dir: Option<String>,
         /// Directory for the live `STATUS_<spec>.json` snapshots that
         /// `watch` tails.
@@ -87,15 +89,6 @@ pub enum Command {
         trace_out: Option<String>,
         /// Print a per-second completion heartbeat to stderr.
         progress: bool,
-    },
-    /// Fold shard sweep artifacts back into the canonical
-    /// single-process `BENCH_*`/`METRICS_*` documents.
-    Merge {
-        /// Output directory for the merged artifacts.
-        out: String,
-        /// Directories holding `BENCH_*.shard<K>of<N>.json` (and their
-        /// `METRICS_*` counterparts); positional, at least one.
-        dirs: Vec<String>,
     },
     /// Run the simulation service daemon (`interleave-sim serve`) with
     /// the flags applied over [`ServerConfig::default`]. Port 0 binds an
@@ -182,7 +175,7 @@ impl std::error::Error for CliError {}
 /// command line against and `usage` prints. A usage line lists the
 /// arguments as the help shows them: `--flag HINT` is a required value
 /// flag, `[--flag HINT]` an optional one and `[--flag]` a switch; `ARG`
-/// is one positional, `[ARG]` an optional one and `ARG...` one or more.
+/// is one positional and `[ARG]` an optional one.
 const SUBCOMMANDS: &[(&str, &str)] = &[
     ("uni", "[--workload W] [--scheme S] [--contexts N] [--quota N] [--seed N] [--json PATH]"),
     ("mp", "[--app NAME] [--scheme S] [--nodes N] [--contexts N] [--work N] [--seed N]"),
@@ -192,7 +185,6 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
          [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--status-dir DIR] \
          [--trace-out PATH] [--progress]",
     ),
-    ("merge", "--out DIR SHARD_DIR..."),
     (
         "serve",
         "[--addr HOST:PORT] [--queue-depth N] [--workers N] [--cache-dir DIR] \
@@ -326,7 +318,6 @@ impl Args {
         let n = args.positionals.len();
         let fits = match positional.first() {
             None => n == 0,
-            Some(p) if p.name.ends_with("...") => n >= 1,
             Some(p) => n == 1 || (n == 0 && p.optional),
         };
         if !fits {
@@ -441,9 +432,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             trace_out: a.string("trace-out"),
             progress: a.switch("progress"),
         },
-        "merge" => {
-            Command::Merge { out: a.string("out").unwrap_or_default(), dirs: a.positionals.clone() }
-        }
         "serve" => {
             let default = ServerConfig::default();
             Command::Serve(ServerConfig {
@@ -746,6 +734,23 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     )));
                 }
             }
+            // A slice is not an artifact: a shard fills the checkpoint
+            // store, and a whole-grid sweep over the shards' combined
+            // checkpoints writes the artifacts.
+            if shard.is_some() && checkpoint_dir.is_none() {
+                return Err(CliError(
+                    "--shard requires --checkpoint-dir: a shard's cells are kept only as \
+                     checkpoints"
+                        .into(),
+                ));
+            }
+            if shard.is_some() && json.is_some() {
+                return Err(CliError(
+                    "--shard rejects --json: a slice is not an artifact; run `sweep` without \
+                     --shard over the shards' combined --checkpoint-dir to write it"
+                        .into(),
+                ));
+            }
             if trace_out.is_some() {
                 crate::obs::profile::set_enabled(true);
                 crate::obs::profile::record_spans(true);
@@ -766,23 +771,14 @@ pub fn run(command: Command) -> Result<(), CliError> {
             let sweeps: Vec<SweepResult> = specs.iter().map(|spec| runner.run(spec)).collect();
             // A shard holds only a slice of each grid, which the paper
             // layouts cannot render; show the generic per-cell table.
-            if sweeps.iter().any(|s| s.shard.is_some()) {
+            if shard.is_some() {
                 sweeps.iter().for_each(|s| println!("{}", s.to_table()));
             } else {
                 print!("{}", (artifact.render)(&sweeps));
             }
+            let shard_note =
+                shard.map(|s| format!(" [shard {}/{}]", s.index(), s.count())).unwrap_or_default();
             for sweep in &sweeps {
-                let shard_note = sweep
-                    .shard
-                    .map(|s| {
-                        format!(
-                            " [shard {}/{} of {} cells]",
-                            s.index(),
-                            s.count(),
-                            sweep.grid_cells
-                        )
-                    })
-                    .unwrap_or_default();
                 let resume_note = if sweep.resumed > 0 {
                     format!(" ({} resumed from checkpoints)", sweep.resumed)
                 } else {
@@ -824,24 +820,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     "wrote {out} ({} spans on {} tracks)",
                     summary.spans,
                     summary.spans_by_track.len()
-                );
-            }
-        }
-        Command::Merge { out, dirs } => {
-            let dirs: Vec<std::path::PathBuf> = dirs.iter().map(std::path::PathBuf::from).collect();
-            let merged = merge::merge_dirs(&dirs).map_err(|e| CliError(e.to_string()))?;
-            let out = std::path::Path::new(&out);
-            for sweep in &merged {
-                let (bench, metrics) = sweep.write(out).map_err(|e| {
-                    CliError(format!("cannot write merged artifacts into `{}`: {e}", out.display()))
-                })?;
-                println!(
-                    "merged {} ({} shards, {} cells): wrote {} and {}",
-                    sweep.artifact,
-                    sweep.shards,
-                    sweep.grid_cells,
-                    bench.display(),
-                    metrics.display()
                 );
             }
         }
@@ -1229,7 +1207,7 @@ mod tests {
             ("uni --sede 7", "--sede"),
             ("sweep --artifact smoke --jbos 1", "--jbos"),
             ("uni --quota 1 --quota 2", "--quota"),
-            ("merge --frob x d --out o", "--frob"),
+            ("watch --frob x f", "--frob"),
             ("uni --contexts --quota 3", "--contexts"),
         ] {
             expect_err(argv(line), flag);
@@ -1245,7 +1223,7 @@ mod tests {
                 assert!(text.contains(arg.text), "{sub} {}", arg.text);
             }
         }
-        assert_eq!(SUBCOMMANDS.len(), 11);
+        assert_eq!(SUBCOMMANDS.len(), 10);
         let commands = text.split("SCHEMES:").next().unwrap();
         assert!(commands.lines().all(|l| l.len() <= 80 && l == l.trim_end()), "{text}");
     }
@@ -1336,34 +1314,24 @@ mod tests {
         }
     }
 
+    /// A shard only fills the checkpoint store: it needs a checkpoint
+    /// directory and refuses to write a slice as an artifact. Grids are
+    /// assembled by a whole-grid sweep over the checkpoints, not by a
+    /// subcommand.
     #[test]
-    fn parses_merge() {
-        assert_eq!(
-            parse(&argv("merge --out merged shards/a shards/b")).unwrap(),
-            Command::Merge {
-                out: "merged".into(),
-                dirs: vec!["shards/a".into(), "shards/b".into()]
-            }
-        );
-        // Flag order is free; dirs stay positional.
-        assert_eq!(
-            parse(&argv("merge shards --out merged")).unwrap(),
-            Command::Merge { out: "merged".into(), dirs: vec!["shards".into()] }
-        );
-        assert!(parse(&argv("merge --out merged")).is_err(), "needs at least one dir");
-        assert!(parse(&argv("merge shards")).is_err(), "needs --out");
-        assert!(parse(&argv("merge --out")).is_err(), "--out needs a value");
-        assert!(parse(&argv("merge --frob x shards --out o")).is_err(), "unknown flag");
-    }
-
-    #[test]
-    fn merge_of_missing_dir_errors() {
-        let err = run(Command::Merge {
-            out: "/tmp/ilv_merge_out_missing".into(),
-            dirs: vec!["/nonexistent/ilv_shards".into()],
-        })
-        .unwrap_err();
-        assert!(err.0.contains("merge error"), "{err}");
+    fn sweep_shard_writes_only_checkpoints() {
+        for (line, flags) in [
+            ("sweep --artifact smoke --shard 1/2", ["--shard", "--checkpoint-dir"]),
+            (
+                "sweep --artifact smoke --shard 1/2 --checkpoint-dir c --json o",
+                ["--shard", "--json"],
+            ),
+        ] {
+            let err = run(parse(&argv(line)).unwrap()).unwrap_err();
+            assert!(flags.iter().all(|f| err.0.contains(f)), "{line} -> {}", err.0);
+        }
+        let err = parse(&argv("merge --out o d")).unwrap_err();
+        assert!(err.0.contains("unknown subcommand `merge`"), "{}", err.0);
     }
 
     #[test]

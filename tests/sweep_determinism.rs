@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use interleave::bench::{cache, merge, ExperimentSpec, Runner, Scale, Shard};
+use interleave::bench::{cache, ExperimentSpec, Runner, Scale, Shard};
 use interleave::core::Scheme;
 use interleave::mp::{splash_suite, MpSim};
 use interleave::stats::{Breakdown, Category};
@@ -174,7 +174,7 @@ proptest! {
     /// The `--shard K/N` partitioner must tile any grid: for every
     /// shard count the K slices are pairwise disjoint, their union is
     /// exactly the grid, and recomputing a slice yields the same
-    /// indices (the property the merge gate stands on).
+    /// indices (the property assembling a grid from shards stands on).
     #[test]
     fn shard_slices_partition_any_grid(grid_cells in 0usize..200, count in 1usize..=8) {
         let mut seen = vec![false; grid_cells];
@@ -249,36 +249,33 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The tentpole gate: running the grid as K disjoint shard processes
-/// and folding the artifacts with `merge` must reproduce the
-/// single-process `--jobs N` sweep byte-for-byte — METRICS strictly,
+/// Running the grid as K disjoint shards into one checkpoint directory,
+/// then one whole-grid sweep over it, must restore every cell — a
+/// missing shard would show up as recomputed cells — and reproduce the
+/// single-process `--jobs N` sweep byte-for-byte: METRICS strictly,
 /// BENCH after stripping the volatile host keys.
 #[test]
-fn merge_of_shards_is_byte_identical_to_single_process_sweep() {
+fn checkpointed_shards_assemble_byte_identical_to_single_process_sweep() {
     let spec = small_grid();
     let reference = Runner::new(4).run(&spec);
     for count in [2, 3, 5] {
-        let shard_dir = test_dir(&format!("shards{count}"));
+        let ckpt = test_dir(&format!("shards{count}"));
         for index in 1..=count {
-            let sweep = Runner::new(2).shard(Shard::new(index, count)).run(&spec);
-            sweep.write_json(&shard_dir).unwrap();
-            sweep.write_metrics_json(&shard_dir).unwrap();
+            Runner::new(2).shard(Shard::new(index, count)).checkpoint_dir(&ckpt).run(&spec);
         }
-        let merged = merge::merge_dirs(std::slice::from_ref(&shard_dir)).unwrap();
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].shards, count);
-        assert_eq!(merged[0].grid_cells, 15);
+        let assembled = Runner::new(4).checkpoint_dir(&ckpt).run(&spec);
+        assert_eq!(assembled.resumed, 15, "{count} shards must checkpoint every cell");
         assert_eq!(
-            merged[0].metrics,
+            assembled.metrics_json(),
             reference.metrics_json(),
-            "{count}-way merged METRICS must match the single-process artifact byte-for-byte"
+            "{count}-way assembled METRICS must match the single-process artifact byte-for-byte"
         );
         assert_eq!(
-            strip_volatile(&merged[0].bench),
+            strip_volatile(&assembled.to_json()),
             strip_volatile(&reference.to_json()),
-            "{count}-way merged BENCH must match after stripping volatile host keys"
+            "{count}-way assembled BENCH must match after stripping volatile host keys"
         );
-        let _ = std::fs::remove_dir_all(&shard_dir);
+        let _ = std::fs::remove_dir_all(&ckpt);
     }
 }
 
