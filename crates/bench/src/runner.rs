@@ -768,9 +768,7 @@ impl<'a> SweepTelemetry<'a> {
     /// file) see the sweep before its first cell completes.
     fn begin(&self) {
         let state = self.state.lock().expect("telemetry lock");
-        let snapshot = self.snapshot(&state, String::new());
-        drop(state);
-        self.emit(snapshot, false);
+        self.emit(self.snapshot(&state, String::new()), false);
     }
 
     /// Folds one completed cell in, publishes, and maybe heartbeats.
@@ -789,10 +787,12 @@ impl<'a> SweepTelemetry<'a> {
         };
         let last_cell = format!("{} {} x{}", cell.target.name(), cell.scheme.name(), cell.contexts);
         let snapshot = self.snapshot(&state, last_cell);
-        drop(state);
         self.emit(snapshot, print);
     }
 
+    /// Publishes one snapshot. Callers hold the state lock, so snapshots
+    /// leave in `done` order (the last one published is the final one)
+    /// and no two workers write the status file's temp sibling at once.
     fn emit(&self, snapshot: Snapshot, print: bool) {
         if let Some(path) = &self.status_path {
             if let Err(e) = write_status(path, &snapshot) {
@@ -1416,6 +1416,33 @@ mod tests {
         assert_eq!(doc.get("sim_cycles").and_then(|v| v.as_u64()), Some(total));
         assert!(doc.get("metrics").and_then(|m| m.get("cycles.busy")).is_some());
         assert!(!path.with_extension("json.tmp").exists(), "temp file renamed away");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Workers finishing cells concurrently still publish in `done`
+    /// order: after every sweep the bus and the status file hold the
+    /// final snapshot, and no temp file is left behind. Resumed sweeps
+    /// finish cells fastest, so they race hardest.
+    #[test]
+    fn concurrent_workers_publish_the_final_snapshot_last() {
+        let dir = std::env::temp_dir().join(format!("ilv_status_race_{}", std::process::id()));
+        let spec = tiny_spec().contexts([2, 4]);
+        let total = spec.cells().len();
+        assert_eq!(total, 10);
+        Runner::serial().checkpoint_dir(dir.join("ck")).run(&spec);
+        let path = dir.join("STATUS_tiny.json");
+        for run in 0..50 {
+            let runner = Runner::new(4).status_dir(&dir).checkpoint_dir(dir.join("ck"));
+            let mut sub = runner.subscribe();
+            runner.run(&spec);
+            let last = sub.latest().expect("final snapshot on the bus");
+            assert!(last.finished && last.done == total, "run {run}: bus ended at {}", last.done);
+            let doc = interleave_obs::json::parse(&std::fs::read_to_string(&path).unwrap())
+                .expect("status json parses");
+            assert_eq!(doc.get("finished").and_then(|v| v.as_bool()), Some(true), "run {run}");
+            assert_eq!(doc.get("done").and_then(|v| v.as_u64()), Some(total as u64), "run {run}");
+            assert!(!path.with_extension("json.tmp").exists(), "run {run}: temp file left");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

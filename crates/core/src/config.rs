@@ -78,9 +78,8 @@ pub struct ProcConfig {
     /// Run the structural invariant checkers every tick (scoreboard
     /// hazards, cycle-accounting identity, memory-system structure; see
     /// DESIGN.md "Validation"). Defaults to
-    /// [`interleave_obs::validate::default_enabled`]: on under the
-    /// `validate` cargo feature or `INTERLEAVE_VALIDATE=1`, off
-    /// otherwise. Note this is a field — [`ProcConfig::validate`] the
+    /// [`interleave_obs::validate::default_enabled`]: on under
+    /// `INTERLEAVE_VALIDATE=1`, off otherwise. Note this is a field — [`ProcConfig::validate`] the
     /// *method* checks the configuration itself.
     pub validate: bool,
 }

@@ -1,8 +1,6 @@
 use interleave_core::InstrSource;
 use interleave_isa::{Access, Instr, SyncKind};
 use interleave_workloads::{spec, AppProfile, SyntheticApp};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// How a parallel application's threads touch shared data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,6 +184,51 @@ pub fn splash_suite() -> Vec<SplashProfile> {
     vec![mp3d(), barnes(), water(), ocean(), locus(), pthor(), cholesky()]
 }
 
+/// The sharing and lock draws of one [`SplashThread`]: xoshiro256++
+/// seeded through SplitMix64. A draw depends on every draw before it, so
+/// the thread produces its stream strictly in order (which both pull
+/// granularities of [`InstrSource`] do).
+struct Xoshiro {
+    s: [u64; 4],
+}
+
+impl Xoshiro {
+    fn new(seed: u64) -> Xoshiro {
+        let mut x = seed;
+        let mut split_mix = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        Xoshiro { s: [split_mix(), split_mix(), split_mix(), split_mix()] }
+    }
+
+    fn next(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A draw in `0..n` (`n > 0`).
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// `true` with probability `p`, from 53 uniform bits in `[0, 1)`.
+    fn chance(&mut self, p: f64) -> bool {
+        ((self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
+    }
+}
+
 /// One thread of a SPLASH-like application: wraps the compute stream of
 /// [`SyntheticApp`], redirecting a fraction of its memory references to
 /// shared data (per the sharing pattern) and inserting lock/barrier
@@ -201,7 +244,7 @@ pub struct SplashThread {
     /// ahead never changes it.
     compute: Vec<Instr>,
     compute_pos: usize,
-    rng: SmallRng,
+    rng: Xoshiro,
     /// The release queued behind a critical section's last instruction.
     pending: Option<Instr>,
     since_lock: u64,
@@ -232,7 +275,7 @@ impl SplashThread {
         assert!(thread < n_threads, "thread index out of range");
         let inner = SyntheticApp::new(profile.compute, thread, seed);
         SplashThread {
-            rng: SmallRng::seed_from_u64(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9)),
+            rng: Xoshiro::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9)),
             inner,
             compute: Vec::with_capacity(COMPUTE_RUN),
             compute_pos: 0,
@@ -256,13 +299,13 @@ impl SplashThread {
             SharingPattern::Migratory => {
                 if self.block_refs_left == 0 {
                     // Move to another block from the common pool.
-                    self.block = self.rng.gen_range(0..span / BLOCK_BYTES);
-                    self.block_refs_left = self.rng.gen_range(4..16);
+                    self.block = self.rng.below(span / BLOCK_BYTES);
+                    self.block_refs_left = 4 + self.rng.below(12) as u32;
                 }
                 self.block_refs_left -= 1;
-                self.block * BLOCK_BYTES + self.rng.gen_range(0..BLOCK_BYTES)
+                self.block * BLOCK_BYTES + self.rng.below(BLOCK_BYTES)
             }
-            SharingPattern::ReadMostly => self.rng.gen_range(0..span),
+            SharingPattern::ReadMostly => self.rng.below(span),
             SharingPattern::Neighbor => {
                 let part = span / self.n_threads as u64;
                 let owner = if write {
@@ -271,7 +314,7 @@ impl SplashThread {
                     // Read the neighbour's boundary region.
                     ((self.thread + 1) % self.n_threads) as u64
                 };
-                owner * part + self.rng.gen_range(0..part.max(BLOCK_BYTES))
+                owner * part + self.rng.below(part.max(BLOCK_BYTES))
             }
         };
         (SHARED_BASE + (offset % span)) & !3
@@ -285,7 +328,7 @@ impl SplashThread {
             (SharingPattern::ReadMostly, true) => p.share_frac * 0.1,
             _ => p.share_frac,
         };
-        self.rng.gen_bool(frac.clamp(0.0, 1.0))
+        self.rng.chance(frac.clamp(0.0, 1.0))
     }
 
     /// The next instruction of the inner compute stream.
@@ -321,7 +364,7 @@ impl SplashThread {
             if let Some(period) = self.profile.lock_period {
                 if self.since_lock >= period {
                     self.since_lock = 0;
-                    let id = self.rng.gen_range(0..self.profile.n_locks);
+                    let id = self.rng.below(u64::from(self.profile.n_locks)) as u32;
                     self.in_cs = Some((self.profile.cs_len, id));
                     return Instr::sync(0x1004, SyncKind::LockAcquire, id);
                 }
@@ -522,6 +565,32 @@ mod tests {
             let mean = t.inner.batch_lens().mean();
             assert!(mean >= 16.0, "{}: mean compute batch {mean}", p.name);
         }
+    }
+
+    #[test]
+    fn xoshiro_known_answer() {
+        let mut rng = Xoshiro::new(7);
+        let first: Vec<u64> = (0..3).map(|_| rng.next()).collect();
+        assert_eq!(first, [0x0e2c_1a00_2aae_913d, 0x2c0f_c8dd_fa4e_9e14, 0xb7b3_11b3_b0d4_5872]);
+    }
+
+    #[test]
+    fn xoshiro_below_stays_in_range() {
+        let mut rng = Xoshiro::new(42);
+        for n in [1, 2, 12, 256, 1 << 40] {
+            for _ in 0..1000 {
+                assert!(rng.below(n) < n);
+            }
+        }
+    }
+
+    #[test]
+    fn xoshiro_chance_extremes_and_rate() {
+        let mut rng = Xoshiro::new(1);
+        assert!((0..1000).all(|_| !rng.chance(0.0)));
+        assert!((0..1000).all(|_| rng.chance(1.0)));
+        let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
+        assert!((2_000..3_000).contains(&hits), "p=0.25 gave {hits}/10000");
     }
 
     #[test]

@@ -1,6 +1,4 @@
 use interleave_engine::rand64;
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Unloaded memory latencies sampled from uniform ranges (paper Table 8).
 ///
@@ -42,15 +40,6 @@ impl LatencyModel {
         assert!(self.local.1 < self.remote.0, "remote must be slower than local");
     }
 
-    /// Samples a latency for one miss class.
-    pub fn sample(&self, range: (u64, u64), rng: &mut SmallRng) -> u64 {
-        if range.0 == range.1 {
-            range.0
-        } else {
-            rng.gen_range(range.0..=range.1)
-        }
-    }
-
     /// Conservative lookahead of the parallel driver: the minimum number
     /// of cycles any cross-node message can take, i.e. the floor of the
     /// remote-memory and remote-cache reply ranges (Table 8). No message
@@ -84,32 +73,10 @@ impl Default for LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn default_validates() {
         LatencyModel::dash_like().validate();
-    }
-
-    #[test]
-    fn samples_stay_in_range() {
-        let m = LatencyModel::dash_like();
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            let l = m.sample(m.local, &mut rng);
-            assert!((22..=38).contains(&l));
-            let r = m.sample(m.remote, &mut rng);
-            assert!((80..=130).contains(&r));
-            let c = m.sample(m.remote_cache, &mut rng);
-            assert!((100..=160).contains(&c));
-        }
-    }
-
-    #[test]
-    fn degenerate_range_is_constant() {
-        let m = LatencyModel { local: (30, 30), ..LatencyModel::dash_like() };
-        let mut rng = SmallRng::seed_from_u64(7);
-        assert_eq!(m.sample(m.local, &mut rng), 30);
     }
 
     #[test]

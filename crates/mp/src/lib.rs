@@ -39,4 +39,4 @@ pub use apps::{splash_suite, SharingPattern, SplashProfile, SplashThread};
 pub use directory::{Directory, DirectoryStats, MissClass};
 pub use latency::LatencyModel;
 pub use sim::{MpResult, MpSim, MpSimBuilder};
-pub use sync::{SyncController, SyncShard};
+pub use sync::SyncShard;

@@ -60,11 +60,11 @@ pub(crate) enum Payload {
     SyncReq {
         /// Requesting thread.
         who: Who,
-        /// The operation to apply at the home controller.
+        /// The operation to apply at the home shard.
         op: SyncRef,
     },
     /// Unconditional go-ahead for `ctx`'s pending `op` (the home already
-    /// consumed the reservation or barrier pass on the waiter's behalf).
+    /// handed the lock off or released the barrier to the waiter).
     SyncToken {
         /// Destination hardware context on the receiving node.
         ctx: usize,
@@ -229,9 +229,8 @@ impl ShardState {
         self.cache.probe(addr) && self.fill_stamp[self.cache.set_of(addr)] >= txn_cycle
     }
 
-    /// Turns controller grants into tokens: a token for one of this
-    /// node's own contexts is self-delivered next cycle (matching the
-    /// serial driver's wake-at-`now + 1` timing), a remote waiter's token
+    /// Turns home grants into tokens: a token for one of this node's own
+    /// contexts is self-delivered next cycle, a remote waiter's token
     /// travels a full hop through the barrier exchange.
     fn route_grants(&mut self, now: u64, grants: Vec<(Who, SyncRef)>) {
         for ((dst, ctx), op) in grants {
@@ -429,7 +428,7 @@ impl SystemPort for ShardPort {
         let st = self.state.as_deref_mut().expect(NOT_CHECKED_OUT);
         if st.sync_done[ctx] == Some(op) {
             // Squashed and re-executed after completing: idempotent, like
-            // the serial controller's re-acquire of a held lock.
+            // the home shard's re-acquire of a held lock.
             return SyncOutcome::Proceed;
         }
         if st.sync_token[ctx] == Some(op) {
@@ -445,7 +444,7 @@ impl SystemPort for ShardPort {
         let home = op.id as usize % self.nodes;
         if home == self.node {
             // Our own home: process inline, so an uncontended local
-            // acquire stays free exactly as in the serial driver.
+            // acquire stays free.
             let mut grants = Vec::new();
             st.sync.request(who, op, &mut grants);
             let mut proceed = op.kind == SyncKind::LockRelease;

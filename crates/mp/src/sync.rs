@@ -1,6 +1,5 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use interleave_core::SyncOutcome;
 use interleave_isa::{SyncKind, SyncRef};
 use interleave_obs::validate::Violation;
 
@@ -10,20 +9,23 @@ pub type Who = (usize, usize);
 #[derive(Debug, Default)]
 struct Lock {
     holder: Option<Who>,
-    /// Released-but-handed-off: the next holder has been chosen and woken
-    /// but has not re-executed its acquire yet.
-    reserved: Option<Who>,
     queue: VecDeque<Who>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Barrier {
-    expected: u32,
     arrived: HashSet<Who>,
     passed: HashSet<Who>,
 }
 
-/// Centralized lock and barrier state for the multiprocessor.
+/// Home-side lock and barrier state for the multiprocessor.
+///
+/// Lock and barrier identifiers are partitioned across nodes (`id %
+/// nodes` picks the home); each home owns one `SyncShard` that only ever
+/// sees its own identifiers. Cross-node lock/barrier traffic arrives as
+/// messages: a request is processed at its delivery cycle, and every
+/// thread it grants or releases is returned so the caller can send grant
+/// tokens back through the same deterministic message queues.
 ///
 /// Operations are *idempotent per thread*, because the processor may
 /// squash and re-execute a synchronization instruction (e.g. when an
@@ -31,136 +33,106 @@ struct Barrier {
 /// re-releasing a lock you no longer hold, and re-arriving at a barrier
 /// instance you already passed are all harmless.
 ///
-/// Waiting threads are parked (the context becomes unavailable, charged
-/// to the sync category) and woken through [`SyncController::take_wakes`]
-/// by the simulation driver; a woken thread's re-executed operation is
-/// then granted via a reservation, so no other thread can steal the lock
-/// between release and re-execution.
+/// A release hands the lock straight to the head of its FIFO queue, and
+/// the last arrival at a barrier releases every arriver, so a grant token
+/// is an unconditional go-ahead for the waiter's pending operation.
 ///
 /// Barrier identifiers are *instance* numbers: each workload thread
 /// numbers its barrier arrivals sequentially, and an instance releases
 /// when `expected` distinct threads arrive at it.
 #[derive(Debug)]
-pub struct SyncController {
+pub struct SyncShard {
+    /// Barrier arity: the number of participating threads.
     expected: u32,
     locks: HashMap<u32, Lock>,
     barriers: HashMap<u32, Barrier>,
-    wakes: Vec<Who>,
     /// Operations that had to wait (statistics).
     waits: u64,
     /// Lock grants performed (statistics).
     grants: u64,
 }
 
-impl SyncController {
-    /// Creates a controller for `threads` participating threads (the
-    /// barrier arity).
+impl SyncShard {
+    /// Creates a shard whose barriers expect `threads` arrivals.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn new(threads: u32) -> SyncController {
+    pub fn new(threads: u32) -> SyncShard {
         assert!(threads >= 1, "need at least one thread");
-        SyncController {
+        SyncShard {
             expected: threads,
             locks: HashMap::new(),
             barriers: HashMap::new(),
-            wakes: Vec::new(),
             waits: 0,
             grants: 0,
         }
     }
 
-    /// Handles a synchronization operation issued by `who`.
-    pub fn sync(&mut self, who: Who, op: SyncRef) -> SyncOutcome {
+    /// Processes one request from `who` and appends every `(thread,
+    /// operation)` pair that must receive a grant token to `grants`: the
+    /// requester itself when the operation proceeds immediately, the next
+    /// holder of a released lock, and every waiter a barrier releases (the
+    /// last arriver first, then the others in sorted order, so grant-token
+    /// sequence numbers are run-to-run deterministic). Releases produce no
+    /// token for the requester (the releasing thread never waits).
+    pub fn request(&mut self, who: Who, op: SyncRef, grants: &mut Vec<(Who, SyncRef)>) {
         match op.kind {
-            SyncKind::LockAcquire => self.acquire(op.id, who),
-            SyncKind::LockRelease => {
-                self.release(op.id, who);
-                SyncOutcome::Proceed
-            }
-            SyncKind::BarrierArrive => self.barrier(op.id, who),
+            SyncKind::LockAcquire => self.acquire(who, op, grants),
+            SyncKind::LockRelease => self.release(who, op, grants),
+            SyncKind::BarrierArrive => self.arrive(who, op, grants),
         }
     }
 
-    fn acquire(&mut self, id: u32, who: Who) -> SyncOutcome {
-        let lock = self.locks.entry(id).or_default();
+    fn acquire(&mut self, who: Who, op: SyncRef, grants: &mut Vec<(Who, SyncRef)>) {
+        let lock = self.locks.entry(op.id).or_default();
         if lock.holder == Some(who) {
-            return SyncOutcome::Proceed; // re-executed acquire
-        }
-        if lock.reserved == Some(who) {
-            lock.reserved = None;
+            grants.push((who, op)); // re-executed acquire
+        } else if lock.holder.is_none() {
             lock.holder = Some(who);
             self.grants += 1;
-            return SyncOutcome::Proceed;
-        }
-        if lock.holder.is_none() && lock.reserved.is_none() {
-            lock.holder = Some(who);
-            self.grants += 1;
-            return SyncOutcome::Proceed;
-        }
-        if !lock.queue.contains(&who) {
+            grants.push((who, op));
+        } else if !lock.queue.contains(&who) {
             lock.queue.push_back(who);
             self.waits += 1;
         }
-        SyncOutcome::Wait
     }
 
-    fn release(&mut self, id: u32, who: Who) {
-        let lock = self.locks.entry(id).or_default();
+    fn release(&mut self, who: Who, op: SyncRef, grants: &mut Vec<(Who, SyncRef)>) {
+        let lock = self.locks.entry(op.id).or_default();
         if lock.holder != Some(who) {
             return; // re-executed release
         }
-        lock.holder = None;
-        if let Some(next) = lock.queue.pop_front() {
-            lock.reserved = Some(next);
-            self.wakes.push(next);
+        lock.holder = lock.queue.pop_front();
+        if let Some(next) = lock.holder {
+            self.grants += 1;
+            grants.push((next, SyncRef { kind: SyncKind::LockAcquire, id: op.id }));
         }
     }
 
-    fn barrier(&mut self, instance: u32, who: Who) -> SyncOutcome {
-        let expected = self.expected;
-        let barrier = self.barriers.entry(instance).or_insert_with(|| Barrier {
-            expected,
-            arrived: HashSet::new(),
-            passed: HashSet::new(),
-        });
+    fn arrive(&mut self, who: Who, op: SyncRef, grants: &mut Vec<(Who, SyncRef)>) {
+        let (instance, expected) = (op.id, self.expected);
+        let barrier = self.barriers.entry(instance).or_default();
         if barrier.passed.contains(&who) {
-            return SyncOutcome::Proceed; // re-executed arrival
+            grants.push((who, op)); // re-executed arrival
+            return;
         }
         barrier.arrived.insert(who);
-        if barrier.arrived.len() as u32 >= barrier.expected {
-            // Last arriver: release everyone.
-            let arrived = std::mem::take(&mut barrier.arrived);
-            for w in arrived {
-                barrier.passed.insert(w);
-                if w != who {
-                    self.wakes.push(w);
-                }
-            }
-            // Full instances are complete; drop old ones to bound memory.
-            if self.barriers.len() > 8 {
-                let done: Vec<u32> = self
-                    .barriers
-                    .iter()
-                    .filter(|(k, b)| **k + 4 < instance && b.passed.len() as u32 >= b.expected)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in done {
-                    self.barriers.remove(&k);
-                }
-            }
-            SyncOutcome::Proceed
-        } else {
+        if (barrier.arrived.len() as u32) < expected {
             self.waits += 1;
-            SyncOutcome::Wait
+            return;
         }
-    }
-
-    /// Drains the threads that must be woken (lock grants and barrier
-    /// releases since the last call).
-    pub fn take_wakes(&mut self) -> Vec<Who> {
-        std::mem::take(&mut self.wakes)
+        // Last arriver: release everyone.
+        let mut woken: Vec<Who> = barrier.arrived.drain().filter(|&w| w != who).collect();
+        woken.sort_unstable();
+        barrier.passed.insert(who);
+        barrier.passed.extend(woken.iter().copied());
+        grants.push((who, op));
+        grants.extend(woken.into_iter().map(|w| (w, op)));
+        // Full instances are complete; drop old ones to bound memory.
+        if self.barriers.len() > 8 {
+            self.barriers.retain(|&k, b| k + 4 >= instance || (b.passed.len() as u32) < expected);
+        }
     }
 
     /// Number of operations that had to wait.
@@ -173,25 +145,13 @@ impl SyncController {
         self.grants
     }
 
-    /// Checks the controller's structural invariants at `cycle`: a lock
-    /// is never simultaneously held and reserved (a reservation exists
-    /// only between release and the grantee's re-execution), waiters
-    /// queue at most once and never while holding or being granted the
-    /// lock (so every NACKed retry stays drainable — a queued thread is
-    /// always eventually reachable by a hand-off), barrier arrivals
-    /// never exceed the arity and never overlap the released set, and
-    /// pending wakes are distinct (grants ≤ waiters).
+    /// Checks the shard's structural invariants at `cycle`: waiters queue
+    /// at most once and never while holding the lock (so every NACKed
+    /// retry stays drainable — a queued thread is always eventually
+    /// reachable by a hand-off), and barrier arrivals never reach the
+    /// arity and never overlap the released set.
     pub fn check_invariants(&self, cycle: u64) -> Result<(), Violation> {
         for (&id, lock) in &self.locks {
-            if let (Some(h), Some(r)) = (lock.holder, lock.reserved) {
-                return Err(Violation::new(
-                    "mp.sync",
-                    "lock simultaneously held and reserved",
-                    cycle,
-                    format!("lock {id} held by {h:?}, reserved for {r:?}"),
-                )
-                .with_context(h.0));
-            }
             for (i, who) in lock.queue.iter().enumerate() {
                 if lock.queue.iter().skip(i + 1).any(|w| w == who) {
                     return Err(Violation::new(
@@ -202,10 +162,10 @@ impl SyncController {
                     )
                     .with_context(who.0));
                 }
-                if lock.holder == Some(*who) || lock.reserved == Some(*who) {
+                if lock.holder == Some(*who) {
                     return Err(Violation::new(
                         "mp.sync",
-                        "lock holder or grantee is also queued waiting",
+                        "lock holder is also queued waiting",
                         cycle,
                         format!("lock {id}, thread {who:?}"),
                     )
@@ -214,7 +174,7 @@ impl SyncController {
             }
         }
         for (&instance, barrier) in &self.barriers {
-            if barrier.arrived.len() as u32 >= barrier.expected {
+            if barrier.arrived.len() as u32 >= self.expected {
                 return Err(Violation::new(
                     "mp.sync",
                     "barrier instance at arity but never released",
@@ -222,7 +182,7 @@ impl SyncController {
                     format!(
                         "instance {instance}: {} arrived of {} expected",
                         barrier.arrived.len(),
-                        barrier.expected
+                        self.expected
                     ),
                 ));
             }
@@ -236,92 +196,7 @@ impl SyncController {
                 .with_context(who.0));
             }
         }
-        for (i, who) in self.wakes.iter().enumerate() {
-            if self.wakes.iter().skip(i + 1).any(|w| w == who) {
-                return Err(Violation::new(
-                    "mp.sync",
-                    "thread has more pending wakes than waits",
-                    cycle,
-                    format!("thread {who:?} woken twice"),
-                )
-                .with_context(who.0));
-            }
-        }
         Ok(())
-    }
-}
-
-/// Home-side synchronization shard for the parallel driver.
-///
-/// Lock and barrier identifiers are partitioned across nodes (`id %
-/// nodes` picks the home); each home owns one `SyncShard` wrapping a
-/// [`SyncController`] that only ever sees its own identifiers.
-/// Cross-node lock/barrier traffic arrives as messages: a request is
-/// processed at its delivery cycle, and every thread the controller
-/// grants or releases is returned so the caller can send grant tokens
-/// back through the same deterministic message queues.
-#[derive(Debug)]
-pub struct SyncShard {
-    inner: SyncController,
-    /// Threads whose request NACKed, keyed to the operation they will
-    /// re-execute once granted.
-    waiting: HashMap<Who, SyncRef>,
-}
-
-impl SyncShard {
-    /// Creates a shard whose barriers expect `threads` arrivals.
-    pub fn new(threads: u32) -> SyncShard {
-        SyncShard { inner: SyncController::new(threads), waiting: HashMap::new() }
-    }
-
-    /// Processes one request from `who` and appends every `(thread,
-    /// operation)` pair that must receive a grant token to `grants` (the
-    /// requester itself when the operation proceeds immediately, plus any
-    /// threads the controller wakes). Wakes are consumed here — the
-    /// controller's reservation or barrier pass is claimed on the woken
-    /// thread's behalf — so a token is an unconditional go-ahead; the
-    /// paired operation lets the receiver match the token against its
-    /// pending request and ignore anything stale. Releases produce no
-    /// token for the requester (the releasing thread never waits).
-    pub fn request(&mut self, who: Who, op: SyncRef, grants: &mut Vec<(Who, SyncRef)>) {
-        match op.kind {
-            SyncKind::LockRelease => {
-                self.inner.sync(who, op);
-            }
-            SyncKind::LockAcquire | SyncKind::BarrierArrive => match self.inner.sync(who, op) {
-                SyncOutcome::Proceed => grants.push((who, op)),
-                SyncOutcome::Wait => {
-                    self.waiting.insert(who, op);
-                }
-            },
-        }
-        let mut woken = self.inner.take_wakes();
-        // The controller releases barrier arrivers in hash order; sort so
-        // grant-token sequence numbers are run-to-run deterministic.
-        woken.sort_unstable();
-        for w in woken {
-            let pending = self.waiting.remove(&w).expect("woken thread has a pending request");
-            let outcome = self.inner.sync(w, pending);
-            debug_assert_eq!(outcome, SyncOutcome::Proceed, "wake without a claimable grant");
-            grants.push((w, pending));
-        }
-    }
-
-    /// Number of operations that had to wait.
-    pub fn waits(&self) -> u64 {
-        self.inner.waits()
-    }
-
-    /// Number of lock grants.
-    pub fn grants(&self) -> u64 {
-        self.inner.grants()
-    }
-
-    /// Structural invariants of the wrapped controller (wakes are always
-    /// drained inside [`SyncShard::request`], so the shard adds no state
-    /// of its own beyond the pending-operation map).
-    pub fn check_invariants(&self, cycle: u64) -> Result<(), Violation> {
-        self.inner.check_invariants(cycle)
     }
 }
 
@@ -339,178 +214,134 @@ mod tests {
         SyncRef { kind: SyncKind::BarrierArrive, id }
     }
 
+    /// The grant tokens one request produces.
+    fn req(s: &mut SyncShard, who: Who, op: SyncRef) -> Vec<(Who, SyncRef)> {
+        let mut grants = vec![];
+        s.request(who, op, &mut grants);
+        grants
+    }
+
     #[test]
     fn uncontended_lock_proceeds() {
-        let mut c = SyncController::new(2);
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Proceed);
-        c.sync((0, 0), rel(1));
-        assert_eq!(c.sync((1, 0), acq(1)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn contended_lock_queues_fifo() {
-        let mut c = SyncController::new(4);
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Proceed);
-        assert_eq!(c.sync((1, 0), acq(1)), SyncOutcome::Wait);
-        assert_eq!(c.sync((2, 0), acq(1)), SyncOutcome::Wait);
-        c.sync((0, 0), rel(1));
-        assert_eq!(c.take_wakes(), vec![(1, 0)]);
-        // The reservation protects the grantee from stealers.
-        assert_eq!(c.sync((3, 0), acq(1)), SyncOutcome::Wait);
-        assert_eq!(c.sync((1, 0), acq(1)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn reacquire_is_idempotent() {
-        let mut c = SyncController::new(2);
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Proceed);
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn stale_release_ignored() {
-        let mut c = SyncController::new(2);
-        c.sync((0, 0), acq(1));
-        c.sync((0, 0), rel(1));
-        c.sync((1, 0), acq(1));
-        // Thread 0's re-executed release must not free thread 1's lock.
-        c.sync((0, 0), rel(1));
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Wait);
-    }
-
-    #[test]
-    fn barrier_releases_all_at_arity() {
-        let mut c = SyncController::new(3);
-        assert_eq!(c.sync((0, 0), bar(0)), SyncOutcome::Wait);
-        assert_eq!(c.sync((1, 0), bar(0)), SyncOutcome::Wait);
-        assert_eq!(c.sync((2, 0), bar(0)), SyncOutcome::Proceed);
-        let mut wakes = c.take_wakes();
-        wakes.sort_unstable();
-        assert_eq!(wakes, vec![(0, 0), (1, 0)]);
-        // Re-executed arrivals at the released instance proceed.
-        assert_eq!(c.sync((0, 0), bar(0)), SyncOutcome::Proceed);
-        assert_eq!(c.sync((1, 0), bar(0)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn barrier_instances_are_independent() {
-        let mut c = SyncController::new(2);
-        assert_eq!(c.sync((0, 0), bar(0)), SyncOutcome::Wait);
-        // Thread 1 arrives at the *next* instance early — does not release
-        // instance 0.
-        assert_eq!(c.sync((1, 0), bar(1)), SyncOutcome::Wait);
-        assert!(c.take_wakes().is_empty());
-        assert_eq!(c.sync((1, 0), bar(0)), SyncOutcome::Proceed);
-        assert_eq!(c.take_wakes(), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn reservation_survives_until_consumed() {
-        let mut c = SyncController::new(3);
-        c.sync((0, 0), acq(5));
-        assert_eq!(c.sync((1, 0), acq(5)), SyncOutcome::Wait);
-        c.sync((0, 0), rel(5));
-        assert_eq!(c.take_wakes(), vec![(1, 0)]);
-        // Multiple stealers try before the grantee re-executes.
-        for _ in 0..3 {
-            assert_eq!(c.sync((2, 0), acq(5)), SyncOutcome::Wait);
-        }
-        assert_eq!(c.sync((1, 0), acq(5)), SyncOutcome::Proceed);
-        // The stealer is queued and gets it next.
-        c.sync((1, 0), rel(5));
-        assert_eq!(c.take_wakes(), vec![(2, 0)]);
-        assert_eq!(c.sync((2, 0), acq(5)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn distinct_locks_are_independent() {
-        let mut c = SyncController::new(2);
-        assert_eq!(c.sync((0, 0), acq(1)), SyncOutcome::Proceed);
-        assert_eq!(c.sync((1, 0), acq(2)), SyncOutcome::Proceed);
-        assert_eq!(c.sync((1, 0), acq(1)), SyncOutcome::Wait);
-    }
-
-    #[test]
-    fn barrier_rearrival_while_waiting_stays_waiting() {
-        let mut c = SyncController::new(2);
-        assert_eq!(c.sync((0, 0), bar(3)), SyncOutcome::Wait);
-        // A squash re-executes the arrival before release: still waiting.
-        assert_eq!(c.sync((0, 0), bar(3)), SyncOutcome::Wait);
-        assert_eq!(c.sync((1, 0), bar(3)), SyncOutcome::Proceed);
-    }
-
-    #[test]
-    fn invariants_hold_through_contention() {
-        let mut c = SyncController::new(4);
-        c.sync((0, 0), acq(1));
-        c.sync((1, 0), acq(1));
-        c.sync((2, 0), acq(1));
-        c.sync((0, 0), rel(1));
-        assert!(c.check_invariants(50).is_ok());
-        c.take_wakes();
-        c.sync((1, 0), acq(1));
-        for node in 0..3 {
-            c.sync((node, 0), bar(0));
-        }
-        assert!(c.check_invariants(99).is_ok());
-    }
-
-    #[test]
-    fn wait_and_grant_counters() {
-        let mut c = SyncController::new(2);
-        c.sync((0, 0), acq(1));
-        c.sync((1, 0), acq(1));
-        assert_eq!(c.waits(), 1);
-        assert_eq!(c.grants(), 1);
-    }
-
-    #[test]
-    fn shard_grants_uncontended_acquire_immediately() {
         let mut s = SyncShard::new(2);
-        let mut grants = vec![];
-        s.request((0, 0), acq(1), &mut grants);
-        assert_eq!(grants, vec![((0, 0), acq(1))]);
+        assert_eq!(req(&mut s, (0, 0), acq(1)), vec![((0, 0), acq(1))]);
+        assert!(req(&mut s, (0, 0), rel(1)).is_empty()); // no token for the releaser
+        assert_eq!(req(&mut s, (1, 0), acq(1)), vec![((1, 0), acq(1))]);
     }
 
     #[test]
-    fn shard_hands_off_contended_lock_on_release() {
+    fn contended_lock_hands_off_fifo_on_release() {
         let mut s = SyncShard::new(4);
-        let mut grants = vec![];
-        s.request((0, 0), acq(1), &mut grants);
-        s.request((1, 0), acq(1), &mut grants);
-        s.request((2, 0), acq(1), &mut grants);
-        assert_eq!(grants, vec![((0, 0), acq(1))]); // 1 and 2 queue
-        grants.clear();
-        // Release consumes the hand-off on the waiter's behalf: the token
-        // is an unconditional grant, no re-request needed.
-        s.request((0, 0), rel(1), &mut grants);
-        assert_eq!(grants, vec![((1, 0), acq(1))]);
-        grants.clear();
-        s.request((1, 0), rel(1), &mut grants);
-        assert_eq!(grants, vec![((2, 0), acq(1))]);
+        assert_eq!(req(&mut s, (0, 0), acq(1)), vec![((0, 0), acq(1))]);
+        assert!(req(&mut s, (1, 0), acq(1)).is_empty());
+        assert!(req(&mut s, (2, 0), acq(1)).is_empty());
+        // The release passes the lock to the head of the queue at once.
+        assert_eq!(req(&mut s, (0, 0), rel(1)), vec![((1, 0), acq(1))]);
+        // A later requester queues behind the one already waiting.
+        assert!(req(&mut s, (3, 0), acq(1)).is_empty());
+        assert_eq!(req(&mut s, (1, 0), rel(1)), vec![((2, 0), acq(1))]);
+        assert_eq!(req(&mut s, (2, 0), rel(1)), vec![((3, 0), acq(1))]);
         assert!(s.check_invariants(10).is_ok());
     }
 
     #[test]
-    fn shard_releases_barrier_to_all_arrivers_in_order() {
+    fn reacquire_is_idempotent() {
+        let mut s = SyncShard::new(2);
+        assert_eq!(req(&mut s, (0, 0), acq(1)), vec![((0, 0), acq(1))]);
+        assert_eq!(req(&mut s, (0, 0), acq(1)), vec![((0, 0), acq(1))]);
+        assert_eq!(s.grants(), 1);
+    }
+
+    #[test]
+    fn stale_release_ignored() {
+        let mut s = SyncShard::new(2);
+        req(&mut s, (0, 0), acq(1));
+        req(&mut s, (0, 0), rel(1));
+        req(&mut s, (1, 0), acq(1));
+        // Thread 0's re-executed release must not free thread 1's lock.
+        assert!(req(&mut s, (0, 0), rel(1)).is_empty());
+        assert!(req(&mut s, (0, 0), acq(1)).is_empty());
+    }
+
+    #[test]
+    fn barrier_releases_all_at_arity_last_arriver_first() {
         let mut s = SyncShard::new(3);
-        let mut grants = vec![];
-        s.request((2, 0), bar(0), &mut grants);
-        s.request((0, 1), bar(0), &mut grants);
-        assert!(grants.is_empty());
-        s.request((1, 0), bar(0), &mut grants);
+        assert!(req(&mut s, (2, 0), bar(0)).is_empty());
+        assert!(req(&mut s, (0, 1), bar(0)).is_empty());
         // Last arriver first (its own proceed), then the waiters sorted.
-        assert_eq!(grants, vec![((1, 0), bar(0)), ((0, 1), bar(0)), ((2, 0), bar(0))]);
+        assert_eq!(
+            req(&mut s, (1, 0), bar(0)),
+            vec![((1, 0), bar(0)), ((0, 1), bar(0)), ((2, 0), bar(0))]
+        );
+        // Re-executed arrivals at the released instance proceed.
+        assert_eq!(req(&mut s, (0, 1), bar(0)), vec![((0, 1), bar(0))]);
+        assert_eq!(req(&mut s, (2, 0), bar(0)), vec![((2, 0), bar(0))]);
         assert!(s.check_invariants(20).is_ok());
     }
 
     #[test]
-    fn shard_release_produces_no_token_for_requester() {
+    fn barrier_instances_are_independent() {
         let mut s = SyncShard::new(2);
-        let mut grants = vec![];
-        s.request((0, 0), acq(7), &mut grants);
-        grants.clear();
-        s.request((0, 0), rel(7), &mut grants);
-        assert!(grants.is_empty());
+        assert!(req(&mut s, (0, 0), bar(0)).is_empty());
+        // Thread 1 arrives at the *next* instance early — does not release
+        // instance 0.
+        assert!(req(&mut s, (1, 0), bar(1)).is_empty());
+        assert_eq!(req(&mut s, (1, 0), bar(0)), vec![((1, 0), bar(0)), ((0, 0), bar(0))]);
+    }
+
+    #[test]
+    fn distinct_locks_are_independent() {
+        let mut s = SyncShard::new(2);
+        assert_eq!(req(&mut s, (0, 0), acq(1)).len(), 1);
+        assert_eq!(req(&mut s, (1, 0), acq(2)).len(), 1);
+        assert!(req(&mut s, (1, 0), acq(1)).is_empty());
+    }
+
+    #[test]
+    fn barrier_rearrival_while_waiting_stays_waiting() {
+        let mut s = SyncShard::new(2);
+        assert!(req(&mut s, (0, 0), bar(3)).is_empty());
+        // A squash re-executes the arrival before release: still waiting.
+        assert!(req(&mut s, (0, 0), bar(3)).is_empty());
+        assert_eq!(req(&mut s, (1, 0), bar(3)), vec![((1, 0), bar(3)), ((0, 0), bar(3))]);
+    }
+
+    #[test]
+    fn completed_barrier_instances_are_collected() {
+        let mut s = SyncShard::new(1);
+        for instance in 0..20 {
+            assert_eq!(req(&mut s, (0, 0), bar(instance)).len(), 1);
+        }
+        // Only instances within four of the newest survive a collection.
+        assert!(s.barriers.len() <= 9, "{} instances kept", s.barriers.len());
+        assert!(s.barriers.contains_key(&15) && !s.barriers.contains_key(&10));
+    }
+
+    #[test]
+    fn invariants_hold_through_contention() {
+        let mut s = SyncShard::new(4);
+        req(&mut s, (0, 0), acq(1));
+        req(&mut s, (1, 0), acq(1));
+        req(&mut s, (2, 0), acq(1));
+        req(&mut s, (0, 0), rel(1));
+        assert!(s.check_invariants(50).is_ok());
+        for node in 0..3 {
+            req(&mut s, (node, 0), bar(0));
+        }
+        assert!(s.check_invariants(99).is_ok());
+    }
+
+    #[test]
+    fn wait_and_grant_counters() {
+        let mut s = SyncShard::new(2);
+        req(&mut s, (0, 0), acq(1));
+        req(&mut s, (1, 0), acq(1));
+        req(&mut s, (1, 0), acq(1)); // re-executed while queued: no new wait
+        assert_eq!((s.waits(), s.grants()), (1, 1));
+        req(&mut s, (0, 0), rel(1)); // the hand-off is a grant
+        assert_eq!((s.waits(), s.grants()), (1, 2));
+        req(&mut s, (0, 0), bar(0));
+        req(&mut s, (0, 0), bar(0)); // a re-arrival while waiting counts again
+        assert_eq!((s.waits(), s.grants()), (3, 2));
     }
 }

@@ -1,13 +1,12 @@
 //! Property-based tests for the multiprocessor substrate: the directory
 //! protocol must maintain coherence invariants under arbitrary access
-//! interleavings, and the synchronization controller must preserve mutual
+//! interleavings, and the home synchronization shard must preserve mutual
 //! exclusion and never lose a waiter.
 
-use interleave_core::SyncOutcome;
 use interleave_isa::{SyncKind, SyncRef};
-use interleave_mp::{Directory, MissClass, SyncController};
+use interleave_mp::{Directory, MissClass, SyncShard};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 #[derive(Debug, Clone, Copy)]
 enum DirOp {
@@ -120,50 +119,50 @@ proptest! {
     }
 
     /// Lock mutual exclusion and liveness: under arbitrary interleavings
-    /// of acquire attempts and releases, at most one thread holds the lock
-    /// and every waiter is eventually granted.
+    /// of acquire attempts and releases, at most one thread holds the lock,
+    /// a release hands it to the oldest waiter, and every waiter is
+    /// eventually granted.
     #[test]
     fn locks_are_exclusive_and_fair(schedule in proptest::collection::vec(0usize..4, 4..200)) {
-        let mut sync = SyncController::new(4);
+        let mut sync = SyncShard::new(4);
         let acq = SyncRef { kind: SyncKind::LockAcquire, id: 9 };
         let rel = SyncRef { kind: SyncKind::LockRelease, id: 9 };
         // Each thread loops: try-acquire until granted, then release.
         let mut holding: Option<usize> = None;
+        let mut queue: VecDeque<usize> = VecDeque::new();
         let mut granted_count = 0u32;
         for t in schedule {
             let who = (t, 0usize);
+            let mut grants = Vec::new();
             match holding {
                 Some(h) if h == t => {
-                    sync.sync(who, rel);
-                    holding = None;
-                    // A release grants a waiter (if any) via a wake.
-                    for (node, _) in sync.take_wakes() {
-                        let woken = (node, 0usize);
-                        prop_assert_eq!(
-                            sync.sync(woken, acq),
-                            SyncOutcome::Proceed,
-                            "a woken waiter must be granted"
-                        );
-                        holding = Some(node);
-                        granted_count += 1;
-                    }
+                    sync.request(who, rel, &mut grants);
+                    // A release hands the lock to the oldest waiter, if any.
+                    let next = queue.pop_front();
+                    let expect: Vec<_> = next.map(|n| ((n, 0usize), acq)).into_iter().collect();
+                    prop_assert_eq!(&grants, &expect, "hand-off goes to the queue head");
+                    holding = next;
+                    granted_count += u32::from(next.is_some());
                 }
                 Some(_) => {
                     // Lock held by someone else: this thread must wait.
-                    prop_assert_eq!(sync.sync(who, acq), SyncOutcome::Wait);
+                    sync.request(who, acq, &mut grants);
+                    prop_assert!(grants.is_empty(), "thread {} granted a held lock", t);
+                    if !queue.contains(&t) {
+                        queue.push_back(t);
+                    }
                 }
                 None => {
-                    if sync.sync(who, acq) == SyncOutcome::Proceed {
-                        holding = Some(t);
-                        granted_count += 1;
-                    }
-                    // A Wait here means the lock is reserved for a woken
-                    // thread that has not re-run yet — impossible in this
-                    // schedule because wakes are consumed immediately.
+                    sync.request(who, acq, &mut grants);
+                    prop_assert_eq!(&grants, &vec![(who, acq)], "a free lock is granted");
+                    holding = Some(t);
+                    granted_count += 1;
                 }
             }
+            prop_assert!(sync.check_invariants(0).is_ok());
         }
         prop_assert!(granted_count >= 1);
+        prop_assert_eq!(sync.grants(), u64::from(granted_count));
     }
 
     /// Barrier completeness: with arity N, an instance releases exactly
@@ -173,33 +172,37 @@ proptest! {
         proptest::collection::vec(0usize..6, 6..30)
     })) {
         let arity = 6u32;
-        let mut sync = SyncController::new(arity);
-        let bar = |i: u32| SyncRef { kind: SyncKind::BarrierArrive, id: i };
+        let mut sync = SyncShard::new(arity);
+        let bar = SyncRef { kind: SyncKind::BarrierArrive, id: 0 };
         let mut arrived: HashSet<usize> = HashSet::new();
         let mut released = false;
         for t in order {
             if released {
                 break;
             }
-            let outcome = sync.sync((t, 0), bar(0));
+            let mut grants = Vec::new();
+            sync.request((t, 0), bar, &mut grants);
             arrived.insert(t);
             if arrived.len() == arity as usize {
-                prop_assert_eq!(outcome, SyncOutcome::Proceed, "last arriver proceeds");
-                let woken: HashSet<usize> =
-                    sync.take_wakes().into_iter().map(|(n, _)| n).collect();
-                prop_assert_eq!(woken.len(), arity as usize - 1);
+                // The last arriver proceeds first, then every waiter in
+                // sorted order.
+                let mut expect = vec![((t, 0usize), bar)];
+                let mut waiters: Vec<usize> = arrived.iter().copied().filter(|&w| w != t).collect();
+                waiters.sort_unstable();
+                expect.extend(waiters.into_iter().map(|w| ((w, 0usize), bar)));
+                prop_assert_eq!(&grants, &expect);
                 released = true;
-            } else if arrived.contains(&t) && outcome == SyncOutcome::Proceed {
-                // A re-arrival before release must not proceed...
-                // unless it is a duplicate of an already-waiting thread:
-                // those wait again.
-                prop_assert!(false, "barrier released early for thread {t}");
+            } else {
+                // An arrival (or re-arrival) before release must wait.
+                prop_assert!(grants.is_empty(), "barrier released early for thread {}", t);
             }
         }
         if released {
             // Everyone re-arriving at the released instance proceeds.
             for t in 0..arity as usize {
-                prop_assert_eq!(sync.sync((t, 0), bar(0)), SyncOutcome::Proceed);
+                let mut grants = Vec::new();
+                sync.request((t, 0), bar, &mut grants);
+                prop_assert_eq!(grants, vec![((t, 0usize), bar)]);
             }
         }
     }

@@ -27,10 +27,10 @@
 //! # Cost when disabled
 //!
 //! Mirrors `INTERLEAVE_VALIDATE`: the instrumentation is always
-//! compiled, and [`enabled`] resolves once from the `profile` cargo
-//! feature or `INTERLEAVE_PROFILE=1` (overridable at runtime with
-//! [`set_enabled`], which `interleave-sim sweep --trace-out` uses). Disabled cost per site is one relaxed atomic load and a
-//! branch — no clock read, no TLS access.
+//! compiled, and [`enabled`] resolves once from `INTERLEAVE_PROFILE=1`
+//! (overridable at runtime with [`set_enabled`], which `interleave-sim
+//! sweep --trace-out` uses). Disabled cost per site is one relaxed atomic
+//! load and a branch — no clock read, no TLS access.
 //!
 //! # Test hook
 //!
@@ -218,17 +218,11 @@ static STATE: AtomicU8 = AtomicU8::new(STATE_UNRESOLVED);
 static SPANS_ON: AtomicU8 = AtomicU8::new(0);
 static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Whether `INTERLEAVE_PROFILE=1` is set (cached on first query).
-pub fn env_enabled() -> bool {
+/// The initial profiling default: on when `INTERLEAVE_PROFILE=1` is set
+/// (cached on first query; mirroring `validate::default_enabled`).
+pub fn default_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("INTERLEAVE_PROFILE").is_ok_and(|v| v == "1"))
-}
-
-/// The initial profiling default: on when the `profile` cargo feature
-/// is enabled or `INTERLEAVE_PROFILE=1` is set (mirroring
-/// `validate::default_enabled`).
-pub fn default_enabled() -> bool {
-    cfg!(feature = "profile") || env_enabled()
 }
 
 /// Whether profiling is currently on. Disabled cost at every

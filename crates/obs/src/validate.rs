@@ -8,9 +8,8 @@
 //! it — the seed that replays the failing run.
 //!
 //! The checkers themselves are *always compiled*; whether they run is a
-//! runtime decision resolved by [`default_enabled`]: on when the
-//! `validate` cargo feature is enabled or `INTERLEAVE_VALIDATE=1` is set,
-//! off otherwise. Simulation drivers expose the same switch as a builder
+//! runtime decision resolved by [`default_enabled`]: on when
+//! `INTERLEAVE_VALIDATE=1` is set, off otherwise. Simulation drivers expose the same switch as a builder
 //! knob so tests can enable validation without touching the environment.
 
 use std::fmt;
@@ -82,19 +81,14 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Whether `INTERLEAVE_VALIDATE=1` is set (cached on first call: the
-/// checkers consult this on hot paths, and the drivers resolve it once at
-/// build time anyway).
-pub fn env_enabled() -> bool {
+/// Default state of the invariant checkers: on when
+/// `INTERLEAVE_VALIDATE=1` is set, off otherwise (cached on first call:
+/// the checkers consult this on hot paths, and the drivers resolve it
+/// once at build time anyway). Simulation builders use this as the
+/// default for their `validate` knobs.
+pub fn default_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("INTERLEAVE_VALIDATE").is_ok_and(|v| v == "1"))
-}
-
-/// Default state of the invariant checkers: on under the `validate`
-/// cargo feature or `INTERLEAVE_VALIDATE=1`, off otherwise. Simulation
-/// builders use this as the default for their `validate` knobs.
-pub fn default_enabled() -> bool {
-    cfg!(feature = "validate") || env_enabled()
 }
 
 #[cfg(test)]
@@ -121,10 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn env_and_feature_defaults_are_consistent() {
-        // Without the feature and without the env var the default is off;
-        // with either it is on. This test only pins the wiring, not the
-        // environment: default_enabled() must agree with its inputs.
-        assert_eq!(default_enabled(), cfg!(feature = "validate") || env_enabled());
+    fn default_follows_the_environment() {
+        // This pins the wiring, not the environment: the default is on
+        // exactly when INTERLEAVE_VALIDATE=1.
+        let set = std::env::var("INTERLEAVE_VALIDATE").is_ok_and(|v| v == "1");
+        assert_eq!(default_enabled(), set);
     }
 }

@@ -6,9 +6,8 @@
 #
 #   --quick      skip the release-binary smoke runs
 #   --validate   also run the test suite with the invariant checkers on
-#                (INTERLEAVE_VALIDATE=1 and --features validate) and
-#                enforce the <2x wall-clock overhead budget on the
-#                smoke grid
+#                (INTERLEAVE_VALIDATE=1) and enforce the <2x wall-clock
+#                overhead budget on the smoke grid
 #   --serve-only release build + the serve daemon smoke alone (the CI
 #                serve-e2e job's entry point)
 #
@@ -109,10 +108,9 @@ cargo test -q --workspace
 cargo fmt --check
 
 if [ "$validate" -eq 1 ]; then
-  # The checkers are always compiled; exercise both ways of turning
-  # them on (the runtime switch and the feature flag).
+  # The checkers are always compiled; the environment switch turns
+  # them on.
   INTERLEAVE_VALIDATE=1 cargo test -q --workspace
-  cargo test -q --workspace --features validate
 fi
 
 if [ "$quick" -eq 1 ]; then
