@@ -24,11 +24,12 @@
 //!
 //! 3. **Per-cycle bookkeeping kernels.** Times the constant-time
 //!    structures the processor touches every simulated cycle in
-//!    isolation — fetch-unit advance and out-of-order retire, issue-window
-//!    issue and retire, an MSHR expire/lookup/allocate round, and a TLB
-//!    access — and prints ns per operation (median of three trials). No
-//!    timing is asserted: these numbers are for comparing revisions on
-//!    one host.
+//!    isolation — fetch-unit advance, in-place read (`at`) and
+//!    out-of-order retire, issue-window issue and retire, an MSHR
+//!    expire/lookup/allocate round, and a TLB access — and prints ns
+//!    per operation (median of three trials). No timing is asserted
+//!    (the fetch kernel checksums the instructions it reads): these
+//!    numbers are for comparing revisions on one host.
 //!
 //! 4. **Multiprocessor kernels.** Times a `Directory` transaction over
 //!    an 8-node read/write/evict mix on SPLASH addresses, and SPLASH
@@ -192,17 +193,24 @@ impl InstrSource for Nops {
     }
 }
 
-/// Fetch one instruction per operation and retire in pairs, younger
-/// first, so every other retirement lands out of order.
+/// Fetch one instruction per operation, read each pair back in place
+/// as the issue stage does, and retire it younger first, so every other
+/// retirement lands out of order. A checksum checks what was read.
 fn kernel_fetch() -> u64 {
     let mut unit = FetchUnit::new(Box::new(Nops(0)));
+    let mut sum = 0u64;
     for i in 0..KERNEL_OPS {
         unit.advance();
         if i % 2 == 1 {
+            sum += unit.at(i - 1).pc + unit.at(i).pc;
             unit.retire(i);
             unit.retire(i - 1);
         }
     }
+    // Instruction `i` of the no-op stream sits at pc `4 * (i + 1)`.
+    assert_eq!(sum, 2 * KERNEL_OPS * (KERNEL_OPS + 1), "fetch unit returned a wrong instruction");
+    assert_eq!(unit.peek().map(|i| i.pc), Some(4 * (KERNEL_OPS + 1)));
+    assert_eq!(unit.outstanding(), 0);
     unit.cursor()
 }
 

@@ -23,6 +23,7 @@ impl FillRing {
         FillRing { slots: [(0, 0); FILL_RING_CAP], head: 0, len: 0 }
     }
 
+    #[inline]
     fn at(&self, i: usize) -> (u64, u64) {
         self.slots[(self.head + i) % FILL_RING_CAP]
     }
@@ -32,6 +33,7 @@ impl FillRing {
         (0..self.len).map(|i| self.at(i))
     }
 
+    #[inline]
     pub fn contains(&self, entry: (u64, u64)) -> bool {
         self.iter().any(|e| e == entry)
     }
@@ -49,6 +51,7 @@ impl FillRing {
 
     /// Removes the first entry equal to `entry`, preserving the order of
     /// the rest; returns whether a match was found.
+    #[inline]
     pub fn take(&mut self, entry: (u64, u64)) -> bool {
         let Some(pos) = (0..self.len).find(|&i| self.at(i) == entry) else {
             return false;
@@ -154,6 +157,7 @@ impl ContextTable {
     }
 
     /// Number of hardware contexts.
+    #[inline]
     pub fn len(&self) -> usize {
         self.state.len()
     }

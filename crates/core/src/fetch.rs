@@ -23,6 +23,13 @@ pub trait InstrSource: Send {
     /// produced. Fewer than `max` — including zero — means end of
     /// stream.
     ///
+    /// `out` may be the fetch unit's live buffer, whose existing entries
+    /// are fetched instructions that have not retired yet. So an
+    /// implementation must only append: it must not clear, truncate or
+    /// rewrite `out`, and it must return exactly the number of
+    /// instructions it pushed. [`FetchUnit`] panics on a refill that
+    /// breaks this.
+    ///
     /// The default loops [`InstrSource::next_instr`]; batch-aware
     /// sources (the synthetic generator) override it to amortize
     /// per-call bookkeeping across a whole run. Implementations must
@@ -87,6 +94,12 @@ impl InstrSource for VecSource {
 /// own retired flag, so retiring, absorbing the prefix, and skipping
 /// retired slots on advance are all O(1) per instruction.
 ///
+/// The buffer is one `Vec` the source appends into directly, so an
+/// instruction is copied once on its way from the generator to the
+/// issue stage, which reads it in place with [`FetchUnit::at`]. Released
+/// entries stay in front of a `head` offset until the next refill
+/// compacts them away.
+///
 /// The unit eagerly normalizes after every mutation (cursor clamped past
 /// the retired prefix, buffer filled through the cursor), so the hot
 /// read-side queries — [`FetchUnit::peek`], [`FetchUnit::cursor`],
@@ -95,22 +108,23 @@ impl InstrSource for VecSource {
 /// changes the stream.
 pub struct FetchUnit {
     source: Box<dyn InstrSource>,
-    /// buffer[i] holds the instruction at index `base + i`.
-    buffer: VecDeque<Instr>,
-    /// Fetch index of `buffer[0]`.
+    /// buffer[head + i] holds the instruction at index `base + i`;
+    /// `buffer[..head]` is released and dropped at the next refill.
+    buffer: Vec<Instr>,
+    /// retired[head + i] is set once the instruction at `base + i`
+    /// retired (out of order, not yet absorbed into `base`); kept in
+    /// step with `buffer`.
+    retired: Vec<bool>,
+    /// Buffer position of fetch index `base`.
+    head: usize,
+    /// Oldest unretired fetch index.
     base: u64,
     /// Index of the next instruction to fetch.
     cursor: u64,
-    /// retired[i] is set once the instruction at `base + i` retired
-    /// (out of order, not yet absorbed into `base`); kept in step with
-    /// `buffer`.
-    retired: VecDeque<bool>,
-    /// Number of set flags in `retired`.
+    /// Number of set flags in `retired[head..]`.
     retired_count: u64,
     /// Set once the source reports end of stream.
     exhausted: bool,
-    /// Reused staging area for batched refills.
-    scratch: Vec<Instr>,
 }
 
 /// Instructions pulled per source round-trip when the buffer runs dry.
@@ -124,7 +138,7 @@ impl fmt::Debug for FetchUnit {
         f.debug_struct("FetchUnit")
             .field("base", &self.base)
             .field("cursor", &self.cursor)
-            .field("buffered", &self.buffer.len())
+            .field("buffered", &(self.buffer.len() - self.head))
             .field("exhausted", &self.exhausted)
             .finish()
     }
@@ -135,16 +149,22 @@ impl FetchUnit {
     pub fn new(source: Box<dyn InstrSource>) -> FetchUnit {
         let mut unit = FetchUnit {
             source,
-            buffer: VecDeque::new(),
+            buffer: Vec::with_capacity(REFILL_RUN),
+            retired: Vec::with_capacity(REFILL_RUN),
+            head: 0,
             base: 0,
             cursor: 0,
-            retired: VecDeque::new(),
             retired_count: 0,
             exhausted: false,
-            scratch: Vec::with_capacity(REFILL_RUN),
         };
         unit.normalize();
         unit
+    }
+
+    /// Buffer position of fetch index `index` (at or past `base`).
+    #[inline]
+    fn pos(&self, index: u64) -> usize {
+        self.head + (index - self.base) as usize
     }
 
     /// Restores the cursor/buffer invariant after a mutation: the cursor
@@ -154,36 +174,85 @@ impl FetchUnit {
     /// absorbing a retired prefix can move `base` past a rolled-back
     /// cursor), and the buffer covers the cursor unless the source is
     /// exhausted.
+    #[inline]
     fn normalize(&mut self) {
         self.cursor = self.cursor.max(self.base);
-        while self.retired.get((self.cursor - self.base) as usize) == Some(&true) {
+        while self.retired.get(self.pos(self.cursor)) == Some(&true) {
             self.cursor += 1;
         }
-        while !self.exhausted && self.base + self.buffer.len() as u64 <= self.cursor {
-            // Pull a whole run per source round-trip: sources are
-            // self-contained deterministic generators, so buffering past
-            // the cursor never changes the stream, and batch-aware
-            // sources amortize their per-batch bookkeeping across the
-            // run.
-            let need = (self.cursor + 1 - (self.base + self.buffer.len() as u64)) as usize;
-            let want = need.max(REFILL_RUN);
-            self.scratch.clear();
-            let got = self.source.next_run(&mut self.scratch, want);
-            self.buffer.extend(self.scratch.drain(..));
-            self.retired.resize(self.buffer.len(), false);
-            if got < want {
-                self.exhausted = true;
-            }
+        while !self.exhausted && !self.has_next() {
+            self.refill();
+        }
+    }
+
+    /// Drops the released prefix, then appends a whole run from the
+    /// source straight into the buffer. Sources are self-contained
+    /// deterministic generators, so buffering past the cursor never
+    /// changes the stream, and batch-aware sources amortize their
+    /// per-batch bookkeeping across the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source breaks the append-only contract of
+    /// [`InstrSource::next_run`] (the buffer did not grow by exactly the
+    /// count it returned): the buffer holds fetched instructions that
+    /// have not retired yet.
+    fn refill(&mut self) {
+        // Compacting at every refill keeps the buffer at the in-flight
+        // window plus one run.
+        self.buffer.drain(..self.head);
+        self.retired.drain(..self.head);
+        self.head = 0;
+        let need = (self.cursor + 1 - self.base) as usize - self.buffer.len();
+        let want = need.max(REFILL_RUN);
+        let before = self.buffer.len();
+        let got = self.source.next_run(&mut self.buffer, want);
+        assert_eq!(
+            self.buffer.len(),
+            before + got,
+            "instruction source must append exactly the count it returns to next_run's buffer"
+        );
+        self.retired.resize(self.buffer.len(), false);
+        if got < want {
+            self.exhausted = true;
         }
     }
 
     /// The instruction at the fetch cursor. `None` once the stream is
     /// exhausted.
-    pub fn peek(&self) -> Option<Instr> {
-        self.buffer.get((self.cursor - self.base) as usize).copied()
+    #[inline]
+    pub fn peek(&self) -> Option<&Instr> {
+        self.buffer.get(self.pos(self.cursor))
+    }
+
+    /// Whether an instruction is buffered at the cursor (`peek` is
+    /// `Some`).
+    #[inline]
+    pub fn has_next(&self) -> bool {
+        self.pos(self.cursor) < self.buffer.len()
+    }
+
+    /// The buffered instruction at fetch index `index`, which must have
+    /// been fetched (it lies behind the cursor) and not yet been
+    /// released by retirement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` lies before the retired prefix or at or past the
+    /// cursor.
+    #[inline]
+    pub fn at(&self, index: u64) -> &Instr {
+        assert!(
+            self.base <= index && index < self.cursor,
+            "fetch index {index} is not in flight (base {}, cursor {})",
+            self.base,
+            self.cursor
+        );
+        &self.buffer[self.pos(index)]
     }
 
     /// Index of the instruction the cursor points at.
+    #[inline]
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
@@ -193,9 +262,10 @@ impl FetchUnit {
     /// # Panics
     ///
     /// Panics if the stream is exhausted at the cursor; call
-    /// [`FetchUnit::peek`] first.
+    /// [`FetchUnit::has_next`] first.
+    #[inline]
     pub fn advance(&mut self) {
-        assert!(self.peek().is_some(), "advance past end of stream");
+        assert!(self.has_next(), "advance past end of stream");
         self.cursor += 1;
         self.normalize();
     }
@@ -229,16 +299,17 @@ impl FetchUnit {
     ///
     /// Panics if `index` was never fetched, was already retired, or is at
     /// or ahead of the cursor.
+    #[inline]
     pub fn retire(&mut self, index: u64) {
         assert!(index >= self.base, "double retirement of index {index}");
         assert!(index < self.cursor, "retiring unfetched index {index}");
-        let flag = &mut self.retired[(index - self.base) as usize];
+        let pos = self.pos(index);
+        let flag = &mut self.retired[pos];
         assert!(!*flag, "double retirement of index {index}");
         *flag = true;
         self.retired_count += 1;
-        while self.retired.front() == Some(&true) {
-            self.retired.pop_front();
-            self.buffer.pop_front();
+        while self.retired.get(self.head) == Some(&true) {
+            self.head += 1;
             self.retired_count -= 1;
             self.base += 1;
         }
@@ -247,11 +318,13 @@ impl FetchUnit {
 
     /// Whether every fetched instruction has retired and the stream is
     /// exhausted.
+    #[inline]
     pub fn is_done(&self) -> bool {
-        self.peek().is_none() && self.base == self.cursor
+        !self.has_next() && self.base == self.cursor
     }
 
     /// Number of fetched-but-unretired instructions.
+    #[inline]
     pub fn outstanding(&self) -> u64 {
         (self.cursor - self.base).saturating_sub(self.retired_count)
     }
@@ -404,5 +477,40 @@ mod tests {
         let f = unit(0);
         assert!(f.is_done());
         assert!(f.peek().is_none());
+        assert!(!f.has_next());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in flight")]
+    fn at_rejects_unfetched_index() {
+        let f = unit(5);
+        f.at(0);
+    }
+
+    /// Clears the buffer it is handed before appending: breaks the
+    /// append-only contract of `next_run`.
+    struct Clobbering(u64);
+
+    impl InstrSource for Clobbering {
+        fn next_instr(&mut self) -> Option<Instr> {
+            self.0 += 4;
+            Some(Instr::nop(self.0))
+        }
+
+        fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
+            out.clear();
+            out.extend((0..max).map(|_| Instr::nop(0)));
+            max
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must append exactly the count it returns")]
+    fn refill_rejects_a_source_that_clears_the_buffer() {
+        let mut f = FetchUnit::new(Box::new(Clobbering(0)));
+        // Hold index 0 in flight through the next refill.
+        for _ in 0..REFILL_RUN {
+            f.advance();
+        }
     }
 }

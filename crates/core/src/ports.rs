@@ -81,6 +81,7 @@ pub trait SystemPort {
 }
 
 impl SystemPort for UniMemSystem {
+    #[inline]
     fn data(&mut self, lookup_start: u64, addr: u64, kind: Access, ctx: usize) -> DataOutcome {
         match self.access_data(lookup_start, addr, kind, ctx) {
             DataAccess::Hit => DataOutcome::Hit,
@@ -90,6 +91,7 @@ impl SystemPort for UniMemSystem {
         }
     }
 
+    #[inline]
     fn inst(&mut self, lookup_start: u64, pc: u64) -> InstOutcome {
         match self.access_inst(lookup_start, pc) {
             InstAccess::Hit => InstOutcome::Hit,
@@ -111,10 +113,12 @@ impl SystemPort for UniMemSystem {
 pub struct PerfectMemory;
 
 impl SystemPort for PerfectMemory {
+    #[inline]
     fn data(&mut self, _: u64, _: u64, _: Access, _: usize) -> DataOutcome {
         DataOutcome::Hit
     }
 
+    #[inline]
     fn inst(&mut self, _: u64, _: u64) -> InstOutcome {
         InstOutcome::Hit
     }

@@ -468,7 +468,7 @@ impl<P: SystemPort> Processor<P> {
             }
             let in_pipe = self.window.count_ctx(c) + self.front.count_ctx(c);
             let unit = self.unit(c);
-            if unit.peek().is_none() && unit.outstanding() > 0 && in_pipe == 0 {
+            if !unit.has_next() && unit.outstanding() > 0 && in_pipe == 0 {
                 return Some(c);
             }
         }
@@ -965,18 +965,23 @@ impl<P: SystemPort> Processor<P> {
                 self.advance_front(now);
                 IssueRecord::Bubble(Some(Category::InstrShort))
             }
-            FrontSlot::Instr(slot) => self.issue_instr(now, slot),
+            FrontSlot::Instr(slot) => {
+                // The one read of the instruction at issue: an un-issued
+                // slot's instruction stays buffered in its fetch unit.
+                let instr = *self.unit(slot.ctx).at(slot.fetch_index);
+                self.issue_instr(now, slot, &instr)
+            }
         }
     }
 
-    fn issue_instr(&mut self, now: u64, slot: Slot) -> IssueRecord {
+    fn issue_instr(&mut self, now: u64, slot: Slot, instr: &Instr) -> IssueRecord {
         let ex = now + 1;
-        let earliest = self.cached_rf_verdict(&slot, ex).max(ex);
+        let earliest = self.cached_rf_verdict(slot.ctx, instr, ex).max(ex);
         if earliest > ex {
             let category = match self.rf_stall_class {
                 Some(c) => c,
                 None => {
-                    let c = if self.scoreboard.blocked_on_memory(slot.ctx, &slot.instr, now) {
+                    let c = if self.scoreboard.blocked_on_memory(slot.ctx, instr, now) {
                         Category::DataMem
                     } else if earliest - ex <= 4 {
                         Category::InstrShort
@@ -992,49 +997,48 @@ impl<P: SystemPort> Processor<P> {
         }
 
         // Synchronization check happens at issue (the port decides).
-        if let Some(sync) = slot.instr.sync {
+        if let Some(sync) = instr.sync {
             if self.port.sync(now, slot.ctx, sync) == SyncOutcome::Wait {
                 return self.handle_sync_wait(now, slot);
             }
         }
 
         // Scheme-dependent latency-tolerance instructions.
-        let tolerance = matches!(slot.instr.op, Op::Backoff | Op::SwitchHint);
+        let tolerance = matches!(instr.op, Op::Backoff | Op::SwitchHint);
         if tolerance {
             match self.cfg.scheme {
                 Scheme::Single => { /* retires as a no-op */ }
-                Scheme::Interleaved | Scheme::FineGrained if slot.instr.op == Op::Backoff => {
-                    return self.handle_backoff(now, slot);
+                Scheme::Interleaved | Scheme::FineGrained if instr.op == Op::Backoff => {
+                    return self.handle_backoff(now, slot, instr);
                 }
                 Scheme::Interleaved | Scheme::FineGrained => { /* explicit switch: no-op */ }
-                Scheme::Blocked => return self.handle_explicit_switch(now, slot),
+                Scheme::Blocked => return self.handle_explicit_switch(now, slot, instr),
             }
         }
 
         // Plain issue.
         self.current_run[slot.ctx] += 1;
         if self.cfg.validate {
-            if let Err(v) = self.scoreboard.check_issue(slot.ctx, &slot.instr, &self.cfg.timing, ex)
-            {
+            if let Err(v) = self.scoreboard.check_issue(slot.ctx, instr, &self.cfg.timing, ex) {
                 Self::validation_failed(v);
             }
         }
-        self.scoreboard.issue(slot.ctx, &slot.instr, &self.cfg.timing, ex);
+        self.scoreboard.issue(slot.ctx, instr, &self.cfg.timing, ex);
         let retires_at =
-            ex + if slot.instr.op.is_fp() { FP_ISSUE_TO_RETIRE } else { INT_ISSUE_TO_RETIRE };
+            ex + if instr.op.is_fp() { FP_ISSUE_TO_RETIRE } else { INT_ISSUE_TO_RETIRE };
         self.window.issue(InFlight {
             ctx: slot.ctx,
             fetch_index: slot.fetch_index,
-            op: slot.instr.op,
+            op: instr.op,
             issued_at: ex,
             retires_at,
         });
         self.breakdown.record(Category::Busy, 1);
 
-        if let Some(mem) = slot.instr.mem {
-            self.issue_mem(now, &slot, mem.addr, mem.kind);
+        if let Some(mem) = instr.mem {
+            self.issue_mem(now, &slot, instr, mem.addr, mem.kind);
         }
-        if let Some(branch) = slot.instr.branch {
+        if let Some(branch) = instr.branch {
             if slot.mispredicted {
                 // The condition is evaluated in EX; the squash signal kills
                 // wrong-path fetches at the start of the EX cycle, leaving
@@ -1043,7 +1047,7 @@ impl<P: SystemPort> Processor<P> {
                     due: ex,
                     ctx: slot.ctx,
                     epoch: self.ctx.epoch[slot.ctx],
-                    pc: slot.instr.pc,
+                    pc: instr.pc,
                     taken: branch.taken,
                     target: branch.target,
                 });
@@ -1051,12 +1055,12 @@ impl<P: SystemPort> Processor<P> {
         }
 
         self.advance_front(now);
-        IssueRecord::Issued { ctx: slot.ctx, op: slot.instr.op, category: Category::Busy }
+        IssueRecord::Issued { ctx: slot.ctx, op: instr.op, category: Category::Busy }
     }
 
-    fn issue_mem(&mut self, now: u64, slot: &Slot, addr: u64, kind: Access) {
+    fn issue_mem(&mut self, now: u64, slot: &Slot, instr: &Instr, addr: u64, kind: Access) {
         let ex = now + 1;
-        if slot.instr.op == Op::Prefetch {
+        if instr.op == Op::Prefetch {
             // Non-binding: start the fill and forget; the access never
             // makes the context unavailable.
             let _ = self.port.data(ex + 1, addr, kind, slot.ctx);
@@ -1073,7 +1077,7 @@ impl<P: SystemPort> Processor<P> {
             DataOutcome::Stall { ready_at } => match self.cfg.scheme {
                 Scheme::Single => {
                     // Stall-on-use: dependents wait for the bound fill.
-                    if let Some(dst) = slot.instr.dest() {
+                    if let Some(dst) = instr.dest() {
                         self.scoreboard.set_mem_pending(slot.ctx, dst, ready_at);
                     }
                 }
@@ -1085,7 +1089,7 @@ impl<P: SystemPort> Processor<P> {
                     }
                     // Miss determined in WB; the context becomes
                     // unavailable there and re-executes from this load.
-                    if let Some(dst) = slot.instr.dest() {
+                    if let Some(dst) = instr.dest() {
                         self.scoreboard.set_mem_pending(slot.ctx, dst, ready_at);
                     }
                     self.events.push(Event::MissDetect {
@@ -1135,17 +1139,17 @@ impl<P: SystemPort> Processor<P> {
 
     /// Interleaved backoff: cost 1 (this issue slot), context unavailable
     /// for the encoded duration.
-    fn handle_backoff(&mut self, now: u64, slot: Slot) -> IssueRecord {
-        self.issue_tolerance_op(now, &slot);
+    fn handle_backoff(&mut self, now: u64, slot: Slot, instr: &Instr) -> IssueRecord {
+        self.issue_tolerance_op(now, &slot, instr);
         IssueRecord::Issued { ctx: slot.ctx, op: Op::Backoff, category: Category::Switch }
     }
 
     /// Blocked explicit switch: cost 3 (this slot + the two suppressed
     /// fetch slots behind it), context unavailable for the encoded
     /// duration.
-    fn handle_explicit_switch(&mut self, now: u64, slot: Slot) -> IssueRecord {
+    fn handle_explicit_switch(&mut self, now: u64, slot: Slot, instr: &Instr) -> IssueRecord {
         let ctx = slot.ctx;
-        self.issue_tolerance_op(now, &slot);
+        self.issue_tolerance_op(now, &slot, instr);
         self.pick_next_current(ctx);
         IssueRecord::Issued { ctx, op: Op::SwitchHint, category: Category::Switch }
     }
@@ -1161,7 +1165,7 @@ impl<P: SystemPort> Processor<P> {
     /// Common backoff/explicit-switch issue path: the slot is switch
     /// overhead, the instruction stays in the pipe (so an older miss can
     /// still squash and re-execute it), and the context sleeps.
-    fn issue_tolerance_op(&mut self, now: u64, slot: &Slot) {
+    fn issue_tolerance_op(&mut self, now: u64, slot: &Slot, instr: &Instr) {
         let ctx = slot.ctx;
         self.switches.backoff.inc();
         self.end_run(ctx);
@@ -1170,12 +1174,12 @@ impl<P: SystemPort> Processor<P> {
         self.window.issue(InFlight {
             ctx,
             fetch_index: slot.fetch_index,
-            op: slot.instr.op,
+            op: instr.op,
             issued_at: ex,
             retires_at: ex + INT_ISSUE_TO_RETIRE,
         });
         self.front.squash_ctx(ctx);
-        let duration = u64::from(slot.instr.backoff.max(1));
+        let duration = u64::from(instr.backoff.max(1));
         self.wait_until(ctx, WaitReason::Backoff, now + duration);
         self.ctx.wrong_path[ctx] = false;
         self.ctx.pending_backoff[ctx] = false;
@@ -1233,12 +1237,12 @@ impl<P: SystemPort> Processor<P> {
     /// [`Processor::advance_front`]) drop the cache. Under
     /// `ProcConfig.validate` every use is checked against a fresh
     /// [`Scoreboard::earliest_issue`].
-    fn cached_rf_verdict(&mut self, slot: &Slot, ex: u64) -> u64 {
-        let verdict = *self.rf_verdict.get_or_insert_with(|| {
-            self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, 0)
-        });
+    fn cached_rf_verdict(&mut self, ctx: usize, instr: &Instr, ex: u64) -> u64 {
+        let verdict = *self
+            .rf_verdict
+            .get_or_insert_with(|| self.scoreboard.earliest_issue(ctx, instr, &self.cfg.timing, 0));
         if self.cfg.validate {
-            let fresh = self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, ex);
+            let fresh = self.scoreboard.earliest_issue(ctx, instr, &self.cfg.timing, ex);
             if fresh != verdict.max(ex) {
                 Self::validation_failed(
                     Violation::new(
@@ -1247,7 +1251,7 @@ impl<P: SystemPort> Processor<P> {
                         self.now,
                         format!("cached {verdict}, fresh {fresh} at EX cycle {ex}"),
                     )
-                    .with_context(slot.ctx),
+                    .with_context(ctx),
                 );
             }
         }
@@ -1289,20 +1293,21 @@ impl<P: SystemPort> Processor<P> {
             return FrontSlot::Instr(Slot {
                 ctx,
                 fetch_index: index,
-                instr: Instr::nop(u64::MAX),
                 wrong_path: true,
                 mispredicted: false,
             });
         }
 
-        let instr = self.unit(ctx).peek().expect("select_context verified the stream is non-empty");
-        let cursor = self.unit(ctx).cursor();
+        let unit = self.unit(ctx);
+        let cursor = unit.cursor();
+        let &Instr { pc, op, branch, .. } =
+            unit.peek().expect("select_context verified the stream is non-empty");
         if self.ctx.bound_ifetch[ctx] == Some(cursor) {
             // The outstanding I-fill delivers this fetch directly.
             self.ctx.bound_ifetch[ctx] = None;
         } else {
             self.ctx.bound_ifetch[ctx] = None; // any older binding is stale
-            match self.port.inst(now, instr.pc) {
+            match self.port.inst(now, pc) {
                 InstOutcome::Hit => {}
                 InstOutcome::Stall { ready_at } => {
                     self.fetch_stall_until = ready_at;
@@ -1313,21 +1318,20 @@ impl<P: SystemPort> Processor<P> {
         }
 
         let mut mispredicted = false;
-        if let Some(branch) = instr.branch {
-            if !self.btb.check(instr.pc, branch.taken, branch.target) {
+        if let Some(branch) = branch {
+            if !self.btb.check(pc, branch.taken, branch.target) {
                 // The prediction is bound at fetch: the shared BTB may be
                 // retrained by other contexts before this branch issues.
                 self.ctx.wrong_path[ctx] = true;
                 mispredicted = true;
             }
         }
-        if matches!(instr.op, Op::Backoff | Op::SwitchHint) && self.cfg.scheme != Scheme::Single {
+        if matches!(op, Op::Backoff | Op::SwitchHint) && self.cfg.scheme != Scheme::Single {
             self.ctx.pending_backoff[ctx] = true;
         }
 
-        let fetch_index = self.unit(ctx).cursor();
         self.unit_mut(ctx).advance();
-        FrontSlot::Instr(Slot { ctx, fetch_index, instr, wrong_path: false, mispredicted })
+        FrontSlot::Instr(Slot { ctx, fetch_index: cursor, wrong_path: false, mispredicted })
     }
 
     /// Picks the context to fetch from this cycle.
@@ -1378,7 +1382,7 @@ impl<P: SystemPort> Processor<P> {
         if self.ctx.wrong_path[ctx] {
             return true;
         }
-        self.unit(ctx).peek().is_some()
+        self.unit(ctx).has_next()
     }
 
     /// After `exclude` becomes unavailable, pick the blocked scheme's next
@@ -1427,10 +1431,12 @@ impl<P: SystemPort> Processor<P> {
         }
     }
 
+    #[inline]
     fn unit(&self, ctx: usize) -> &FetchUnit {
         self.units[ctx].as_ref().expect("context has a unit attached")
     }
 
+    #[inline]
     fn unit_mut(&mut self, ctx: usize) -> &mut FetchUnit {
         self.units[ctx].as_mut().expect("context has a unit attached")
     }

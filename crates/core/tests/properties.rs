@@ -177,11 +177,14 @@ proptest! {
     /// `FetchUnit` matches the retired-set model over random advance,
     /// rollback, `rollback_to_base` and retire sequences: same cursor,
     /// same instruction at the cursor, same completion and outstanding
-    /// count after every step.
+    /// count, and the same instruction at every fetched index that has
+    /// not retired, after every step. Streams run to 400 instructions,
+    /// so most cases cross several 32-instruction refills of the unit's
+    /// buffer and the compactions that come with them.
     #[test]
     fn fetch_unit_matches_retired_set_model(
-        len in 0u64..80,
-        ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..300),
+        len in 0u64..400,
+        ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..2000),
     ) {
         let stream: Vec<u64> = (0..len).map(|i| i * 4).collect();
         let mut unit =
@@ -189,20 +192,20 @@ proptest! {
         let mut model = ModelFetch { stream, base: 0, cursor: 0, retired: BTreeSet::new() };
         for (kind, pick) in ops {
             match kind {
-                // Advance most often, so streams get consumed.
-                0..=2 => {
+                // Advance and retire most often, so streams get consumed.
+                0..=4 => {
                     if model.peek().is_some() {
                         unit.advance();
                         model.cursor += 1;
                         model.normalize();
                     }
                 }
-                3 => {
+                5 => {
                     let index = model.base + pick % (model.cursor - model.base + 1);
                     unit.rollback(index);
                     model.rollback(index);
                 }
-                4 => {
+                6 => {
                     unit.rollback_to_base();
                     model.rollback(model.base);
                 }
@@ -220,6 +223,9 @@ proptest! {
             prop_assert_eq!(unit.peek().map(|i| i.pc), model.peek());
             prop_assert_eq!(unit.is_done(), model.is_done());
             prop_assert_eq!(unit.outstanding(), model.outstanding());
+            for index in (model.base..model.cursor).filter(|i| !model.retired.contains(i)) {
+                prop_assert_eq!(unit.at(index).pc, model.stream[index as usize]);
+            }
         }
     }
 }

@@ -201,6 +201,7 @@ impl Instr {
     /// Destination register that participates in dependence checking.
     ///
     /// Writes to the hardwired-zero register are discarded.
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         self.dst.filter(|r| !r.is_zero())
     }

@@ -82,6 +82,7 @@ impl Op {
     /// The functional unit this operation occupies, if any.
     ///
     /// `Nop`, `Backoff`, and `SwitchHint` occupy no unit.
+    #[inline]
     pub fn fu(self) -> Option<FuKind> {
         match self {
             Op::IntAlu | Op::Shift | Op::Branch => Some(FuKind::IntAlu),
@@ -108,6 +109,7 @@ impl Op {
     ///
     /// FP loads/stores use the integer pipeline's memory stages (as on the
     /// R4000); only FP arithmetic flows down the FP pipe.
+    #[inline]
     pub fn is_fp(self) -> bool {
         matches!(self, Op::FpAdd | Op::FpMul | Op::FpConv | Op::FpDivSingle | Op::FpDivDouble)
     }

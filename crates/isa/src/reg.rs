@@ -64,11 +64,13 @@ impl Reg {
     }
 
     /// Flat index of this register in `0..64`.
+    #[inline]
     pub fn index(self) -> usize {
         usize::from(self.0)
     }
 
     /// Whether this is a floating-point register.
+    #[inline]
     pub fn is_fp(self) -> bool {
         self.0 >= 32
     }
@@ -77,6 +79,7 @@ impl Reg {
     ///
     /// Reads of `r0` are always ready and writes to it are discarded, so the
     /// scoreboard skips it entirely.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }

@@ -80,6 +80,7 @@ impl TimingModel {
     }
 
     /// Looks up the timing for an operation class.
+    #[inline]
     pub fn timing(&self, op: Op) -> OpTiming {
         self.entries[Self::slot(op)]
     }
@@ -91,6 +92,7 @@ impl TimingModel {
 
     /// Table row of `op`: its declaration index, which is also its
     /// position in [`Op::ALL`] (pinned by a test).
+    #[inline]
     fn slot(op: Op) -> usize {
         op as usize
     }

@@ -22,6 +22,9 @@ pub struct DirectCache {
     params: CacheParams,
     line_shift: u32,
     index_mask: u64,
+    /// `line_shift` plus the index width: a tag is the address above
+    /// both (stored so lookups need no bit count).
+    tag_shift: u32,
     /// Tag per set, or `None` if the set is empty.
     tags: Vec<Option<u64>>,
     dirty: Vec<bool>,
@@ -45,9 +48,11 @@ impl DirectCache {
     pub fn new(params: CacheParams) -> DirectCache {
         params.validate();
         let lines = params.lines() as usize;
+        let line_shift = params.line.trailing_zeros();
         DirectCache {
-            line_shift: params.line.trailing_zeros(),
+            line_shift,
             index_mask: params.lines() - 1,
+            tag_shift: line_shift + (params.lines() - 1).count_ones(),
             tags: vec![None; lines],
             dirty: vec![false; lines],
             params,
@@ -60,10 +65,12 @@ impl DirectCache {
     }
 
     /// Line-aligned address of `addr`.
+    #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr >> self.line_shift << self.line_shift
     }
 
+    #[inline]
     fn index(&self, addr: u64) -> usize {
         ((addr >> self.line_shift) & self.index_mask) as usize
     }
@@ -74,17 +81,20 @@ impl DirectCache {
         self.index(addr)
     }
 
+    #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        addr >> self.line_shift >> self.index_mask.count_ones()
+        addr >> self.tag_shift
     }
 
     /// Whether `addr` currently hits.
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
         self.tags[self.index(addr)] == Some(self.tag(addr))
     }
 
     /// Installs the line containing `addr`, optionally marking it dirty,
     /// and returns the evicted line if one was displaced.
+    #[inline]
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Writeback> {
         let index = self.index(addr);
         let new_tag = self.tag(addr);
@@ -92,8 +102,7 @@ impl DirectCache {
             if old_tag == new_tag {
                 None
             } else {
-                let old_addr =
-                    (old_tag << self.index_mask.count_ones() | index as u64) << self.line_shift;
+                let old_addr = old_tag << self.tag_shift | (index as u64) << self.line_shift;
                 Some(Writeback { addr: old_addr, dirty: self.dirty[index] })
             }
         });
@@ -112,6 +121,7 @@ impl DirectCache {
     /// # Panics
     ///
     /// Panics if the line is not present.
+    #[inline]
     pub fn mark_dirty(&mut self, addr: u64) {
         assert!(self.probe(addr), "cannot dirty a line that is not cached");
         let index = self.index(addr);

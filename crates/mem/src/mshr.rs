@@ -44,6 +44,7 @@ impl MshrFile {
     }
 
     /// Removes entries whose fills completed at or before `now`.
+    #[inline]
     pub fn expire(&mut self, now: u64) {
         if now < self.earliest {
             return;
@@ -54,6 +55,7 @@ impl MshrFile {
 
     /// If a fill for `line_addr` is outstanding, returns its completion
     /// cycle (the new miss merges with it).
+    #[inline]
     pub fn lookup(&self, line_addr: u64) -> Option<u64> {
         self.entries.iter().find(|&&(line, _)| line == line_addr).map(|&(_, ready)| ready)
     }
@@ -102,11 +104,13 @@ impl MshrFile {
     }
 
     /// Whether the file has room for another fill.
+    #[inline]
     pub fn has_free_entry(&self) -> bool {
         self.entries.len() < self.capacity
     }
 
     /// Earliest completion cycle among outstanding fills, if any.
+    #[inline]
     pub fn earliest_ready(&self) -> Option<u64> {
         (!self.entries.is_empty()).then_some(self.earliest)
     }

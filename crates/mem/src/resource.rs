@@ -32,6 +32,7 @@ impl Resource {
     /// # Panics
     ///
     /// Panics if `occupancy` is zero.
+    #[inline]
     pub fn acquire(&mut self, now: u64, occupancy: u64) -> u64 {
         assert!(occupancy > 0, "occupancy must be at least one cycle");
         let start = self.free_at.max(now);

@@ -150,6 +150,7 @@ impl UniMemSystem {
     ///
     /// `_ctx` identifies the requesting hardware context (reserved for
     /// per-context statistics).
+    #[inline]
     pub fn access_data(
         &mut self,
         lookup_start: u64,
@@ -222,6 +223,7 @@ impl UniMemSystem {
 
     /// Performs an instruction fetch whose primary lookup starts at
     /// `lookup_start`.
+    #[inline]
     pub fn access_inst(&mut self, lookup_start: u64, pc: u64) -> InstAccess {
         let mut lookup_start = lookup_start;
         let mut tlb_missed = false;
@@ -315,6 +317,7 @@ impl UniMemSystem {
         self.banks[bank].acquire(req + path.bus_request, path.bank_access);
     }
 
+    #[inline]
     fn bank_for(&self, addr: u64) -> usize {
         ((addr / self.cfg.l1d.line) % self.banks.len() as u64) as usize
     }

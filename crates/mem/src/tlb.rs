@@ -61,6 +61,7 @@ impl DirectTlb {
         }
     }
 
+    #[inline]
     fn vpn(&self, addr: u64) -> u64 {
         addr >> self.page_shift
     }
@@ -68,6 +69,7 @@ impl DirectTlb {
     /// Translates `addr`; returns whether it hit. On a miss the entry is
     /// refilled (the caller charges the miss penalty), evicting the oldest
     /// entry when full.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let vpn = self.vpn(addr);
         if self.recent.contains(&Some(vpn)) {

@@ -23,6 +23,9 @@ pub struct Btb {
     /// (tag, target) per entry; disabled BTB has no entries.
     entries: Vec<Option<(u64, u64)>>,
     index_mask: u64,
+    /// Word-offset bits plus the index width: a tag is the PC above both
+    /// (stored so lookups need no bit count).
+    tag_shift: u32,
     stats: BtbStats,
 }
 
@@ -53,6 +56,7 @@ impl Btb {
         Btb {
             entries: vec![None; entries],
             index_mask: entries.saturating_sub(1) as u64,
+            tag_shift: 2 + entries.saturating_sub(1).count_ones(),
             stats: BtbStats::default(),
         }
     }
@@ -72,17 +76,20 @@ impl Btb {
         self.entries.iter().all(Option::is_none)
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         // Instructions are word-aligned; drop the low two bits.
         ((pc >> 2) & self.index_mask) as usize
     }
 
+    #[inline]
     fn tag(&self, pc: u64) -> u64 {
-        pc >> 2 >> self.index_mask.count_ones()
+        pc >> self.tag_shift
     }
 
     /// Predicted target for the branch at `pc`, or `None` for a predicted
     /// not-taken (sequential) outcome.
+    #[inline]
     pub fn predict(&self, pc: u64) -> Option<u64> {
         if self.entries.is_empty() {
             return None;
@@ -94,6 +101,7 @@ impl Btb {
     }
 
     /// Whether the prediction for this branch matches its resolved outcome.
+    #[inline]
     pub fn predicts_correctly(&self, pc: u64, taken: bool, target: u64) -> bool {
         match self.predict(pc) {
             Some(predicted) => taken && predicted == target,
@@ -104,6 +112,7 @@ impl Btb {
     /// Like [`Btb::predicts_correctly`], but also counts the lookup and
     /// its outcome in [`Btb::stats`]. The fetch stage uses this entry
     /// point; the pure predicate remains for tests and offline queries.
+    #[inline]
     pub fn check(&mut self, pc: u64, taken: bool, target: u64) -> bool {
         let correct = self.predicts_correctly(pc, taken, target);
         self.stats.lookups.inc();

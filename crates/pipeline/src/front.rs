@@ -1,4 +1,3 @@
-use interleave_isa::Instr;
 use interleave_obs::Registry;
 
 use crate::FRONT_DEPTH;
@@ -56,6 +55,7 @@ impl BubbleCause {
     }
 
     /// Index into per-cause count arrays.
+    #[inline]
     fn slot(self) -> usize {
         match self {
             BubbleCause::Switch => 0,
@@ -70,14 +70,18 @@ impl BubbleCause {
 }
 
 /// A fetched instruction travelling down the front end.
+///
+/// The slot names the instruction rather than carrying it: the context's
+/// fetch unit holds every fetched instruction until it retires, and the
+/// issue stage reads it there by `fetch_index`. That keeps a slot (and a
+/// [`FrontSlot`]) at 24 bytes, so shifting the pipe moves no instruction
+/// bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// Hardware context the instruction was fetched from.
     pub ctx: usize,
     /// Position in the context's instruction stream.
     pub fetch_index: u64,
-    /// The instruction itself.
-    pub instr: Instr,
     /// Whether this was fetched down a mispredicted path (it will be
     /// squashed when the branch resolves and must never issue).
     pub wrong_path: bool,
@@ -98,6 +102,7 @@ pub enum FrontSlot {
 
 impl FrontSlot {
     /// The instruction slot, if occupied.
+    #[inline]
     pub fn slot(&self) -> Option<&Slot> {
         match self {
             FrontSlot::Instr(s) => Some(s),
@@ -164,6 +169,7 @@ impl FrontEnd {
     }
 
     /// The slot currently at the issue point (RF).
+    #[inline]
     pub fn rf(&self) -> &FrontSlot {
         &self.stages[FRONT_DEPTH - 1]
     }
@@ -171,6 +177,7 @@ impl FrontEnd {
     /// Advances the pipe one stage, inserting `incoming` at IF1 and
     /// returning what left RF. Call only when the RF occupant issued or
     /// was a bubble.
+    #[inline]
     pub fn shift(&mut self, incoming: FrontSlot) -> FrontSlot {
         if let FrontSlot::Bubble(cause) = incoming {
             self.bubbles[cause.slot()] += 1;
@@ -218,11 +225,13 @@ impl FrontEnd {
     }
 
     /// Number of instructions (non-bubbles) currently in the front end.
+    #[inline]
     pub fn occupancy(&self) -> usize {
         self.stages.iter().filter(|s| matches!(s, FrontSlot::Instr(_))).count()
     }
 
     /// Instructions of `ctx` currently in the front end.
+    #[inline]
     pub fn count_ctx(&self, ctx: usize) -> usize {
         self.stages.iter().filter_map(FrontSlot::slot).filter(|s| s.ctx == ctx).count()
     }
@@ -237,6 +246,7 @@ impl FrontEnd {
     /// This is the precondition for the idle-skip bulk path: shifting in
     /// another bubble of the same cause leaves the pipe contents unchanged,
     /// so `n` such cycles can be charged with [`FrontEnd::record_bubbles`].
+    #[inline]
     pub fn uniform_bubble(&self) -> Option<BubbleCause> {
         match self.stages[0] {
             FrontSlot::Bubble(c) if self.stages.iter().all(|s| *s == FrontSlot::Bubble(c)) => {
@@ -284,26 +294,21 @@ impl Default for FrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interleave_isa::Instr;
 
     fn slot(ctx: usize, index: u64) -> FrontSlot {
-        FrontSlot::Instr(Slot {
-            ctx,
-            fetch_index: index,
-            instr: Instr::nop(index * 4),
-            wrong_path: false,
-            mispredicted: false,
-        })
+        FrontSlot::Instr(Slot { ctx, fetch_index: index, wrong_path: false, mispredicted: false })
     }
 
     fn wrong(ctx: usize, index: u64) -> FrontSlot {
-        FrontSlot::Instr(Slot {
-            ctx,
-            fetch_index: index,
-            instr: Instr::nop(index * 4),
-            wrong_path: true,
-            mispredicted: false,
-        })
+        FrontSlot::Instr(Slot { ctx, fetch_index: index, wrong_path: true, mispredicted: false })
+    }
+
+    #[test]
+    fn front_slots_name_instructions_without_carrying_them() {
+        // A slot is a context, a fetch index and two flags; an `Instr`
+        // (64 bytes) must not creep back into the shifted pipe.
+        assert!(std::mem::size_of::<FrontSlot>() <= 24);
+        assert!(std::mem::size_of::<Slot>() <= 24);
     }
 
     #[test]

@@ -3,6 +3,7 @@ use interleave_obs::validate::Violation;
 
 const FU_COUNT: usize = 6;
 
+#[inline]
 fn fu_slot(fu: FuKind) -> usize {
     match fu {
         FuKind::IntAlu => 0,
@@ -83,12 +84,14 @@ impl Scoreboard {
         }
     }
 
+    #[inline]
     fn slot(&self, ctx: usize, reg: Reg) -> usize {
         debug_assert!(ctx < self.contexts);
         ctx * Reg::COUNT + reg.index()
     }
 
     /// Earliest cycle at or after `candidate` at which `instr` may enter EX.
+    #[inline]
     pub fn earliest_issue(
         &self,
         ctx: usize,
@@ -115,6 +118,7 @@ impl Scoreboard {
     /// pending on an outstanding memory operation (used by the
     /// single-context scheme to charge data-stall rather than
     /// pipeline-stall cycles).
+    #[inline]
     pub fn blocked_on_memory(&self, ctx: usize, instr: &Instr, now: u64) -> bool {
         instr.sources().chain(instr.dest()).any(|reg| {
             let slot = self.slot(ctx, reg);
@@ -124,6 +128,7 @@ impl Scoreboard {
 
     /// Records the effects of `instr` entering EX at `ex`: reserves its
     /// functional unit and schedules its result.
+    #[inline]
     pub fn issue(&mut self, ctx: usize, instr: &Instr, timing: &TimingModel, ex: u64) {
         let t = timing.timing(instr.op);
         if let Some(fu) = instr.op.fu() {
@@ -141,6 +146,7 @@ impl Scoreboard {
 
     /// Overrides a destination register's ready time (a load whose fill
     /// completes at `ready_at`), marking it memory-pending.
+    #[inline]
     pub fn set_mem_pending(&mut self, ctx: usize, reg: Reg, ready_at: u64) {
         if reg.is_zero() {
             return;

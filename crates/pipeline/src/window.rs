@@ -95,6 +95,7 @@ impl IssueWindow {
     }
 
     /// Re-derives `min_retire` from the FIFO heads.
+    #[inline]
     fn refresh_min_retire(&mut self) {
         let head = |pipe: &VecDeque<Row>| pipe.front().map_or(u64::MAX, |r| r.inflight.retires_at);
         self.min_retire = head(&self.pipes[0]).min(head(&self.pipes[1]));
@@ -108,6 +109,7 @@ impl IssueWindow {
     /// least one cycle in flight), if issue order is violated, or if the
     /// instruction would leave its pipe before an older one of the same
     /// pipe.
+    #[inline]
     pub fn issue(&mut self, inflight: InFlight) {
         assert!(inflight.retires_at >= inflight.issued_at, "retire before issue");
         assert!(self.last_issued_at <= inflight.issued_at, "issue order violated");
@@ -130,6 +132,7 @@ impl IssueWindow {
     /// integer instruction may retire past an older FP instruction of the
     /// same context (squashes never reach behind the faulting instruction,
     /// so completed work is never re-executed).
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<InFlight> {
         if now < self.min_retire {
             return None;
@@ -153,6 +156,7 @@ impl IssueWindow {
     /// The earliest cycle an instruction in the window retires
     /// (`u64::MAX` when empty): [`IssueWindow::pop_due`] yields nothing
     /// before it.
+    #[inline]
     pub fn next_retire(&self) -> u64 {
         self.min_retire
     }
@@ -264,16 +268,19 @@ impl IssueWindow {
     }
 
     /// Number of in-flight instructions belonging to `ctx`.
+    #[inline]
     pub fn count_ctx(&self, ctx: usize) -> usize {
         self.pipes.iter().flatten().filter(|r| r.inflight.ctx == ctx).count()
     }
 
     /// Total in-flight instructions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.pipes[0].len() + self.pipes[1].len()
     }
 
     /// Whether nothing is in flight.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.pipes[0].is_empty() && self.pipes[1].is_empty()
     }

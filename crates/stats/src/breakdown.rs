@@ -43,6 +43,7 @@ impl Category {
         Category::Switch,
     ];
 
+    #[inline]
     fn slot(self) -> usize {
         match self {
             Category::Busy => 0,
@@ -93,6 +94,7 @@ impl Breakdown {
     }
 
     /// Adds `n` cycles to `category`.
+    #[inline]
     pub fn record(&mut self, category: Category, n: u64) {
         self.counts[category.slot()] += n;
     }

@@ -501,24 +501,18 @@ impl SyntheticApp {
         let hi = mean + mean / 2;
         lo + bounded(self.draw(site::BLOCK_LEN), u64::from(hi - lo + 1)) as u32
     }
-
-    /// Generates the next instruction of the stream, or `None` past the
-    /// limit. Shared by both pull granularities so the stream is
-    /// identical no matter how it is batched.
-    fn produce(&mut self) -> Option<Instr> {
-        if let Some(limit) = self.limit {
-            if self.emitted >= limit {
-                return None;
-            }
-        }
-        self.emitted += 1;
-        Some(self.gen_instr())
-    }
 }
 
 impl InstrSource for SyntheticApp {
+    // Both pull granularities count an instruction, then generate it
+    // (draws are keyed by `emitted`), so the stream is identical no
+    // matter how it is batched.
     fn next_instr(&mut self) -> Option<Instr> {
-        let instr = self.produce()?;
+        if self.limit.is_some_and(|limit| self.emitted >= limit) {
+            return None;
+        }
+        self.emitted += 1;
+        let instr = self.gen_instr();
         profile::mark("workloads.gen_batch");
         profile::mark_n("workloads.gen_instrs", 1);
         self.batch_lens.record(1);
@@ -526,15 +520,17 @@ impl InstrSource for SyntheticApp {
     }
 
     fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
-        let mut produced = 0;
-        while produced < max {
-            match self.produce() {
-                Some(instr) => {
-                    out.push(instr);
-                    produced += 1;
-                }
-                None => break,
-            }
+        // The limit bounds the whole run up front, so the loop appends
+        // straight into `out` (the fetch unit's buffer) with no
+        // per-instruction `Option`.
+        let produced = match self.limit {
+            Some(limit) => limit.saturating_sub(self.emitted).min(max as u64) as usize,
+            None => max,
+        };
+        out.reserve(produced);
+        for _ in 0..produced {
+            self.emitted += 1;
+            out.push(self.gen_instr());
         }
         if produced > 0 {
             profile::mark("workloads.gen_batch");
