@@ -20,7 +20,8 @@
 //!    amortizes are the virtual dispatch, the profiler marks, and the
 //!    batch-length histogram update. Asserts the streams are identical
 //!    (batching is call-granularity-invisible) and that the batched
-//!    form is faster (median of three trials each way).
+//!    form is faster: the two forms' trials alternate, so a slow phase
+//!    of a shared host lands on both, and their medians are compared.
 //!
 //! 3. **Per-cycle bookkeeping kernels.** Times the constant-time
 //!    structures the processor touches every simulated cycle in
@@ -91,6 +92,8 @@ fn run(idle_skip: bool) -> (u64, f64) {
 const BATCH: usize = 32;
 const GEN_INSTRS: u64 = 2_000_000;
 const GEN_TRIALS: usize = 3;
+/// Trials of each generation form in the batching check, alternated.
+const GEN_PAIRS: usize = 5;
 
 /// Boxed like [`Processor::attach`] takes it: every pull goes through
 /// dynamic dispatch, as in the real fetch path.
@@ -129,18 +132,25 @@ fn gen_batched() -> (u64, f64) {
     (sum, started.elapsed().as_secs_f64())
 }
 
-/// Median wall time of `GEN_TRIALS` runs; asserts every trial produces
-/// `checksum`.
-fn median_secs(run: fn() -> (u64, f64), checksum: u64) -> f64 {
-    let mut walls: Vec<f64> = (0..GEN_TRIALS)
-        .map(|_| {
+/// Median wall times of `next_instr` and `next_run` over `GEN_PAIRS`
+/// alternating trials of each; asserts every trial produces `checksum`.
+fn alternating_medians(checksum: u64) -> (f64, f64) {
+    let mut single = Vec::with_capacity(GEN_PAIRS);
+    let mut batched = Vec::with_capacity(GEN_PAIRS);
+    for _ in 0..GEN_PAIRS {
+        for (run, walls) in
+            [(gen_single as fn() -> (u64, f64), &mut single), (gen_batched, &mut batched)]
+        {
             let (sum, wall) = run();
             assert_eq!(sum, checksum, "stream changed between trials");
-            wall
-        })
-        .collect();
-    walls.sort_by(|a, b| a.total_cmp(b));
-    walls[GEN_TRIALS / 2]
+            walls.push(wall);
+        }
+    }
+    let median = |walls: &mut Vec<f64>| {
+        walls.sort_by(|a, b| a.total_cmp(b));
+        walls[GEN_PAIRS / 2]
+    };
+    (median(&mut single), median(&mut batched))
 }
 
 fn bench_generator_batching() {
@@ -153,12 +163,13 @@ fn bench_generator_batching() {
         sum_single, sum_batched,
         "batched generation must produce the identical instruction stream"
     );
-    let wall_single = median_secs(gen_single, sum_single);
-    let wall_batched = median_secs(gen_batched, sum_single);
+    let (wall_single, wall_batched) = alternating_medians(sum_single);
     let rate_single = GEN_INSTRS as f64 / wall_single.max(1e-9);
     let rate_batched = GEN_INSTRS as f64 / wall_batched.max(1e-9);
     let ratio = rate_batched / rate_single;
-    println!("genbatch: {GEN_INSTRS} instructions, batch={BATCH}, median of {GEN_TRIALS}");
+    println!(
+        "genbatch: {GEN_INSTRS} instructions, batch={BATCH}, median of {GEN_PAIRS} alternating trials"
+    );
     println!("  next_instr     {rate_single:>12.0} instrs/s ({wall_single:.3}s)");
     println!("  next_run       {rate_batched:>12.0} instrs/s ({wall_batched:.3}s)");
     println!("  speedup        {ratio:>12.2}x");

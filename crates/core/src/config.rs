@@ -1,5 +1,7 @@
 use interleave_isa::TimingModel;
 
+use crate::MAX_CONTEXTS;
+
 /// How the processor treats store misses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorePolicy {
@@ -89,8 +91,8 @@ impl ProcConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `contexts` is zero, or if a [`Scheme::Single`] processor
-    /// is given more than one context.
+    /// Panics if `contexts` is zero or above [`MAX_CONTEXTS`], or if a
+    /// [`Scheme::Single`] processor is given more than one context.
     pub fn new(scheme: Scheme, contexts: usize) -> ProcConfig {
         let cfg = ProcConfig {
             scheme,
@@ -112,6 +114,11 @@ impl ProcConfig {
     /// Panics on inconsistency (see [`ProcConfig::new`]).
     pub fn validate(&self) {
         assert!(self.contexts >= 1, "need at least one context");
+        assert!(
+            self.contexts <= MAX_CONTEXTS,
+            "at most {MAX_CONTEXTS} contexts are supported, got {}",
+            self.contexts
+        );
         assert!(
             self.scheme != Scheme::Single || self.contexts == 1,
             "the single-context scheme supports exactly one context"
@@ -143,6 +150,17 @@ mod tests {
     #[should_panic]
     fn single_with_many_contexts_rejected() {
         let _ = ProcConfig::new(Scheme::Single, 2);
+    }
+
+    #[test]
+    fn full_word_of_contexts_accepted() {
+        ProcConfig::new(Scheme::Interleaved, MAX_CONTEXTS).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 contexts")]
+    fn more_contexts_than_a_mask_word_rejected() {
+        let _ = ProcConfig::new(Scheme::Interleaved, MAX_CONTEXTS + 1);
     }
 
     #[test]

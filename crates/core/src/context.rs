@@ -96,20 +96,44 @@ pub(crate) enum CtxState {
     Waiting { reason: WaitReason, until: Option<u64> },
 }
 
+/// Most hardware contexts one processor supports: the processor keeps
+/// context readiness in one `u64` bitmask per condition.
+pub const MAX_CONTEXTS: usize = 64;
+
+/// The indices of the set bits of `mask`, lowest first.
+#[inline]
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let c = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (c < 64).then_some(c)
+    })
+}
+
+/// The set bits of `mask` in round-robin order from `start` (`< 64`):
+/// the bits at or above `start` first, then the bits below it.
+#[inline]
+pub(crate) fn rr_order(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let high = u64::MAX << start;
+    set_bits(mask & high).chain(set_bits(mask & !high))
+}
+
 /// Per-context scheduling state in struct-of-arrays layout: one
-/// fixed-capacity, arena-backed column per field, indexed by context id.
+/// fixed-capacity, arena-backed column per field, indexed by context id,
+/// plus readiness bitmasks derived from the `state`, `pending_backoff`
+/// and `attached` columns.
 ///
-/// The processor's hot loops scan one field across every context (the
-/// select scan reads `state`, the idle bound reads `state` and `done`,
-/// metrics sum `retired`); laying each field out contiguously keeps
-/// those scans on a handful of cache lines instead of striding over
-/// whole per-context records. Columns are allocated once at
+/// Those three columns are private: every write goes through a setter
+/// that ends in [`ContextTable::sync_masks`], so the masks are current
+/// after every transition and the per-cycle paths (context select, idle
+/// bound, bubble attribution) visit only the contexts whose bit is set
+/// instead of rescanning every column. Columns are allocated once at
 /// construction (`Box<[_]>`, no spare capacity) and never resized —
-/// context count is a hardware parameter.
+/// context count is a hardware parameter of at most [`MAX_CONTEXTS`].
 #[derive(Debug)]
 pub(crate) struct ContextTable {
     /// Availability of each context.
-    pub state: Box<[CtxState]>,
+    state: Box<[CtxState]>,
     /// Set while fetching down a mispredicted path.
     pub wrong_path: Box<[bool]>,
     /// Bumped on every squash; pending events carry the epoch at which they
@@ -118,7 +142,7 @@ pub(crate) struct ContextTable {
     /// A backoff/switch instruction has been fetched but not yet issued:
     /// fetch from this context is suppressed (the hardware detects these
     /// at decode, Table 4).
-    pub pending_backoff: Box<[bool]>,
+    pending_backoff: Box<[bool]>,
     /// Miss fills bound to each context's re-executed accesses: the
     /// lockup-free cache's MSHRs deliver the data directly, so when the
     /// instruction at a bound fetch index re-executes it completes without
@@ -134,15 +158,27 @@ pub(crate) struct ContextTable {
     /// Retired instruction count (resettable).
     pub retired: Box<[u64]>,
     /// Whether a stream is attached.
-    pub attached: Box<[bool]>,
+    attached: Box<[bool]>,
     /// Latched when the context's fetch unit completes (stream exhausted,
     /// everything retired); maintained incrementally so the run loops can
     /// test completion in O(1) instead of scanning every unit per cycle.
     pub done: Box<[bool]>,
+    /// Bit `c`: context `c` is attached and `Ready` (a pending backoff
+    /// included).
+    ready: u64,
+    /// Bit `c`: context `c` is attached, `Ready` and has no pending
+    /// backoff — the contexts fetch may pick.
+    avail: u64,
+    /// Bit `c`: context `c` is attached and `Waiting`.
+    waiting: u64,
 }
 
 impl ContextTable {
+    /// # Panics
+    ///
+    /// Panics if `contexts` exceeds [`MAX_CONTEXTS`].
     pub fn new(contexts: usize) -> ContextTable {
+        assert!(contexts <= MAX_CONTEXTS, "at most {MAX_CONTEXTS} contexts, got {contexts}");
         ContextTable {
             state: vec![CtxState::Ready; contexts].into_boxed_slice(),
             wrong_path: vec![false; contexts].into_boxed_slice(),
@@ -153,6 +189,9 @@ impl ContextTable {
             retired: vec![0; contexts].into_boxed_slice(),
             attached: vec![false; contexts].into_boxed_slice(),
             done: vec![false; contexts].into_boxed_slice(),
+            ready: 0,
+            avail: 0,
+            waiting: 0,
         }
     }
 
@@ -163,8 +202,101 @@ impl ContextTable {
     }
 
     #[inline]
+    pub fn state(&self, ctx: usize) -> CtxState {
+        self.state[ctx]
+    }
+
+    #[inline]
     pub fn is_ready(&self, ctx: usize) -> bool {
         matches!(self.state[ctx], CtxState::Ready)
+    }
+
+    #[inline]
+    pub fn pending_backoff(&self, ctx: usize) -> bool {
+        self.pending_backoff[ctx]
+    }
+
+    #[inline]
+    pub fn attached(&self, ctx: usize) -> bool {
+        self.attached[ctx]
+    }
+
+    /// Attached `Ready` contexts, one bit each.
+    #[inline]
+    pub fn ready_mask(&self) -> u64 {
+        self.ready
+    }
+
+    /// Attached `Ready` contexts without a pending backoff, one bit each.
+    #[inline]
+    pub fn avail_mask(&self) -> u64 {
+        self.avail
+    }
+
+    /// Attached `Waiting` contexts, one bit each.
+    #[inline]
+    pub fn waiting_mask(&self) -> u64 {
+        self.waiting
+    }
+
+    /// Marks `ctx` attached and ready.
+    pub fn attach(&mut self, ctx: usize) {
+        self.attached[ctx] = true;
+        self.state[ctx] = CtxState::Ready;
+        self.sync_masks(ctx);
+    }
+
+    #[inline]
+    pub fn set_state(&mut self, ctx: usize, state: CtxState) {
+        self.state[ctx] = state;
+        self.sync_masks(ctx);
+    }
+
+    #[inline]
+    pub fn set_pending_backoff(&mut self, ctx: usize, pending: bool) {
+        self.pending_backoff[ctx] = pending;
+        self.sync_masks(ctx);
+    }
+
+    /// The mask bits of `ctx` as its columns define them: (ready, avail,
+    /// waiting).
+    #[inline]
+    fn derived_bits(&self, ctx: usize) -> (bool, bool, bool) {
+        let attached = self.attached[ctx];
+        let ready = attached && matches!(self.state[ctx], CtxState::Ready);
+        let waiting = attached && !ready;
+        (ready, ready && !self.pending_backoff[ctx], waiting)
+    }
+
+    /// Re-derives `ctx`'s mask bits from its columns; every setter ends
+    /// here.
+    #[inline]
+    fn sync_masks(&mut self, ctx: usize) {
+        let (ready, avail, waiting) = self.derived_bits(ctx);
+        let bit = 1u64 << ctx;
+        let put = |mask: &mut u64, on: bool| *mask = (*mask & !bit) | if on { bit } else { 0 };
+        put(&mut self.ready, ready);
+        put(&mut self.avail, avail);
+        put(&mut self.waiting, waiting);
+    }
+
+    /// Recomputes every mask from the columns and returns the first
+    /// disagreement as `(mask name, stored, recomputed)` (validation).
+    pub fn mask_mismatch(&self) -> Option<(&'static str, u64, u64)> {
+        let (mut ready, mut avail, mut waiting) = (0u64, 0u64, 0u64);
+        for ctx in 0..self.len() {
+            let (r, a, w) = self.derived_bits(ctx);
+            ready |= u64::from(r) << ctx;
+            avail |= u64::from(a) << ctx;
+            waiting |= u64::from(w) << ctx;
+        }
+        [
+            ("ready", self.ready, ready),
+            ("avail", self.avail, avail),
+            ("waiting", self.waiting, waiting),
+        ]
+        .into_iter()
+        .find(|&(_, stored, fresh)| stored != fresh)
     }
 
     /// Read-only snapshot of one context's scheduling state.
@@ -220,7 +352,7 @@ mod tests {
     #[test]
     fn waiting_view() {
         let mut t = ContextTable::new(2);
-        t.state[1] = CtxState::Waiting { reason: WaitReason::Data, until: Some(42) };
+        t.set_state(1, CtxState::Waiting { reason: WaitReason::Data, until: Some(42) });
         let v = t.view(1);
         assert!(!v.ready);
         assert_eq!(v.waiting_on, Some(WaitReason::Data));
@@ -258,8 +390,62 @@ mod tests {
     #[test]
     fn sync_wait_has_no_resume_cycle() {
         let mut t = ContextTable::new(1);
-        t.state[0] = CtxState::Waiting { reason: WaitReason::Sync, until: None };
+        t.set_state(0, CtxState::Waiting { reason: WaitReason::Sync, until: None });
         assert_eq!(t.view(0).resumes_at, None);
         assert_eq!(t.view(0).waiting_on, Some(WaitReason::Sync));
+    }
+
+    #[test]
+    fn masks_follow_every_setter() {
+        let mut t = ContextTable::new(4);
+        assert_eq!((t.ready_mask(), t.avail_mask(), t.waiting_mask()), (0, 0, 0));
+        t.attach(0);
+        t.attach(2);
+        t.attach(3);
+        assert_eq!((t.ready_mask(), t.avail_mask(), t.waiting_mask()), (0b1101, 0b1101, 0));
+        t.set_pending_backoff(2, true);
+        assert_eq!((t.ready_mask(), t.avail_mask()), (0b1101, 0b1001));
+        t.set_state(3, CtxState::Waiting { reason: WaitReason::Backoff, until: Some(9) });
+        assert_eq!((t.ready_mask(), t.avail_mask(), t.waiting_mask()), (0b0101, 0b0001, 0b1000));
+        // An unattached context is in no mask, whatever its state.
+        t.set_state(1, CtxState::Waiting { reason: WaitReason::Data, until: Some(5) });
+        assert_eq!(t.waiting_mask(), 0b1000);
+        t.set_state(3, CtxState::Ready);
+        t.set_pending_backoff(2, false);
+        assert_eq!((t.ready_mask(), t.avail_mask(), t.waiting_mask()), (0b1101, 0b1101, 0));
+        assert_eq!(t.mask_mismatch(), None);
+    }
+
+    #[test]
+    fn mask_mismatch_names_a_stale_mask() {
+        let mut t = ContextTable::new(2);
+        t.attach(1);
+        t.pending_backoff[1] = true; // a write that skips the setter
+        assert_eq!(t.mask_mismatch(), Some(("avail", 0b10, 0)));
+    }
+
+    #[test]
+    fn full_width_table_uses_the_top_bit() {
+        let mut t = ContextTable::new(MAX_CONTEXTS);
+        t.attach(MAX_CONTEXTS - 1);
+        assert_eq!(t.avail_mask(), 1 << 63);
+        assert_eq!(set_bits(t.avail_mask()).collect::<Vec<_>>(), [63]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 contexts")]
+    fn table_rejects_more_than_a_word_of_contexts() {
+        let _ = ContextTable::new(MAX_CONTEXTS + 1);
+    }
+
+    #[test]
+    fn rr_order_wraps_from_start() {
+        let mask = 0b1011_0110;
+        assert_eq!(set_bits(mask).collect::<Vec<_>>(), [1, 2, 4, 5, 7]);
+        assert_eq!(rr_order(mask, 4).collect::<Vec<_>>(), [4, 5, 7, 1, 2]);
+        assert_eq!(rr_order(mask, 0).collect::<Vec<_>>(), [1, 2, 4, 5, 7]);
+        assert_eq!(rr_order(mask, 63).collect::<Vec<_>>(), [1, 2, 4, 5, 7]);
+        assert_eq!(rr_order(u64::MAX, 63).take(2).collect::<Vec<_>>(), [63, 0]);
+        assert_eq!(rr_order(0, 3).next(), None);
     }
 }

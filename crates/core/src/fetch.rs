@@ -25,10 +25,12 @@ pub trait InstrSource: Send {
     ///
     /// `out` may be the fetch unit's live buffer, whose existing entries
     /// are fetched instructions that have not retired yet. So an
-    /// implementation must only append: it must not clear, truncate or
-    /// rewrite `out`, and it must return exactly the number of
-    /// instructions it pushed. [`FetchUnit`] panics on a refill that
-    /// breaks this.
+    /// implementation must not touch entries that were in `out` before
+    /// the call: it may rewrite what it appended itself (the SPLASH
+    /// wrapper redirects data references in place), but must not clear,
+    /// truncate or rewrite older entries, and it must return exactly the
+    /// number of instructions it appended. [`FetchUnit`] panics on a
+    /// refill that changes the buffer's length by anything else.
     ///
     /// The default loops [`InstrSource::next_instr`]; batch-aware
     /// sources (the synthetic generator) override it to amortize

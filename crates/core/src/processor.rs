@@ -9,7 +9,7 @@ use interleave_pipeline::{
 };
 use interleave_stats::{Breakdown, Category};
 
-use crate::context::{ContextTable, CtxState};
+use crate::context::{rr_order, set_bits, ContextTable, CtxState};
 use crate::events::{Event, EventQueue};
 use crate::{
     CtxView, DataOutcome, FetchUnit, InstOutcome, InstrSource, ProcConfig, Scheme, StorePolicy,
@@ -122,9 +122,10 @@ pub struct Processor<P: SystemPort> {
     scoreboard: Scoreboard,
     btb: Btb,
     units: Vec<Option<FetchUnit>>,
-    /// Per-context scheduling state in struct-of-arrays layout: the
-    /// hot scans (context select, idle bound, metrics) each stride one
-    /// contiguous column instead of whole per-context records.
+    /// Per-context scheduling state in struct-of-arrays layout, with
+    /// readiness masks kept current by its setters: context select, the
+    /// idle bound and bubble attribution visit only the contexts whose
+    /// mask bit is set.
     ctx: ContextTable,
     events: EventQueue,
     now: u64,
@@ -216,8 +217,7 @@ impl<P: SystemPort> Processor<P> {
         let unit = FetchUnit::new(source);
         let done = unit.is_done();
         self.units[ctx] = Some(unit);
-        self.ctx.attached[ctx] = true;
-        self.ctx.state[ctx] = CtxState::Ready;
+        self.ctx.attach(ctx);
         self.attached_units += 1;
         self.ctx.done[ctx] = done;
         if done {
@@ -242,7 +242,7 @@ impl<P: SystemPort> Processor<P> {
         let mut outgoing = self.units[ctx].replace(incoming).expect("checked above");
         // Re-fetch everything unretired when this unit runs again.
         outgoing.rollback_to_base();
-        self.ctx.state[ctx] = CtxState::Ready;
+        self.ctx.set_state(ctx, CtxState::Ready);
         self.ctx.retired[ctx] = 0;
         if self.units[ctx].as_ref().expect("just replaced").is_done() {
             self.ctx.done[ctx] = true;
@@ -415,9 +415,9 @@ impl<P: SystemPort> Processor<P> {
     ///
     /// Panics if the context is not sync-waiting.
     pub fn wake_context(&mut self, ctx: usize) {
-        match self.ctx.state[ctx] {
+        match self.ctx.state(ctx) {
             CtxState::Waiting { reason: WaitReason::Sync, .. } => {
-                self.ctx.state[ctx] = CtxState::Ready;
+                self.ctx.set_state(ctx, CtxState::Ready);
             }
             other => panic!("context {ctx} not sync-waiting (state {other:?})"),
         }
@@ -462,10 +462,7 @@ impl<P: SystemPort> Processor<P> {
     /// exhausted at the cursor must either be done or still have work in
     /// the pipe (debug aid).
     pub fn check_lost_work(&self) -> Option<usize> {
-        for c in 0..self.cfg.contexts {
-            if !self.ctx.attached[c] || !self.ctx.is_ready(c) {
-                continue;
-            }
+        for c in set_bits(self.ctx.ready_mask()) {
             let in_pipe = self.window.count_ctx(c) + self.front.count_ctx(c);
             let unit = self.unit(c);
             if !unit.has_next() && unit.outstanding() > 0 && in_pipe == 0 {
@@ -479,14 +476,18 @@ impl<P: SystemPort> Processor<P> {
     /// (see DESIGN.md "Validation"): cycle accounting (breakdown
     /// categories plus drained cycles sum exactly to the cycles elapsed
     /// since the last [`Processor::reset_breakdown`]), per-context done
-    /// latches agreeing with fetch-unit exhaustion, no lost in-flight
-    /// work, no overdue events, plus the scoreboard's and the memory
+    /// latches agreeing with fetch-unit exhaustion, readiness masks
+    /// agreeing with the context columns, no lost in-flight work, no
+    /// overdue events, plus the scoreboard's and the memory
     /// port's own standing invariants.
     ///
     /// Runs automatically after every [`Processor::tick`] and
     /// [`Processor::skip_idle_to`] when `ProcConfig.validate` is set
     /// (panicking with the [`Violation`] report); callable directly from
-    /// tests and drivers either way. O(contexts) per call.
+    /// tests and drivers either way. O(contexts) per call: the readiness
+    /// masks are recomputed from the context columns. (The scoreboard's
+    /// pending summary is O(registers) to recompute, so it is checked
+    /// where it is used, before each `clear_context`.)
     pub fn check_invariants(&self) -> Result<(), Violation> {
         let now = self.now;
         let accounted = self.breakdown.total() + self.drained_cycles;
@@ -506,7 +507,7 @@ impl<P: SystemPort> Processor<P> {
         }
         let mut latched = 0;
         for c in 0..self.cfg.contexts {
-            if !self.ctx.attached[c] {
+            if !self.ctx.attached(c) {
                 continue;
             }
             if self.ctx.done[c] {
@@ -528,6 +529,14 @@ impl<P: SystemPort> Processor<P> {
                 "done-unit count disagrees with per-context latches",
                 now,
                 format!("count {} but {latched} latched", self.done_units),
+            ));
+        }
+        if let Some((mask, stored, fresh)) = self.ctx.mask_mismatch() {
+            return Err(Violation::new(
+                "core.context_masks",
+                "readiness mask disagrees with the context columns",
+                now,
+                format!("{mask} mask {stored:#x}, columns give {fresh:#x}"),
             ));
         }
         if let Some(c) = self.check_lost_work() {
@@ -566,11 +575,14 @@ impl<P: SystemPort> Processor<P> {
         }
     }
 
-    /// Asserts that a squash removed exactly `ctx`'s scoreboard slots
-    /// (called right after `clear_context` when validation is on).
-    fn checked_cleared(&self, ctx: usize, now: u64) {
-        if let Err(v) = self.scoreboard.check_cleared(ctx, now) {
-            Self::validation_failed(v);
+    /// Clears `ctx`'s scoreboard state (a squash) and, with validation
+    /// on, checks that the clear removed exactly `ctx`'s slots.
+    fn clear_scoreboard(&mut self, ctx: usize, now: u64) {
+        self.scoreboard.clear_context(ctx, now);
+        if self.cfg.validate {
+            if let Err(v) = self.scoreboard.check_cleared(ctx, now) {
+                Self::validation_failed(v);
+            }
         }
     }
 
@@ -585,39 +597,32 @@ impl<P: SystemPort> Processor<P> {
     /// so [`Processor::skip_idle_to`] may fast-forward there with
     /// bit-identical results.
     pub fn idle_bound(&self) -> Option<IdleBound> {
-        if !self.window.is_empty() || self.front.occupancy() != 0 {
+        if self.busy() {
             return None;
         }
         // While an instruction fetch is stalled on the (blocking) i-cache,
         // fetch emits inst-mem bubbles no matter what the contexts could
         // do, so the processor idles until the stall clears at the latest.
         let stalled = self.fetch_stall_until > self.now;
+        if !stalled {
+            // Absent a fetch stall, a ready context idles only once its
+            // stream is done (wrong-path or pending-backoff contexts still
+            // fetch or hold fetch slots).
+            if self.ctx.ready_mask() != self.ctx.avail_mask() {
+                return None;
+            }
+            if set_bits(self.ctx.avail_mask()).any(|c| !self.ctx.done[c] || self.ctx.wrong_path[c])
+            {
+                return None;
+            }
+        }
         let mut bound = self.events.next_due();
         if stalled {
             bound = Some(bound.map_or(self.fetch_stall_until, |b| b.min(self.fetch_stall_until)));
         }
-        for c in 0..self.ctx.len() {
-            if !self.ctx.attached[c] {
-                continue;
-            }
-            match self.ctx.state[c] {
-                CtxState::Waiting { until: Some(t), .. } => {
-                    bound = Some(bound.map_or(t, |b| b.min(t)));
-                }
-                CtxState::Waiting { until: None, .. } => {}
-                CtxState::Ready => {
-                    // Absent a fetch stall, a ready context idles only
-                    // once its stream is done (wrong-path or
-                    // pending-backoff contexts still fetch or hold fetch
-                    // slots).
-                    if !stalled
-                        && (!self.ctx.done[c]
-                            || self.ctx.wrong_path[c]
-                            || self.ctx.pending_backoff[c])
-                    {
-                        return None;
-                    }
-                }
+        for c in set_bits(self.ctx.waiting_mask()) {
+            if let CtxState::Waiting { until: Some(t), .. } = self.ctx.state(c) {
+                bound = Some(bound.map_or(t, |b| b.min(t)));
             }
         }
         Some(match bound {
@@ -626,14 +631,31 @@ impl<P: SystemPort> Processor<P> {
         })
     }
 
+    /// Whether the issue window or the front end holds an instruction;
+    /// a busy processor is never idle ([`Processor::idle_bound`]).
+    #[inline]
+    fn busy(&self) -> bool {
+        !self.window.is_empty() || self.front.occupancy() != 0
+    }
+
     /// With idle skipping enabled, fast-forwards over an idle
     /// ([`Processor::idle_bound`]) or frozen ([`Processor::stall_bound`])
     /// stretch of more than one cycle, never past `end`, and returns
     /// whether it did; otherwise the caller ticks.
+    ///
+    /// Called before every tick, so the busy case answers inline: when
+    /// [`Processor::busy`] `idle_bound` is `None`, and with no stall
+    /// class cached `stall_bound` is `None` too.
+    #[inline]
     pub fn fast_forward(&mut self, end: u64) -> bool {
-        if !self.cfg.idle_skip {
+        if !self.cfg.idle_skip || (self.rf_stall_class.is_none() && self.busy()) {
             return false;
         }
+        self.skip_to_bound(end)
+    }
+
+    /// The bound-reading half of [`Processor::fast_forward`].
+    fn skip_to_bound(&mut self, end: u64) -> bool {
         let (target, idle) = match self.idle_bound() {
             Some(IdleBound::Until(t)) => (t.min(end), true),
             Some(IdleBound::External) => (end, true),
@@ -765,9 +787,9 @@ impl<P: SystemPort> Processor<P> {
         for i in 0..self.ctx.len() {
             s += &format!(
                 "  ctx{i}: state={:?} wp={} pend_bo={} epoch={} bound={:?} bifetch={:?} win={} front={}\n",
-                self.ctx.state[i],
+                self.ctx.state(i),
                 self.ctx.wrong_path[i],
-                self.ctx.pending_backoff[i],
+                self.ctx.pending_backoff(i),
                 self.ctx.epoch[i],
                 self.ctx.bound_fills[i],
                 self.ctx.bound_ifetch[i],
@@ -868,17 +890,14 @@ impl<P: SystemPort> Processor<P> {
                 self.transfer_squashed(&squashed);
                 self.squash_scratch = squashed;
                 self.front.squash_ctx(ctx);
-                self.scoreboard.clear_context(ctx, now);
-                if self.cfg.validate {
-                    self.checked_cleared(ctx, now);
-                }
+                self.clear_scoreboard(ctx, now);
                 // Front slots of this context are younger than everything
                 // in the window, so the window minimum covers them.
                 self.unit_mut(ctx).rollback(min_index);
                 self.wait_until(ctx, WaitReason::Data, ready_at);
                 self.ctx.epoch[ctx] += 1;
                 self.ctx.wrong_path[ctx] = false;
-                self.ctx.pending_backoff[ctx] = false;
+                self.ctx.set_pending_backoff(ctx, false);
             }
             Scheme::Blocked => {
                 // Full pipeline flush: every context's in-flight work dies,
@@ -906,14 +925,11 @@ impl<P: SystemPort> Processor<P> {
                     None => mins.push((ctx, fetch_index)),
                 }
                 for &(c, min_index) in &mins {
-                    self.scoreboard.clear_context(c, now);
-                    if self.cfg.validate {
-                        self.checked_cleared(c, now);
-                    }
+                    self.clear_scoreboard(c, now);
                     self.unit_mut(c).rollback(min_index);
                     self.ctx.epoch[c] += 1;
                     self.ctx.wrong_path[c] = false;
-                    self.ctx.pending_backoff[c] = false;
+                    self.ctx.set_pending_backoff(c, false);
                 }
                 self.mins_scratch = mins;
                 self.wait_until(ctx, WaitReason::Data, ready_at);
@@ -924,22 +940,22 @@ impl<P: SystemPort> Processor<P> {
 
     /// Makes `ctx` unavailable until cycle `until`.
     fn wait_until(&mut self, ctx: usize, reason: WaitReason, until: u64) {
-        self.ctx.state[ctx] = CtxState::Waiting { reason, until: Some(until) };
+        self.ctx.set_state(ctx, CtxState::Waiting { reason, until: Some(until) });
         self.next_wake = self.next_wake.min(until);
     }
 
     /// Readies every context whose timed wait ends by `now`. Returns at
-    /// once before `next_wake`; a scan re-derives the bound from the
-    /// waits still pending.
+    /// once before `next_wake`; a walk over the waiting contexts
+    /// re-derives the bound from the waits still pending.
     fn wake_contexts(&mut self, now: u64) {
         if now < self.next_wake {
             return;
         }
         let mut next = u64::MAX;
-        for state in self.ctx.state.iter_mut() {
-            if let CtxState::Waiting { until: Some(t), .. } = *state {
+        for c in set_bits(self.ctx.waiting_mask()) {
+            if let CtxState::Waiting { until: Some(t), .. } = self.ctx.state(c) {
                 if t <= now {
-                    *state = CtxState::Ready;
+                    self.ctx.set_state(c, CtxState::Ready);
                 } else {
                     next = next.min(t);
                 }
@@ -1120,14 +1136,12 @@ impl<P: SystemPort> Processor<P> {
                 // in RF) and everything younger, then sleep until woken.
                 self.front.squash_ctx(ctx);
                 self.unit_mut(ctx).rollback(slot.fetch_index);
-                self.scoreboard.clear_context(ctx, now);
-                if self.cfg.validate {
-                    self.checked_cleared(ctx, now);
-                }
-                self.ctx.state[ctx] = CtxState::Waiting { reason: WaitReason::Sync, until: None };
+                self.clear_scoreboard(ctx, now);
+                self.ctx
+                    .set_state(ctx, CtxState::Waiting { reason: WaitReason::Sync, until: None });
                 self.ctx.epoch[ctx] += 1;
                 self.ctx.wrong_path[ctx] = false;
-                self.ctx.pending_backoff[ctx] = false;
+                self.ctx.set_pending_backoff(ctx, false);
                 if self.cfg.scheme == Scheme::Blocked {
                     self.pick_next_current(ctx);
                 }
@@ -1182,7 +1196,7 @@ impl<P: SystemPort> Processor<P> {
         let duration = u64::from(instr.backoff.max(1));
         self.wait_until(ctx, WaitReason::Backoff, now + duration);
         self.ctx.wrong_path[ctx] = false;
-        self.ctx.pending_backoff[ctx] = false;
+        self.ctx.set_pending_backoff(ctx, false);
         self.advance_front(now);
     }
 
@@ -1279,7 +1293,7 @@ impl<P: SystemPort> Processor<P> {
         // yet) — the two bubbles of the three-cycle cost in Table 4.
         if self.cfg.scheme == Scheme::Blocked {
             if let Some(c) = self.current {
-                if self.ctx.is_ready(c) && self.ctx.pending_backoff[c] {
+                if self.ctx.is_ready(c) && self.ctx.pending_backoff(c) {
                     return FrontSlot::Bubble(BubbleCause::Switch);
                 }
             }
@@ -1327,7 +1341,7 @@ impl<P: SystemPort> Processor<P> {
             }
         }
         if matches!(op, Op::Backoff | Op::SwitchHint) && self.cfg.scheme != Scheme::Single {
-            self.ctx.pending_backoff[ctx] = true;
+            self.ctx.set_pending_backoff(ctx, true);
         }
 
         self.unit_mut(ctx).advance();
@@ -1353,25 +1367,21 @@ impl<P: SystemPort> Processor<P> {
     }
 
     /// The first fetchable context in round-robin order from the fetch
-    /// pointer, which moves just past it.
+    /// pointer, which moves just past it. Visits only the available
+    /// contexts (attached, ready, no pending backoff).
     fn next_fetchable(&mut self) -> Option<usize> {
-        let n = self.cfg.contexts;
-        let wrap = |c: usize| if c + 1 == n { 0 } else { c + 1 };
-        let mut c = self.rr;
-        for _ in 0..n {
-            if self.fetchable(c) {
-                self.rr = wrap(c);
-                return Some(c);
-            }
-            c = wrap(c);
-        }
-        None
+        let c = rr_order(self.ctx.avail_mask(), self.rr).find(|&c| self.can_fetch(c))?;
+        self.rr = if c + 1 == self.cfg.contexts { 0 } else { c + 1 };
+        Some(c)
     }
 
     fn fetchable(&self, ctx: usize) -> bool {
-        if !self.ctx.attached[ctx] || !self.ctx.is_ready(ctx) || self.ctx.pending_backoff[ctx] {
-            return false;
-        }
+        self.ctx.avail_mask() & (1 << ctx) != 0 && self.can_fetch(ctx)
+    }
+
+    /// Whether an available context has something to fetch this cycle.
+    #[inline]
+    fn can_fetch(&self, ctx: usize) -> bool {
         // The fine-grained (HEP-like) pipeline has no interlocks: a
         // context may have only one instruction active at a time.
         if self.cfg.scheme == Scheme::FineGrained
@@ -1388,26 +1398,16 @@ impl<P: SystemPort> Processor<P> {
     /// After `exclude` becomes unavailable, pick the blocked scheme's next
     /// running context in round-robin order.
     fn pick_next_current(&mut self, exclude: usize) {
-        let n = self.cfg.contexts;
-        for offset in 1..=n {
-            let c = (exclude + offset) % n;
-            if c != exclude && self.ctx.attached[c] && self.ctx.is_ready(c) {
-                self.current = Some(c);
-                return;
-            }
-        }
-        self.current = None;
+        let start = if exclude + 1 == self.cfg.contexts { 0 } else { exclude + 1 };
+        self.current = rr_order(self.ctx.ready_mask() & !(1 << exclude), start).next();
     }
 
     /// Attribution when no context can fetch: the reason of the context
     /// that resumes soonest (sync waits count as farthest).
     fn no_context_cause(&self) -> BubbleCause {
         let mut best: Option<(u64, WaitReason)> = None;
-        for c in 0..self.ctx.len() {
-            if !self.ctx.attached[c] {
-                continue;
-            }
-            if let CtxState::Waiting { reason, until } = self.ctx.state[c] {
+        for c in set_bits(self.ctx.waiting_mask()) {
+            if let CtxState::Waiting { reason, until } = self.ctx.state(c) {
                 let at = until.unwrap_or(u64::MAX);
                 if best.is_none_or(|(b, _)| at < b) {
                     best = Some((at, reason));
@@ -1418,15 +1418,10 @@ impl<P: SystemPort> Processor<P> {
             Some((_, WaitReason::Data)) => BubbleCause::DataWait,
             Some((_, WaitReason::Sync)) => BubbleCause::SyncWait,
             Some((_, WaitReason::Backoff)) => BubbleCause::BackoffWait,
-            // No context is waiting: either every ready context has a
-            // decoded backoff in flight (switch overhead) or the streams
-            // are exhausted (drained, uncharged).
-            None if (0..self.ctx.len()).any(|c| {
-                self.ctx.attached[c] && self.ctx.is_ready(c) && self.ctx.pending_backoff[c]
-            }) =>
-            {
-                BubbleCause::Switch
-            }
+            // No context is waiting: either a ready context has a decoded
+            // backoff in flight (switch overhead) or the streams are
+            // exhausted (drained, uncharged).
+            None if self.ctx.ready_mask() != self.ctx.avail_mask() => BubbleCause::Switch,
             None => BubbleCause::Drained,
         }
     }
@@ -1448,13 +1443,10 @@ impl<P: SystemPort> Processor<P> {
         let squashed = self.window.squash_ctx(ctx);
         self.transfer_squashed(&squashed);
         self.front.squash_ctx(ctx);
-        self.scoreboard.clear_context(ctx, self.now);
-        if self.cfg.validate {
-            self.checked_cleared(ctx, self.now);
-        }
+        self.clear_scoreboard(ctx, self.now);
         self.ctx.epoch[ctx] += 1;
         self.ctx.wrong_path[ctx] = false;
-        self.ctx.pending_backoff[ctx] = false;
+        self.ctx.set_pending_backoff(ctx, false);
         self.ctx.bound_fills[ctx].clear();
     }
 }

@@ -73,6 +73,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Due cycle of the earliest pending event.
+    #[inline]
     pub fn next_due(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.key.0)
     }
@@ -91,6 +92,7 @@ impl<E> EventQueue<E> {
 impl<E: Sequenced> EventQueue<E> {
     /// Schedules `event`; later pushes with an equal `(due, class)` pop
     /// after earlier ones.
+    #[inline]
     pub fn push(&mut self, event: E) {
         let key = (event.due(), event.class(), self.seq);
         self.seq += 1;
@@ -98,6 +100,7 @@ impl<E: Sequenced> EventQueue<E> {
     }
 
     /// Pops the next event due at or before `now`, if any.
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<E> {
         if self.next_due()? <= now {
             interleave_obs::profile::mark("engine.event_pop");

@@ -83,11 +83,13 @@ impl<P> Inbox<P> {
 
     /// Due cycle of the earliest queued message, if any (bounds how far
     /// idle cycles may be skipped).
+    #[inline]
     pub fn next_due(&self) -> Option<u64> {
         self.heap.peek().map(|m| m.0.key.0)
     }
 
     /// Pops the next message due at or before `now`, if any.
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<(MsgKey, P)> {
         if self.next_due()? <= now {
             interleave_obs::profile::mark("engine.router_pop");

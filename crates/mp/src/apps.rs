@@ -238,12 +238,11 @@ pub struct SplashThread {
     thread: usize,
     n_threads: usize,
     inner: SyntheticApp,
-    /// Compute instructions pulled from `inner` ahead of use, in runs of
-    /// [`COMPUTE_RUN`]; `compute_pos` indexes the next one. The inner
-    /// stream is a pure function of the instruction index, so pulling
-    /// ahead never changes it.
-    compute: Vec<Instr>,
-    compute_pos: usize,
+    /// Instructions [`InstrSource::next_instr`] produced ahead of use, in
+    /// runs of [`AHEAD_RUN`] through `next_run`; `ahead_pos` indexes the
+    /// next one. Empty unless the stream is pulled one at a time.
+    ahead: Vec<Instr>,
+    ahead_pos: usize,
     rng: Xoshiro,
     /// The release queued behind a critical section's last instruction.
     pending: Option<Instr>,
@@ -261,8 +260,8 @@ const SHARED_BASE: u64 = 0x7000_0000;
 /// Size of a migratory block (a particle/task record spanning a few
 /// lines).
 const BLOCK_BYTES: u64 = 256;
-/// Compute instructions pulled from the inner generator per refill.
-const COMPUTE_RUN: usize = 32;
+/// Instructions `next_instr` produces ahead per refill.
+const AHEAD_RUN: usize = 32;
 
 impl SplashThread {
     /// Creates thread `thread` of `n_threads` for `profile`.
@@ -277,8 +276,8 @@ impl SplashThread {
         SplashThread {
             rng: Xoshiro::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9)),
             inner,
-            compute: Vec::with_capacity(COMPUTE_RUN),
-            compute_pos: 0,
+            ahead: Vec::new(),
+            ahead_pos: 0,
             thread,
             n_threads,
             pending: None,
@@ -331,79 +330,114 @@ impl SplashThread {
         self.rng.chance(frac.clamp(0.0, 1.0))
     }
 
-    /// The next instruction of the inner compute stream.
-    fn next_compute(&mut self) -> Instr {
-        if self.compute_pos == self.compute.len() {
-            self.compute.clear();
-            self.compute_pos = 0;
-            self.inner.next_run(&mut self.compute, COMPUTE_RUN);
+    /// The synchronization instruction due before the next compute
+    /// instruction, if any, with its bookkeeping applied (never inside a
+    /// critical section, or lock holders could block barrier partners
+    /// forever).
+    fn sync_point(&mut self) -> Option<Instr> {
+        if let Some(release) = self.pending.take() {
+            return Some(release);
         }
-        let instr = *self.compute.get(self.compute_pos).expect("compute stream is unbounded");
-        self.compute_pos += 1;
-        instr
+        if self.in_cs.is_some() {
+            return None;
+        }
+        if let Some(period) = self.profile.barrier_period {
+            if self.since_barrier >= period {
+                self.since_barrier = 0;
+                let instance = self.barrier_instance;
+                self.barrier_instance = self.barrier_instance.wrapping_add(1);
+                return Some(Instr::sync(0x1000, SyncKind::BarrierArrive, instance));
+            }
+        }
+        if let Some(period) = self.profile.lock_period {
+            if self.since_lock >= period {
+                self.since_lock = 0;
+                let id = self.rng.below(u64::from(self.profile.n_locks)) as u32;
+                self.in_cs = Some((self.profile.cs_len, id));
+                return Some(Instr::sync(0x1004, SyncKind::LockAcquire, id));
+            }
+        }
+        None
     }
 
-    /// The next instruction of the thread's stream (shared by both pull
-    /// granularities, so the stream does not depend on how it is batched).
-    fn produce(&mut self) -> Instr {
-        if let Some(release) = self.pending.take() {
-            return release;
+    /// How many compute instructions may follow before the next sync
+    /// point: the end of the critical section, or the barrier or lock
+    /// falling due. Called right after [`SplashThread::sync_point`]
+    /// returned `None`, so each distance is at least one.
+    fn compute_span(&self) -> u64 {
+        if let Some((left, _)) = self.in_cs {
+            return left;
         }
+        let due = |period: Option<u64>, since: u64| period.map_or(u64::MAX, |p| p - since);
+        due(self.profile.barrier_period, self.since_barrier)
+            .min(due(self.profile.lock_period, self.since_lock))
+    }
 
-        // Synchronization insertion points (never inside a critical
-        // section, or lock holders could block barrier partners forever).
-        if self.in_cs.is_none() {
-            if let Some(period) = self.profile.barrier_period {
-                if self.since_barrier >= period {
-                    self.since_barrier = 0;
-                    let instance = self.barrier_instance;
-                    self.barrier_instance = self.barrier_instance.wrapping_add(1);
-                    return Instr::sync(0x1000, SyncKind::BarrierArrive, instance);
+    /// Appends `n` compute instructions of the inner stream straight into
+    /// `out`, then redirects a fraction of their data references to the
+    /// shared region in stream order (so the draws happen in the same
+    /// order at every batching) and advances the sync bookkeeping.
+    fn compute_run(&mut self, out: &mut Vec<Instr>, n: u64) {
+        let from = out.len();
+        let got = self.inner.next_run(out, n as usize);
+        assert_eq!(got as u64, n, "the compute stream is unbounded");
+        for instr in &mut out[from..] {
+            if let Some(mem) = instr.mem.as_mut() {
+                let write = mem.kind == Access::Write;
+                if self.redirect_to_shared(write) {
+                    mem.addr = self.shared_addr(write);
                 }
             }
-            if let Some(period) = self.profile.lock_period {
-                if self.since_lock >= period {
-                    self.since_lock = 0;
-                    let id = self.rng.below(u64::from(self.profile.n_locks)) as u32;
-                    self.in_cs = Some((self.profile.cs_len, id));
-                    return Instr::sync(0x1004, SyncKind::LockAcquire, id);
-                }
-            }
         }
-
-        let mut instr = self.next_compute();
-        self.since_lock += 1;
-        self.since_barrier += 1;
-
-        // Redirect a fraction of data references to the shared region.
-        if let Some(mem) = instr.mem.as_mut() {
-            let write = mem.kind == Access::Write;
-            if self.redirect_to_shared(write) {
-                mem.addr = self.shared_addr(write);
-            }
-        }
-
+        self.since_lock += n;
+        self.since_barrier += n;
         // Critical-section bookkeeping: queue the release when it ends.
         if let Some((left, id)) = self.in_cs {
-            if left <= 1 {
+            if left == n {
                 self.in_cs = None;
                 self.pending = Some(Instr::sync(0x1008, SyncKind::LockRelease, id));
             } else {
-                self.in_cs = Some((left - 1, id));
+                self.in_cs = Some((left - n, id));
             }
         }
-
-        instr
     }
 }
 
 impl InstrSource for SplashThread {
     fn next_instr(&mut self) -> Option<Instr> {
-        Some(self.produce())
+        if self.ahead_pos == self.ahead.len() {
+            let mut ahead = std::mem::take(&mut self.ahead);
+            ahead.clear();
+            self.ahead_pos = 0;
+            self.next_run(&mut ahead, AHEAD_RUN);
+            self.ahead = ahead;
+        }
+        let instr = self.ahead[self.ahead_pos];
+        self.ahead_pos += 1;
+        Some(instr)
     }
 
+    /// Appends sync instructions and runs of compute instructions, each
+    /// run generated in place at the end of `out`; entries that were in
+    /// `out` before the call are not touched.
     fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
-        out.extend((0..max).map(|_| self.produce()));
+        // Instructions `next_instr` produced ahead come first.
+        let ahead = &self.ahead[self.ahead_pos..];
+        let taken = ahead.len().min(max);
+        out.extend_from_slice(&ahead[..taken]);
+        self.ahead_pos += taken;
+        let mut room = (max - taken) as u64;
+        out.reserve(room as usize);
+        while room > 0 {
+            if let Some(sync) = self.sync_point() {
+                out.push(sync);
+                room -= 1;
+                continue;
+            }
+            let n = room.min(self.compute_span());
+            self.compute_run(out, n);
+            room -= n;
+        }
         max
     }
 }
@@ -552,6 +586,30 @@ mod tests {
                     prop_assert_eq!(&one_by_one, &batched, "{} with {} threads", p.name, n);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mixed_pull_granularities_yield_one_stream() {
+        // `next_instr` produces ahead; a `next_run` after it must hand
+        // those instructions out first, and leave older entries alone.
+        for p in splash_suite() {
+            let expected = take(p.clone(), 3, 8, 3_000);
+            let mut t = SplashThread::new(p.clone(), 3, 8, 11);
+            let mut got = vec![Instr::nop(0xdead)];
+            let mut k = 0usize;
+            while got.len() <= expected.len() {
+                let room = expected.len() + 1 - got.len();
+                if k % 3 == 0 {
+                    got.push(t.next_instr().unwrap());
+                } else {
+                    let want = (k * 7 % 45 + 1).min(room);
+                    assert_eq!(t.next_run(&mut got, want), want);
+                }
+                k += 1;
+            }
+            assert_eq!(got[0], Instr::nop(0xdead), "{}: an older entry was touched", p.name);
+            assert_eq!(&got[1..], &expected[..], "{}", p.name);
         }
     }
 

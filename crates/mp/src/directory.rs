@@ -160,15 +160,19 @@ pub struct Directory {
     stats: DirectoryStats,
 }
 
+/// The most nodes a [`Directory`] tracks: its sharer set is one `u64`
+/// bit vector.
+pub const MAX_NODES: usize = 64;
+
 impl Directory {
     /// Creates a directory for `nodes` nodes with `line`-byte lines.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or exceeds 64 (bit-vector width), or if
-    /// `line` is not a power of two.
+    /// Panics if `nodes` is zero or exceeds [`MAX_NODES`], or if `line`
+    /// is not a power of two.
     pub fn new(nodes: usize, line: u64) -> Directory {
-        assert!((1..=64).contains(&nodes), "bit-vector directory supports 1..=64 nodes");
+        assert!((1..=MAX_NODES).contains(&nodes), "bit-vector directory supports 1..=64 nodes");
         assert!(line.is_power_of_two(), "line size must be a power of two");
         Directory {
             nodes,

@@ -36,7 +36,7 @@ mod sim;
 mod sync;
 
 pub use apps::{splash_suite, SharingPattern, SplashProfile, SplashThread};
-pub use directory::{Directory, DirectoryStats, MissClass};
+pub use directory::{Directory, DirectoryStats, MissClass, MAX_NODES};
 pub use latency::LatencyModel;
 pub use sim::{MpResult, MpSim, MpSimBuilder};
 pub use sync::SyncShard;

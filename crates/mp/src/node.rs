@@ -183,6 +183,7 @@ impl ShardState {
 
     /// Due cycle of the earliest queued message, if any (bounds how far
     /// idle cycles may be skipped).
+    #[inline]
     pub(crate) fn next_due(&self) -> Option<u64> {
         self.inbox.next_due()
     }

@@ -530,17 +530,20 @@ fn advance_shard(cpu: &mut Processor<ShardPort>, from: u64, to: u64, contexts: u
         if now >= to {
             break;
         }
-        // Apply due messages, then read the next due cycle to bound any
-        // fast-forward.
+        // One peek per iteration: apply due messages only when one is
+        // due, and bound any fast-forward by the next due cycle.
         let st = cpu.port_mut().state();
-        st.deliver_due(now, &mut wakes);
-        let next_due = st.next_due();
-        for ctx in wakes.drain(..) {
-            if cpu.ctx_view(ctx).waiting_on == Some(WaitReason::Sync) {
-                cpu.wake_context(ctx);
+        let mut next_due = st.next_due();
+        if next_due.is_some_and(|due| due <= now) {
+            st.deliver_due(now, &mut wakes);
+            next_due = st.next_due();
+            for ctx in wakes.drain(..) {
+                if cpu.ctx_view(ctx).waiting_on == Some(WaitReason::Sync) {
+                    cpu.wake_context(ctx);
+                }
+                // Otherwise the context spins at issue and will observe
+                // its token on retry.
             }
-            // Otherwise the context spins at issue and will observe its
-            // token on retry.
         }
         if !cpu.fast_forward(next_due.map_or(to, |due| due.min(to))) {
             cpu.tick();

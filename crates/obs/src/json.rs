@@ -111,7 +111,7 @@ pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
 /// error; the error string carries a byte offset for debugging.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { s, b, i: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -122,6 +122,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -226,11 +227,14 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash (or the end, which reports unterminated).
+                    // Both are ASCII, so the run ends on a char boundary
+                    // and `i` stays on one.
+                    let run = self.b[self.i..].iter().position(|&c| c == b'"' || c == b'\\');
+                    let end = run.map_or(self.b.len(), |n| self.i + n);
+                    out.push_str(&self.s[self.i..end]);
+                    self.i = end;
                 }
             }
         }
@@ -332,5 +336,98 @@ mod tests {
         assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
         assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None);
         assert_eq!(parse("1e300").unwrap().as_u64(), None);
+    }
+
+    /// A reference decoder for one string literal that steps one UTF-8
+    /// scalar at a time (the oracle for the tests below).
+    fn parse_string_per_char(doc: &str) -> Result<String, String> {
+        let b = doc.as_bytes();
+        let mut i = 1;
+        let mut out = String::new();
+        loop {
+            match b.get(i) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {
+                    let c = match b.get(i + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = &doc[i + 2..i + 6];
+                            i += 4;
+                            char::from_u32(u32::from_str_radix(hex, 16).unwrap())
+                                .unwrap_or('\u{fffd}')
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    };
+                    out.push(c);
+                    i += 2;
+                }
+                Some(_) => {
+                    let c = doc[i..].chars().next().unwrap();
+                    out.push(c);
+                    i += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_characters_next_to_escapes() {
+        for raw in [
+            r#""é\"ß""#,
+            r#""日本\n語""#,
+            r#""\u00e9é\u65e5日""#,
+            r#""𝄞\\𝄞\/""#,
+            r#""a\tb\u0041\ud800z""#,
+            r#""""#,
+            r#""ünïcödé only""#,
+        ] {
+            let parsed = parse(raw).expect("parses");
+            assert_eq!(
+                parsed.as_str(),
+                Some(parse_string_per_char(raw).unwrap().as_str()),
+                "{raw}"
+            );
+        }
+        assert_eq!(parse(r#""é\"x""#).unwrap().as_str(), Some("é\"x"));
+        assert_eq!(parse(r#""\u00e9""#).unwrap().as_str(), Some("é"));
+    }
+
+    #[test]
+    fn unterminated_and_bad_strings_still_fail() {
+        assert!(parse(r#""abc"#).is_err());
+        assert!(parse(r#""é\"#).is_err());
+        assert!(parse(r#""\q""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+    }
+
+    #[test]
+    fn megabyte_of_long_strings_parses_like_per_char() {
+        // ~1 MB: long strings of mixed-width characters with escapes
+        // scattered through them.
+        let unit = r#"plain ascii run, é and 日本 and 𝄞, \"quoted\" and \\ and \u00ff; "#;
+        let mut doc = String::from("[");
+        let mut expected = Vec::new();
+        for k in 0..400 {
+            let body = unit.repeat(36 + k % 7);
+            let lit = format!("\"{body}\"");
+            expected.push(parse_string_per_char(&lit).unwrap());
+            if k > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&lit);
+        }
+        doc.push(']');
+        assert!(doc.len() > 1_000_000, "{} bytes", doc.len());
+        let v = parse(&doc).expect("parses");
+        let got: Vec<&str> = v.as_arr().unwrap().iter().map(|s| s.as_str().unwrap()).collect();
+        assert_eq!(got, expected);
     }
 }

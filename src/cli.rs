@@ -10,8 +10,8 @@
 
 use crate::bench::artifacts::one_grid_names;
 use crate::bench::{resolve_specs, Runner, Scale, Shard, SweepResult, ARTIFACTS};
-use crate::core::Scheme;
-use crate::mp::{splash_suite, MpSim, SplashProfile};
+use crate::core::{Scheme, MAX_CONTEXTS};
+use crate::mp::{splash_suite, MpSim, SplashProfile, MAX_NODES};
 use crate::obs::{Metric, Registry};
 use crate::server::job::JobRequest;
 use crate::server::ServerConfig;
@@ -364,6 +364,24 @@ impl Args {
         Ok(self.opt_num(name)?.unwrap_or(default))
     }
 
+    /// A count flag that must lie in `1..=most`.
+    fn count(&self, name: &str, default: usize, most: usize) -> Result<usize, CliError> {
+        let n = self.num(name, default)?;
+        if !(1..=most).contains(&n) {
+            return Err(CliError(format!("{}: --{name} expects 1 to {most}, got {n}", self.sub)));
+        }
+        Ok(n)
+    }
+
+    /// `--contexts` for `scheme`: at most [`MAX_CONTEXTS`], and exactly
+    /// one (the default) for the single-context scheme.
+    fn contexts(&self, scheme: Scheme, default: usize) -> Result<usize, CliError> {
+        match scheme {
+            Scheme::Single => self.count("contexts", 1, 1),
+            _ => self.count("contexts", default, MAX_CONTEXTS),
+        }
+    }
+
     fn scheme(&self) -> Result<Scheme, CliError> {
         let parsed = self.typed("scheme", "single, blocked, interleaved or fine-grained", |v| {
             match v.to_ascii_lowercase().as_str() {
@@ -406,7 +424,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "uni" => Command::Uni {
             workload: workload(),
             scheme: a.scheme()?,
-            contexts: a.num("contexts", 4)?,
+            contexts: a.contexts(a.scheme()?, 4)?,
             quota: a.num("quota", 40_000)?,
             seed: a.num("seed", 0x19940501)?,
             json: a.string("json"),
@@ -414,8 +432,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "mp" => Command::Mp {
             app: a.get("app").unwrap_or("Water").to_string(),
             scheme: a.scheme()?,
-            nodes: a.num("nodes", 8)?,
-            contexts: a.num("contexts", 4)?,
+            nodes: a.count("nodes", 8, MAX_NODES)?,
+            contexts: a.contexts(a.scheme()?, 4)?,
             work: a.num("work", 400_000)?,
             seed: a.num("seed", 0x19941004)?,
         },
@@ -478,7 +496,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             file: a.string("file"),
             workload: workload(),
             scheme: a.scheme()?,
-            contexts: a.num("contexts", 2)?,
+            contexts: a.contexts(a.scheme()?, 2)?,
             max_cycles: a.num("max-cycles", 20_000)?,
             seed: a.num("seed", 0x19940501)?,
             out: a.string("out"),
@@ -1211,6 +1229,32 @@ mod tests {
             ("uni --contexts --quota 3", "--contexts"),
         ] {
             expect_err(argv(line), flag);
+        }
+    }
+
+    /// Context and node counts outside what the hardware model supports
+    /// are parse errors (exit 2), not panics inside the simulator.
+    #[test]
+    fn parser_rejects_unsupported_context_and_node_counts() {
+        for (line, needle) in [
+            ("uni --contexts 0", "--contexts expects 1 to 64, got 0"),
+            ("uni --contexts 65", "--contexts expects 1 to 64, got 65"),
+            ("uni --scheme single --contexts 4", "--contexts expects 1 to 1, got 4"),
+            ("trace --contexts 100000", "--contexts expects 1 to 64"),
+            ("mp --contexts 65", "--contexts expects 1 to 64"),
+            ("mp --nodes 0", "--nodes expects 1 to 64, got 0"),
+            ("mp --nodes 65", "--nodes expects 1 to 64, got 65"),
+        ] {
+            let err = parse(&argv(line)).expect_err(line);
+            assert!(err.0.contains(needle), "{line} -> {err}");
+        }
+        match parse(&argv("uni --contexts 64")).unwrap() {
+            Command::Uni { contexts, .. } => assert_eq!(contexts, 64),
+            other => panic!("{other:?}"),
+        }
+        match parse(&argv("uni --scheme single")).unwrap() {
+            Command::Uni { contexts, .. } => assert_eq!(contexts, 1, "single defaults to one"),
+            other => panic!("{other:?}"),
         }
     }
 

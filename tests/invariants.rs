@@ -5,10 +5,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use interleave_core::Scheme;
+use interleave_core::{ProcConfig, Processor, Scheme, MAX_CONTEXTS};
+use interleave_mem::{MemConfig, UniMemSystem};
 use interleave_mp::{splash_suite, MpSim};
 use interleave_obs::validate::Violation;
-use interleave_workloads::litmus;
+use interleave_obs::Registry;
+use interleave_workloads::{litmus, mixes, SyntheticApp};
 use proptest::prelude::*;
 
 #[test]
@@ -89,6 +91,86 @@ fn fault_injection_is_exercised_only_with_validation() {
         .inject_directory_fault_at(1_000)
         .build();
     assert!(catch_unwind(AssertUnwindSafe(|| sim.run())).is_err());
+}
+
+/// One processor with `contexts` attached synthetic streams (the FP
+/// mix's programs in turn) over the workstation memory, run to
+/// completion with every checker on; returns the cycle count and the
+/// processor's and memory's metric registry as JSON.
+fn run_direct(scheme: Scheme, contexts: usize, quota: u64, idle_skip: bool) -> (u64, String) {
+    let mut cfg = ProcConfig::new(scheme, contexts);
+    cfg.idle_skip = idle_skip;
+    cfg.validate = true;
+    let mut cpu = Processor::new(cfg, UniMemSystem::new(MemConfig::workstation()));
+    let apps = mixes::fp().apps;
+    for ctx in 0..contexts {
+        let app = apps[ctx % apps.len()];
+        cpu.attach(ctx, Box::new(SyntheticApp::new(app, ctx, 0x1994_0508).with_limit(quota)));
+    }
+    let cycles = cpu.run_until_done(50_000_000);
+    assert!(cpu.is_done(), "{scheme:?} x{contexts} did not finish");
+    let mut reg = Registry::new();
+    cpu.collect_metrics(&mut reg);
+    cpu.port().collect_metrics(&mut reg);
+    (cycles, reg.to_json(0))
+}
+
+/// mp-splash runs eight contexts per node, the widest the readiness
+/// masks see in the paper's grids: with eight streams attached, idle
+/// skipping must be bit-invisible for every multiple-context scheme,
+/// with every checker (the mask recomputation included) on. The OS
+/// path (four resident programs rotating over eight contexts) is
+/// checked too.
+#[test]
+fn idle_skip_is_bit_invisible_at_eight_contexts() {
+    for scheme in [Scheme::Blocked, Scheme::Interleaved, Scheme::FineGrained] {
+        let on = run_direct(scheme, 8, 1_500, true);
+        assert_eq!(on, run_direct(scheme, 8, 1_500, false), "{scheme:?} x8 diverged");
+        let case = litmus::LitmusCase {
+            name: "os-8",
+            scheme,
+            contexts: 8,
+            quota: 1_000,
+            seed: 0x1994_0508,
+        };
+        litmus::check_idle_skip_invariance(&case).unwrap();
+        litmus::check_fixed_work(&case).unwrap();
+    }
+}
+
+/// Four nodes of eight contexts: `mp_jobs` and adaptive lookahead stay
+/// bit-invisible with the checkers on.
+#[test]
+fn mp_jobs_and_adaptive_are_bit_invisible_at_eight_contexts() {
+    let run = |jobs: usize, adaptive: bool| {
+        MpSim::builder(splash_suite()[0].clone())
+            .scheme(Scheme::Interleaved)
+            .nodes(4)
+            .contexts(8)
+            .work(16_000)
+            .warmup(500)
+            .validate(true)
+            .mp_jobs(jobs)
+            .adaptive(adaptive)
+            .build()
+            .run()
+    };
+    let serial = run(1, false);
+    assert!(serial.cycles > 0);
+    assert_eq!(serial, run(2, false), "mp_jobs 2 diverged at 8 contexts");
+    assert_eq!(serial, run(1, true), "adaptive diverged at 8 contexts");
+    assert_eq!(serial, run(2, true), "adaptive with mp_jobs 2 diverged at 8 contexts");
+}
+
+/// The masks are one word: 64 attached contexts run (every bit in use,
+/// the top one included) bit-identically with and without idle skip, and
+/// 65 are refused at configuration time.
+#[test]
+fn context_count_is_bounded_by_the_mask_word() {
+    let on = run_direct(Scheme::Interleaved, MAX_CONTEXTS, 30, true);
+    assert_eq!(on, run_direct(Scheme::Interleaved, MAX_CONTEXTS, 30, false));
+    let refused = catch_unwind(|| ProcConfig::new(Scheme::Interleaved, MAX_CONTEXTS + 1));
+    assert!(refused.is_err(), "65 contexts must be refused");
 }
 
 proptest! {
