@@ -31,21 +31,13 @@
 //!    per operation (median of three trials). No timing is asserted
 //!    (the fetch kernel checksums the instructions it reads): these
 //!    numbers are for comparing revisions on one host.
-//!
-//! 4. **Multiprocessor kernels.** Times a `Directory` transaction over
-//!    an 8-node read/write/evict mix on SPLASH addresses, and SPLASH
-//!    stream generation per instruction, pulled one at a time
-//!    (`next_instr`) and in runs of [`BATCH`] (`next_run`); asserts the
-//!    two pulls produce the same stream. Again ns per operation, no
-//!    timing asserted.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use interleave_core::{FetchUnit, InstrSource, ProcConfig, Processor, Scheme, VecSource};
-use interleave_isa::{Access, Instr, Op, Reg};
+use interleave_isa::{Instr, Op, Reg};
 use interleave_mem::{DirectTlb, MemConfig, MshrFile, UniMemSystem};
-use interleave_mp::{splash_suite, Directory, SplashThread};
 use interleave_pipeline::{InFlight, IssueWindow, FP_ISSUE_TO_RETIRE, INT_ISSUE_TO_RETIRE};
 use interleave_workloads::{AppProfile, SyntheticApp};
 
@@ -155,7 +147,9 @@ fn alternating_medians(checksum: u64) -> (f64, f64) {
 
 fn bench_generator_batching() {
     // The profiler marks are the dominant per-call bookkeeping; run the
-    // comparison with them live, as a profiled CI smoke does.
+    // comparison with them live, as a profiled CI smoke does, and restore
+    // the previous state so the kernels after it time unprofiled code.
+    let profiling = interleave_obs::profile::enabled();
     interleave_obs::profile::set_enabled(true);
     let (sum_single, _) = gen_single();
     let (sum_batched, _) = gen_batched();
@@ -173,6 +167,7 @@ fn bench_generator_batching() {
     println!("  next_instr     {rate_single:>12.0} instrs/s ({wall_single:.3}s)");
     println!("  next_run       {rate_batched:>12.0} instrs/s ({wall_batched:.3}s)");
     println!("  speedup        {ratio:>12.2}x");
+    interleave_obs::profile::set_enabled(profiling);
     assert!(ratio >= 1.1, "batched generation should beat per-call generation (got {ratio:.2}x)");
 }
 
@@ -279,86 +274,6 @@ fn kernel_tlb() -> u64 {
     hits
 }
 
-/// Nodes of the multiprocessor kernels' machine.
-const MP_NODES: usize = 8;
-/// Length of the directory kernel's recorded operation mix.
-const DIR_MIX: usize = 1 << 16;
-
-/// One directory operation of the recorded mix.
-#[derive(Debug, Clone, Copy)]
-enum DirOp {
-    Read,
-    Write,
-    Evict,
-}
-
-/// The data references of an 8-thread MP3D run, thread `t` on node `t`
-/// in round-robin order, with every eighth operation turned into an
-/// eviction of the issuing node's previous line.
-fn directory_mix() -> Vec<(usize, u64, DirOp)> {
-    let app = splash_suite()[0].clone();
-    let mut threads: Vec<SplashThread> =
-        (0..MP_NODES).map(|t| SplashThread::new(app.clone(), t, MP_NODES, 7)).collect();
-    let mut last = [0u64; MP_NODES];
-    let mut ops = Vec::with_capacity(DIR_MIX);
-    while ops.len() < DIR_MIX {
-        for (node, thread) in threads.iter_mut().enumerate() {
-            let Some(mem) = thread.next_instr().expect("SPLASH streams are unbounded").mem else {
-                continue;
-            };
-            let op = match mem.kind {
-                _ if ops.len() % 8 == 7 => DirOp::Evict,
-                Access::Write => DirOp::Write,
-                Access::Read => DirOp::Read,
-            };
-            let addr = if let DirOp::Evict = op { last[node] } else { mem.addr };
-            last[node] = mem.addr;
-            ops.push((node, addr, op));
-        }
-    }
-    ops
-}
-
-/// [`KERNEL_OPS`] directory transactions cycling over `mix`.
-fn kernel_directory(mix: &[(usize, u64, DirOp)]) -> u64 {
-    let mut dir = Directory::new(MP_NODES, 32);
-    let mut remote = 0;
-    for &(node, addr, op) in mix.iter().cycle().take(KERNEL_OPS as usize) {
-        match op {
-            DirOp::Read => remote += u64::from(dir.read(node, addr).intervene.is_some()),
-            DirOp::Write => remote += u64::from(dir.write(node, addr, false).intervene.is_some()),
-            DirOp::Evict => dir.evict(node, addr, false),
-        }
-    }
-    remote
-}
-
-/// Pulls [`KERNEL_OPS`] instructions of MP3D thread 0 of 8 through
-/// `Box<dyn InstrSource>`, one at a time or in runs of [`BATCH`];
-/// returns a stream checksum.
-fn kernel_splash(batched: bool) -> u64 {
-    let mut thread: Box<dyn InstrSource> =
-        Box::new(SplashThread::new(splash_suite()[0].clone(), 0, MP_NODES, 7));
-    let mut sum = 0u64;
-    let mut add = |instr: &Instr| {
-        let addr = instr.mem.map_or(0, |m| m.addr);
-        sum = sum.wrapping_mul(31).wrapping_add(instr.pc ^ addr);
-    };
-    if batched {
-        let mut buf = Vec::with_capacity(BATCH);
-        for _ in 0..KERNEL_OPS / BATCH as u64 {
-            buf.clear();
-            thread.next_run(&mut buf, BATCH);
-            buf.iter().for_each(&mut add);
-        }
-    } else {
-        for _ in 0..KERNEL_OPS / BATCH as u64 * BATCH as u64 {
-            add(&thread.next_instr().expect("SPLASH streams are unbounded"));
-        }
-    }
-    sum
-}
-
 fn bench_kernels() {
     println!("kernels: ns/op, median of {GEN_TRIALS} trials of {KERNEL_OPS} ops");
     let report = |name: &str, kernel: fn() -> u64| {
@@ -368,17 +283,6 @@ fn bench_kernels() {
     report("window issue+retire", kernel_window);
     report("mshr expire+lookup+allocate", kernel_mshr);
     report("tlb access", kernel_tlb);
-    let mix = directory_mix();
-    let dir_ns = kernel_ns_per_op(|| kernel_directory(&mix));
-    println!("  {:<28} {dir_ns:>8.2} ns/op", "directory txn (8-node mix)");
-    assert_eq!(
-        kernel_splash(false),
-        kernel_splash(true),
-        "next_run must produce the next_instr SPLASH stream"
-    );
-    for (name, batched) in [("splash next_instr", false), ("splash next_run(32)", true)] {
-        println!("  {name:<28} {:>8.2} ns/op", kernel_ns_per_op(|| kernel_splash(batched)));
-    }
 }
 
 fn main() {

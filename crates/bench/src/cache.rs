@@ -9,14 +9,16 @@
 //! `Arc<ResultCache>` to every job) and counts hits/misses so
 //! `GET /stats` can report a hit rate. Three properties make reuse safe:
 //!
-//! 1. **Keying.** The file name is an FNV-1a hash of
-//!    [`crate::ExperimentSpec::cell_descriptor`] — the *resolved*
-//!    result-affecting configuration (scale defaults folded in) plus the
-//!    cell coordinates, salted with the crate version. An entry is only
-//!    ever reused for a cell that is guaranteed to produce the identical
-//!    result; host-throughput knobs proven bit-invisible (`idle_skip`,
-//!    `adaptive`, `mp_jobs`, worker counts) are excluded, so entries
-//!    survive across them.
+//! 1. **Keying.** A cell's descriptor is the descriptor of the sim that
+//!    [`crate::ExperimentSpec::build`] resolves it into, salted with a
+//!    format version and the crate version. The sim's descriptor names
+//!    every one of its fields in an exhaustive destructure, so every
+//!    result-affecting setting is keyed by construction, and the
+//!    host-only ones (`idle_skip`, `validate`, `adaptive`, `mp_jobs`) are
+//!    left out there by name, so entries survive across them. The file
+//!    name is the FNV-1a hash of the descriptor; the file stores the
+//!    descriptor itself, and a load requires an exact match, so neither a
+//!    hash collision nor a renamed file can serve another configuration.
 //! 2. **Atomicity.** Files are written to a temp name unique to the
 //!    process and the call, then renamed into place, so a sweep killed mid-write never leaves a
 //!    torn entry — the next run recomputes that cell.
@@ -38,10 +40,10 @@ use interleave_obs::{Histogram, Registry};
 use interleave_stats::{Breakdown, Category};
 use interleave_workloads::MultiprogramResult;
 
-use crate::runner::{Cell, CellResult, ExperimentSpec};
+use crate::runner::{Cell, CellResult, ExperimentSpec, Target};
 
 /// Schema tag written into (and required of) every checkpoint file.
-const SCHEMA: &str = "interleave-checkpoint-v1";
+const SCHEMA: &str = "interleave-checkpoint-v2";
 
 /// Numbers every `store` call of the process, so concurrent stores of
 /// one cell never share a temp file.
@@ -59,9 +61,16 @@ fn fnv1a64(data: &str) -> u64 {
     hash
 }
 
+/// Everything that determines one cell's result: the built sim's
+/// descriptor, salted with the descriptor format and crate versions.
+fn descriptor(spec: &ExperimentSpec, cell: &Cell) -> String {
+    let sim = spec.build(cell).descriptor();
+    format!("interleave-cell-v2 crate={} {sim}", env!("CARGO_PKG_VERSION"))
+}
+
 /// The checkpoint key for one cell of a spec.
 pub fn cell_key(spec: &ExperimentSpec, cell: &Cell) -> u64 {
-    fnv1a64(&spec.cell_descriptor(cell))
+    fnv1a64(&descriptor(spec, cell))
 }
 
 /// A content-addressed store of per-cell results with hit/miss counters.
@@ -92,9 +101,9 @@ impl ResultCache {
         ResultCache { dir: dir.into(), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
 
-    /// The entry path for one cell of a spec.
-    fn cell_path(&self, spec: &ExperimentSpec, cell: &Cell) -> PathBuf {
-        self.dir.join(format!("CELL_{:016x}.json", cell_key(spec, cell)))
+    /// The entry path for a cell descriptor.
+    fn path(&self, descriptor: &str) -> PathBuf {
+        self.dir.join(format!("CELL_{:016x}.json", fnv1a64(descriptor)))
     }
 
     /// Restores a cell's result when a valid entry for its resolved
@@ -102,9 +111,10 @@ impl ResultCache {
     /// file that exists but fails validation is reported on stderr and
     /// ignored — the cell recomputes.
     pub fn load(&self, spec: &ExperimentSpec, cell: &Cell) -> Option<CellResult> {
-        let path = self.cell_path(spec, cell);
+        let descriptor = descriptor(spec, cell);
+        let path = self.path(&descriptor);
         let result = std::fs::read_to_string(&path).ok().and_then(|text| {
-            let parsed = parse(&text, spec, cell);
+            let parsed = parse(&text, &descriptor, matches!(cell.target, Target::Uni(_)));
             if parsed.is_none() {
                 eprintln!(
                     "warning: ignoring invalid checkpoint {} (recomputing cell)",
@@ -131,10 +141,11 @@ impl ResultCache {
         result: &CellResult,
     ) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(&self.dir)?;
-        let path = self.cell_path(spec, cell);
+        let descriptor = descriptor(spec, cell);
+        let path = self.path(&descriptor);
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("json.tmp.{}.{seq}", std::process::id()));
-        std::fs::write(&tmp, to_json(spec, cell, result))?;
+        std::fs::write(&tmp, to_json(&descriptor, result))?;
         std::fs::rename(&tmp, &path)?;
         Ok(path)
     }
@@ -162,21 +173,13 @@ impl ResultCache {
     }
 }
 
-/// Serializes one cell result as the checkpoint document.
-fn to_json(spec: &ExperimentSpec, cell: &Cell, result: &CellResult) -> String {
+/// Serializes one cell result, with the descriptor it was computed
+/// for, as the checkpoint document.
+fn to_json(descriptor: &str, result: &CellResult) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"key\": \"{:016x}\",\n", cell_key(spec, cell)));
-    // The pre-hash descriptor, for post-mortem inspection of what a
-    // checkpoint was keyed on. Never read back (the key alone decides
-    // reuse).
-    out.push_str(&format!("  \"descriptor\": {},\n", json::escape(&spec.cell_descriptor(cell))));
-    out.push_str(&format!("  \"target\": {},\n", json::escape(cell.target.name())));
-    out.push_str(&format!("  \"scheme\": \"{}\",\n", cell.scheme.name()));
-    out.push_str(&format!("  \"contexts\": {},\n", cell.contexts));
-    let seed = cell.seed.map(|s| s.to_string()).unwrap_or_else(|| "null".into());
-    out.push_str(&format!("  \"seed\": {seed},\n"));
+    out.push_str(&format!("  \"descriptor\": {},\n", json::escape(descriptor)));
     match result {
         CellResult::Uni(r) => {
             out.push_str("  \"kind\": \"uni\",\n");
@@ -205,34 +208,18 @@ fn to_json(spec: &ExperimentSpec, cell: &Cell, result: &CellResult) -> String {
     out
 }
 
-/// Parses and validates a checkpoint document for the given cell.
-fn parse(text: &str, spec: &ExperimentSpec, cell: &Cell) -> Option<CellResult> {
+/// Parses a checkpoint document, accepting it only if it was computed
+/// for exactly `descriptor` and holds a result of the cell's kind.
+fn parse(text: &str, descriptor: &str, uni: bool) -> Option<CellResult> {
     let doc = json::parse(text).ok()?;
-    if doc.get("schema")?.as_str()? != SCHEMA {
+    if doc.get("schema")?.as_str()? != SCHEMA || doc.get("descriptor")?.as_str()? != descriptor {
         return None;
-    }
-    // The key check is what actually gates reuse (it hashes the full
-    // resolved configuration); the coordinate checks are a cheap
-    // cross-check against hash collisions between grid neighbors.
-    if doc.get("key")?.as_str()? != format!("{:016x}", cell_key(spec, cell)) {
-        return None;
-    }
-    if doc.get("target")?.as_str()? != cell.target.name()
-        || doc.get("scheme")?.as_str()? != cell.scheme.name()
-        || doc.get("contexts")?.as_u64()? != cell.contexts as u64
-    {
-        return None;
-    }
-    match (doc.get("seed")?, cell.seed) {
-        (Value::Null, None) => {}
-        (v, Some(s)) if v.as_u64() == Some(s) => {}
-        _ => return None,
     }
     let cycles = doc.get("cycles")?.as_u64()?;
     let breakdown = breakdown_from_value(doc.get("breakdown")?)?;
     let metrics = Registry::from_value(doc.get("metrics")?)?;
-    match doc.get("kind")?.as_str()? {
-        "uni" => Some(CellResult::Uni(Box::new(MultiprogramResult {
+    match (doc.get("kind")?.as_str()?, uni) {
+        ("uni", true) => Some(CellResult::Uni(Box::new(MultiprogramResult {
             cycles,
             breakdown,
             mem_stats: mem_stats_from_value(doc.get("mem_stats")?)?,
@@ -240,7 +227,7 @@ fn parse(text: &str, spec: &ExperimentSpec, cell: &Cell) -> Option<CellResult> {
             run_lengths: Histogram::from_value(doc.get("run_lengths")?)?,
             metrics,
         }))),
-        "mp" => {
+        ("mp", false) => {
             let bits = u64::from_str_radix(doc.get("avg_mlp_bits")?.as_str()?, 16).ok()?;
             let per_node = doc
                 .get("per_node")?
@@ -366,13 +353,15 @@ fn hist_json(h: &Histogram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Runner, Scale, Target};
+    use crate::runner::{Runner, Scale};
     use interleave_core::StorePolicy;
     use interleave_mp::splash_suite;
     use interleave_mp::LatencyModel;
     use interleave_workloads::mixes;
     use interleave_workloads::OsModel;
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::ops::Range;
+    use std::sync::{Arc, OnceLock};
 
     fn spec() -> ExperimentSpec {
         named_spec("ckpt")
@@ -483,6 +472,13 @@ mod tests {
             ("work", false, spec().work(8_001), true),
             ("mp warmup", false, spec().warmup(501), true),
             ("latency", false, spec().latency(far), true),
+            // An override equal to the sim's own default resolves to the
+            // same configuration, so it shares the key.
+            ("btb_entries default", true, spec().btb_entries(2048), false),
+            ("store_policy default", true, spec().store_policy(StorePolicy::SwitchOnMiss), false),
+            ("uni seed default", true, spec().seeds([0x1994_0501]), false),
+            ("latency default", false, spec().latency(LatencyModel::dash_like()), false),
+            ("mp seed default", false, spec().seeds([0x1994_1004]), false),
             // Bit-invisible settings leave the key alone, so checkpoints
             // stay reusable across them.
             ("idle_skip", true, spec().idle_skip(false), false),
@@ -542,7 +538,90 @@ mod tests {
         // Wrong-schema file: ignored.
         std::fs::write(&path, "{\"schema\": \"other\"}").unwrap();
         assert!(cache.load(&spec1, &cells[0]).is_none());
+        // A v1-shaped file (the old schema, with the key and coordinate
+        // fields) under the cell's name: ignored, and the cell recomputes.
+        let v1_fields = format!(
+            "  \"key\": \"{:016x}\",\n  \"target\": \"IC\",\n  \"scheme\": \"single\",\n  \
+             \"contexts\": 1,\n  \"seed\": null,\n  \"descriptor\"",
+            cell_key(&spec1, &cells[0])
+        );
+        let v1 = to_json(&descriptor(&spec1, &cells[0]), &result)
+            .replacen(SCHEMA, "interleave-checkpoint-v1", 1)
+            .replacen("  \"descriptor\"", &v1_fields, 1);
+        std::fs::write(&path, v1).unwrap();
+        assert!(cache.load(&spec1, &cells[0]).is_none());
+        let rerun = Runner::serial().checkpoint_dir(&dir).run(&spec1);
+        assert_eq!(rerun.resumed, 0);
+        assert_eq!(cache.load(&spec1, &cells[0]).as_ref(), Some(&result), "rewritten as v2");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cell, its valid checkpoint document, and the byte spans of the
+    /// document's `schema` and `descriptor` values.
+    type ValidDoc = (Cell, Vec<u8>, [Range<usize>; 2]);
+
+    /// The [`ValidDoc`]s of the first uni and the first mp cell of
+    /// [`spec`].
+    fn valid_docs() -> &'static [ValidDoc] {
+        static DOCS: OnceLock<Vec<ValidDoc>> = OnceLock::new();
+        DOCS.get_or_init(|| {
+            let spec = spec();
+            let cells = spec.cells();
+            let uni = cells.iter().find(|c| matches!(c.target, Target::Uni(_)));
+            let mp = cells.iter().find(|c| matches!(c.target, Target::Mp(_)));
+            [uni, mp]
+                .map(|cell| {
+                    let cell = cell.expect("spec has both kinds").clone();
+                    let doc = to_json(&descriptor(&spec, &cell), &spec.run_cell(&cell));
+                    let value = |member: &str| {
+                        let start =
+                            doc.find(&format!("\"{member}\": ")).unwrap() + member.len() + 4;
+                        start..start + doc[start..].find(",\n").unwrap()
+                    };
+                    let spans = [value("schema"), value("descriptor")];
+                    (cell, doc.into_bytes(), spans)
+                })
+                .into()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Truncated, flipped and spliced checkpoints load as `None` or
+        /// a result, never a panic, and any change to the `schema` or
+        /// `descriptor` value is rejected.
+        #[test]
+        fn mutated_checkpoints_never_panic_and_never_pass_a_changed_descriptor(
+            which in 0usize..2,
+            mutation in 0u8..3,
+            (a, b) in (any::<u64>(), any::<u64>()),
+            (mask, len) in (1u8..=255, 1usize..64),
+        ) {
+            let (cell, doc, spans) = &valid_docs()[which];
+            let (a, b) = (a as usize % doc.len(), b as usize % doc.len());
+            let mut mutated = doc.clone();
+            match mutation {
+                0 => mutated.truncate(a),
+                1 => mutated[a] ^= mask,
+                _ => {
+                    // Overwrite `len` bytes at `a` with the bytes at `b`:
+                    // offsets stay put, so a value span compares in place.
+                    let len = len.min(doc.len() - a).min(doc.len() - b);
+                    mutated[a..a + len].copy_from_slice(&doc[b..b + len]);
+                }
+            }
+            let spec = spec();
+            let dir = temp_dir(&format!("fuzz_{which}"));
+            let cache = ResultCache::new(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(cache.path(&descriptor(&spec, cell)), &mutated).unwrap();
+            let loaded = cache.load(&spec, cell);
+            let touched =
+                spans.iter().any(|span| mutated.get(span.clone()) != Some(&doc[span.clone()]));
+            prop_assert!(!(touched && loaded.is_some()), "{mutation} at {a} (from {b}) loaded");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -557,7 +636,7 @@ mod tests {
         assert_eq!(first.metrics_json(), second.metrics_json());
         // Partial resume: drop one checkpoint, rerun — exactly one cell
         // recomputes and the artifacts still match.
-        let victim = ResultCache::new(&dir).cell_path(&spec, &spec.cells()[2]);
+        let victim = ResultCache::new(&dir).path(&descriptor(&spec, &spec.cells()[2]));
         std::fs::remove_file(&victim).unwrap();
         let third = Runner::new(2).checkpoint_dir(&dir).run(&spec);
         assert_eq!(third.resumed, third.cells.len() - 1);

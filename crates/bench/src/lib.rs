@@ -24,7 +24,7 @@ pub mod runner;
 pub use artifacts::{Artifact, ARTIFACTS};
 pub use cache::ResultCache;
 pub use runner::{
-    Cell, CellResult, ExperimentSpec, Runner, Scale, Shard, Snapshot, SweepResult, Target,
+    Cell, CellResult, CellSim, ExperimentSpec, Runner, Scale, Shard, Snapshot, SweepResult, Target,
 };
 
 /// Resolves a named artifact and the spec knobs every front end

@@ -22,14 +22,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use interleave_core::{Scheme, StorePolicy};
-use interleave_mp::{LatencyModel, MpResult, MpSim, SplashProfile};
+use interleave_mp::{LatencyModel, MpResult, MpSim, MpSimBuilder, SplashProfile};
 use interleave_obs::bus::{Subscriber, Watch};
 use interleave_obs::json;
 use interleave_obs::profile::{self, PhaseProfile};
 use interleave_obs::Registry;
 use interleave_stats::{Breakdown, Category, Table};
 use interleave_workloads::mixes::Workload;
-use interleave_workloads::{MultiprogramResult, MultiprogramSim, OsModel};
+use interleave_workloads::{MultiprogramResult, MultiprogramSim, MultiprogramSimBuilder, OsModel};
 
 /// Problem scale (`--scale ci|full`).
 ///
@@ -481,98 +481,80 @@ impl ExperimentSpec {
         cells
     }
 
-    /// Builds and runs the simulation for one cell.
-    pub fn run_cell(&self, cell: &Cell) -> CellResult {
-        let ov = &self.overrides;
+    /// Resolves one cell into the simulator that runs it. This is the
+    /// one place where [`Scale`] defaults and the spec's overrides meet
+    /// the sim builders: the built sim holds every setting resolved, so
+    /// its [`CellSim::descriptor`] is the cell's cache key.
+    pub fn build(&self, cell: &Cell) -> CellSim {
+        let (ov, scale) = (&self.overrides, self.scale);
         match &cell.target {
             Target::Uni(workload) => {
-                let mut b = MultiprogramSim::builder(workload.clone())
+                let b = MultiprogramSim::builder(workload.clone())
                     .scheme(cell.scheme)
                     .contexts(cell.contexts)
-                    .quota(ov.quota.unwrap_or_else(|| self.scale.uni_quota()))
-                    .warmup(ov.warmup.unwrap_or_else(|| self.scale.uni_warmup()))
-                    .os(ov.os.clone().unwrap_or_else(|| self.scale.os_model()));
-                if let Some(seed) = cell.seed {
-                    b = b.seed(seed);
-                }
-                if let Some(entries) = ov.btb_entries {
-                    b = b.btb_entries(entries);
-                }
-                if let Some(policy) = ov.store_policy {
-                    b = b.store_policy(policy);
-                }
-                if let Some(skip) = ov.idle_skip {
-                    b = b.idle_skip(skip);
-                }
-                CellResult::Uni(Box::new(b.build().run()))
+                    .quota(ov.quota.unwrap_or_else(|| scale.uni_quota()))
+                    .warmup(ov.warmup.unwrap_or_else(|| scale.uni_warmup()))
+                    .os(ov.os.clone().unwrap_or_else(|| scale.os_model()));
+                let b = apply(b, cell.seed, MultiprogramSimBuilder::seed);
+                let b = apply(b, ov.btb_entries, MultiprogramSimBuilder::btb_entries);
+                let b = apply(b, ov.store_policy, MultiprogramSimBuilder::store_policy);
+                CellSim::Uni(apply(b, ov.idle_skip, MultiprogramSimBuilder::idle_skip).build())
             }
             Target::Mp(app) => {
-                let mut b = MpSim::builder(app.clone())
+                let b = MpSim::builder(app.clone())
                     .scheme(cell.scheme)
                     .contexts(cell.contexts)
-                    .nodes(ov.nodes.unwrap_or_else(|| self.scale.mp_nodes()))
-                    .work(ov.work.unwrap_or_else(|| self.scale.mp_work()))
-                    .warmup(ov.warmup.unwrap_or_else(|| self.scale.mp_warmup()));
-                if let Some(seed) = cell.seed {
-                    b = b.seed(seed);
-                }
-                if let Some(latency) = ov.latency {
-                    b = b.latency(latency);
-                }
-                if let Some(skip) = ov.idle_skip {
-                    b = b.idle_skip(skip);
-                }
-                if let Some(adaptive) = ov.adaptive {
-                    b = b.adaptive(adaptive);
-                }
-                if let Some(jobs) = ov.mp_jobs {
-                    b = b.mp_jobs(jobs);
-                }
-                CellResult::Mp(Box::new(b.build().run()))
+                    .nodes(ov.nodes.unwrap_or_else(|| scale.mp_nodes()))
+                    .work(ov.work.unwrap_or_else(|| scale.mp_work()))
+                    .warmup(ov.warmup.unwrap_or_else(|| scale.mp_warmup()));
+                let b = apply(b, cell.seed, MpSimBuilder::seed);
+                let b = apply(b, ov.latency, MpSimBuilder::latency);
+                let b = apply(b, ov.idle_skip, MpSimBuilder::idle_skip);
+                let b = apply(b, ov.adaptive, MpSimBuilder::adaptive);
+                CellSim::Mp(apply(b, ov.mp_jobs, MpSimBuilder::mp_jobs).build())
             }
         }
     }
 
-    /// Canonical description of everything that determines a cell's
-    /// simulated result: the resolved (not merely overridden)
-    /// result-affecting configuration plus the cell coordinates, salted
-    /// with the crate version. This string is what the checkpoint key
-    /// hashes, so two cells share a checkpoint exactly when they are
-    /// guaranteed to produce identical results.
-    ///
-    /// Host-throughput-only knobs (`idle_skip`, `adaptive`, `mp_jobs`,
-    /// and the runner's `jobs`) are deliberately excluded: they are
-    /// proven bit-invisible, so checkpoints stay valid across them.
-    pub fn cell_descriptor(&self, cell: &Cell) -> String {
-        let ov = &self.overrides;
-        match &cell.target {
-            Target::Uni(w) => format!(
-                "interleave-cell-v1 crate={} uni target={:?} scheme={} contexts={} seed={:?} \
-                 quota={} warmup={} os={:?} btb={:?} store={:?}",
-                env!("CARGO_PKG_VERSION"),
-                w,
-                cell.scheme.name(),
-                cell.contexts,
-                cell.seed,
-                ov.quota.unwrap_or_else(|| self.scale.uni_quota()),
-                ov.warmup.unwrap_or_else(|| self.scale.uni_warmup()),
-                ov.os.clone().unwrap_or_else(|| self.scale.os_model()),
-                ov.btb_entries,
-                ov.store_policy,
-            ),
-            Target::Mp(app) => format!(
-                "interleave-cell-v1 crate={} mp target={:?} scheme={} contexts={} seed={:?} \
-                 nodes={} work={} warmup={} latency={:?}",
-                env!("CARGO_PKG_VERSION"),
-                app,
-                cell.scheme.name(),
-                cell.contexts,
-                cell.seed,
-                ov.nodes.unwrap_or_else(|| self.scale.mp_nodes()),
-                ov.work.unwrap_or_else(|| self.scale.mp_work()),
-                ov.warmup.unwrap_or_else(|| self.scale.mp_warmup()),
-                ov.latency,
-            ),
+    /// Builds and runs the simulation for one cell.
+    pub fn run_cell(&self, cell: &Cell) -> CellResult {
+        self.build(cell).run()
+    }
+}
+
+/// Calls a builder `setter` when an override is present.
+fn apply<B, T>(builder: B, value: Option<T>, setter: fn(B, T) -> B) -> B {
+    match value {
+        Some(value) => setter(builder, value),
+        None => builder,
+    }
+}
+
+/// One cell resolved into the simulator that runs it (see
+/// [`ExperimentSpec::build`]).
+#[derive(Debug, Clone)]
+pub enum CellSim {
+    /// A uniprocessor multiprogramming run.
+    Uni(MultiprogramSim),
+    /// A multiprocessor run.
+    Mp(MpSim),
+}
+
+impl CellSim {
+    /// Runs the simulation to completion.
+    pub fn run(&self) -> CellResult {
+        match self {
+            CellSim::Uni(sim) => CellResult::Uni(Box::new(sim.run())),
+            CellSim::Mp(sim) => CellResult::Mp(Box::new(sim.run())),
+        }
+    }
+
+    /// The sim's descriptor: everything that determines its result, and
+    /// nothing host-only.
+    pub fn descriptor(&self) -> String {
+        match self {
+            CellSim::Uni(sim) => sim.descriptor(),
+            CellSim::Mp(sim) => sim.descriptor(),
         }
     }
 }
@@ -872,11 +854,11 @@ impl Runner {
     /// computed cell is serialized to `CELL_<key>.json` (written to a
     /// temp file, then renamed, so a killed sweep never leaves a torn
     /// checkpoint), and cells whose checkpoint already exists are
-    /// restored instead of recomputed. The key is a canonical hash of
-    /// the resolved result-affecting configuration plus the cell
-    /// coordinates (see [`crate::cache`]), so stale checkpoints
-    /// from a different spec, seed, or code version are ignored — a
-    /// resumed sweep is byte-identical to an uninterrupted one.
+    /// restored instead of recomputed. The key is the descriptor of the
+    /// sim [`ExperimentSpec::build`] makes for the cell, checked exactly
+    /// on load (see [`crate::cache`]), so checkpoints from a different
+    /// configuration, seed, or code version are ignored — a resumed
+    /// sweep is byte-identical to an uninterrupted one.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Runner {
         self.cache = Some(Arc::new(ResultCache::new(dir)));
         self
@@ -1574,8 +1556,17 @@ mod tests {
         assert_eq!(Scale::parse("ci"), Some(Scale::Ci));
         assert_eq!(Scale::parse("full"), Some(Scale::Full));
         assert_eq!(Scale::parse("huge"), None);
-        assert!(Scale::Full.uni_quota() > Scale::Ci.uni_quota());
-        assert!(Scale::Full.mp_nodes() > Scale::Ci.mp_nodes());
         assert_eq!(Scale::Ci.name(), "ci");
+        // `build` resolves the scale's defaults, and an override wins.
+        let built = |spec: ExperimentSpec| {
+            let spec = spec.uni(mixes::fp()).mp(splash_suite()[0].clone()).contexts([]);
+            spec.cells().iter().map(|c| spec.build(c).descriptor()).collect::<Vec<_>>().join("\n")
+        };
+        let ci = built(ExperimentSpec::new("s", Scale::Ci));
+        assert!(ci.contains(" quota=40000 ") && ci.contains(" nodes=8 "), "{ci}");
+        let full = built(ExperimentSpec::new("s", Scale::Full));
+        assert!(full.contains(" quota=1500000 ") && full.contains(" nodes=16 "), "{full}");
+        let overridden = built(ExperimentSpec::new("s", Scale::Full).quota(7).nodes(2));
+        assert!(overridden.contains(" quota=7 ") && overridden.contains(" nodes=2 "));
     }
 }

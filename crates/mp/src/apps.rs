@@ -600,7 +600,7 @@ mod tests {
             let mut k = 0usize;
             while got.len() <= expected.len() {
                 let room = expected.len() + 1 - got.len();
-                if k % 3 == 0 {
+                if k.is_multiple_of(3) {
                     got.push(t.next_instr().unwrap());
                 } else {
                     let want = (k * 7 % 45 + 1).min(room);

@@ -243,49 +243,35 @@ impl MpSim {
         }
     }
 
-    /// The application being run.
-    pub fn app(&self) -> &SplashProfile {
-        &self.app
-    }
-
-    /// Context scheduling scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Number of nodes (processors).
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Hardware contexts per processor.
-    pub fn contexts_per_node(&self) -> usize {
-        self.contexts_per_node
-    }
-
-    /// Total instructions of application work.
-    pub fn total_work(&self) -> u64 {
-        self.total_work
-    }
-
-    /// Warmup cycles before statistics reset.
-    pub fn warmup_cycles(&self) -> u64 {
-        self.warmup_cycles
-    }
-
-    /// Seed for streams and latency sampling.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Host worker threads requested for the parallel driver.
-    pub fn mp_jobs(&self) -> usize {
-        self.mp_jobs
-    }
-
-    /// Whether adaptive lookahead widening is enabled.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
+    /// Everything that determines this run's result, on one line: two
+    /// sims with equal descriptors produce bit-identical results, so the
+    /// result cache keys on it. The destructure names every field, so a
+    /// new one does not compile until it is keyed or declared host-only.
+    pub fn descriptor(&self) -> String {
+        let Self {
+            app,
+            scheme,
+            nodes,
+            contexts_per_node,
+            total_work,
+            warmup_cycles,
+            latency,
+            seed,
+            fault_at,
+            // Host-only: it skips cycles in which a shard can only idle.
+            idle_skip: _,
+            // Host-only: widened quanta end on the fixed barrier grid.
+            adaptive: _,
+            // Host-only: the checkers observe the run and never steer it.
+            validate: _,
+            // Host-only: shards exchange only at quantum barriers.
+            mp_jobs: _,
+        } = self;
+        format!(
+            "mp app={app:?} scheme={scheme:?} nodes={nodes:?} contexts={contexts_per_node:?} \
+             work={total_work:?} warmup={warmup_cycles:?} latency={latency:?} seed={seed:?} \
+             fault_at={fault_at:?}"
+        )
     }
 
     /// Runs the simulation to completion.
@@ -593,6 +579,22 @@ mod tests {
         assert!(sim.idle_skip);
         assert!(sim.adaptive);
         assert!(sim.fault_at.is_none());
+    }
+
+    #[test]
+    fn descriptor_moves_with_fault_injection_and_not_with_host_switches() {
+        let sim = || MpSim::builder(apps::water()).nodes(4).contexts(2);
+        let base = sim().build().descriptor();
+        assert_ne!(sim().inject_directory_fault_at(5_000).build().descriptor(), base);
+        for host_only in [
+            sim().validate(true),
+            sim().validate(false),
+            sim().idle_skip(false),
+            sim().adaptive(false),
+            sim().mp_jobs(4),
+        ] {
+            assert_eq!(host_only.build().descriptor(), base);
+        }
     }
 
     #[test]

@@ -148,7 +148,8 @@ impl Histogram {
     /// [`crate::Registry::to_json`]). The reconstruction is exact — the
     /// same buckets, count, sum, min, and max — which is what lets
     /// sweep checkpoints and shard merges reproduce byte-identical
-    /// artifacts. Returns `None` if the value is not such an object.
+    /// artifacts. Returns `None` if the value is not such an object, or
+    /// if its bucket counts overflow.
     pub fn from_value(v: &Value) -> Option<Histogram> {
         let count = v.get("count")?.as_u64()?;
         let mut h = Histogram {
@@ -164,7 +165,8 @@ impl Histogram {
         for b in v.get("buckets")?.as_arr()? {
             let lo = b.get("lo")?.as_u64()?;
             let n = b.get("n")?.as_u64()?;
-            h.buckets[bucket_of(lo)] += n;
+            let bucket = &mut h.buckets[bucket_of(lo)];
+            *bucket = bucket.checked_add(n)?;
         }
         Some(h)
     }
@@ -193,6 +195,18 @@ fn bucket_high(b: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_value_rejects_overflowing_bucket_counts() {
+        // 2,049 entries of the largest JSON-safe count in one bucket sum
+        // past `u64::MAX`; a checkpoint file can hold exactly this.
+        let entry = format!("{{\"lo\": 1, \"n\": {}}}", crate::json::MAX_SAFE_INTEGER);
+        let doc = format!(
+            "{{\"count\": 1, \"sum\": 1, \"min\": 1, \"max\": 1, \"buckets\": [{}]}}",
+            vec![entry; 2049].join(", ")
+        );
+        assert!(Histogram::from_value(&crate::json::parse(&doc).unwrap()).is_none());
+    }
 
     #[test]
     fn empty_is_benign() {

@@ -203,49 +203,32 @@ impl MultiprogramSim {
         }
     }
 
-    /// The workload being run.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// Context scheduling scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Hardware contexts.
-    pub fn contexts(&self) -> usize {
-        self.contexts
-    }
-
-    /// Instructions each application must retire.
-    pub fn quota(&self) -> u64 {
-        self.quota
-    }
-
-    /// Warmup cycles before statistics reset.
-    pub fn warmup_cycles(&self) -> u64 {
-        self.warmup_cycles
-    }
-
-    /// Seed for the synthetic streams and OS displacement.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The operating-system model.
-    pub fn os(&self) -> &OsModel {
-        &self.os
-    }
-
-    /// Branch target buffer entries.
-    pub fn btb_entries(&self) -> usize {
-        self.btb_entries
-    }
-
-    /// Store-miss handling policy.
-    pub fn store_policy(&self) -> StorePolicy {
-        self.store_policy
+    /// Everything that determines this run's result, on one line: two
+    /// sims with equal descriptors produce bit-identical results, so the
+    /// result cache keys on it. The destructure names every field, so a
+    /// new one does not compile until it is keyed or declared host-only.
+    pub fn descriptor(&self) -> String {
+        let Self {
+            workload,
+            scheme,
+            contexts,
+            quota,
+            warmup_cycles,
+            seed,
+            os,
+            mem,
+            btb_entries,
+            store_policy,
+            // Host-only: it skips cycles in which nothing can happen.
+            idle_skip: _,
+            // Host-only: the checkers observe the run and never steer it.
+            validate: _,
+        } = self;
+        format!(
+            "uni workload={workload:?} scheme={scheme:?} contexts={contexts:?} quota={quota:?} \
+             warmup={warmup_cycles:?} seed={seed:?} os={os:?} mem={mem:?} \
+             btb={btb_entries:?} store={store_policy:?}"
+        )
     }
 
     /// Runs the simulation to completion.
@@ -467,6 +450,18 @@ mod tests {
         assert_eq!(sim.store_policy, StorePolicy::SwitchOnMiss);
         assert!(sim.idle_skip);
         assert_eq!(sim.workload.name, mixes::fp().name);
+    }
+
+    #[test]
+    fn descriptor_moves_with_memory_and_not_with_host_switches() {
+        let sim = || MultiprogramSim::builder(mixes::fp()).contexts(2);
+        let base = sim().build().descriptor();
+        let mut slower = MemConfig::workstation();
+        slower.path.bank_access += 1;
+        assert_ne!(sim().mem(slower).build().descriptor(), base);
+        for host_only in [sim().validate(true), sim().validate(false), sim().idle_skip(false)] {
+            assert_eq!(host_only.build().descriptor(), base);
+        }
     }
 
     #[test]
