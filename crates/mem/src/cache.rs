@@ -23,12 +23,18 @@ pub struct DirectCache {
     line_shift: u32,
     index_mask: u64,
     /// `line_shift` plus the index width: a tag is the address above
-    /// both (stored so lookups need no bit count).
+    /// both (stored so lookups need no bit count). At least 1, so no
+    /// tag can equal [`EMPTY`].
     tag_shift: u32,
-    /// Tag per set, or `None` if the set is empty.
-    tags: Vec<Option<u64>>,
-    dirty: Vec<bool>,
+    /// Tag per set, or [`EMPTY`] if the set is empty.
+    tags: Vec<u64>,
+    /// Dirty bit per set, 64 sets per word.
+    dirty: Vec<u64>,
 }
+
+/// The tag of an empty frame. A tag is an address shifted right by at
+/// least one bit, so it is at most `u64::MAX >> 1`.
+const EMPTY: u64 = u64::MAX;
 
 /// A line written back on eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,17 +50,22 @@ impl DirectCache {
     ///
     /// # Panics
     ///
-    /// Panics if `params` fails [`CacheParams::validate`].
+    /// Panics if `params` fails [`CacheParams::validate`], or if the
+    /// geometry leaves no bit between the address and its tag (a
+    /// one-line cache of one-byte lines), since the empty-frame sentinel
+    /// relies on every tag dropping at least one address bit.
     pub fn new(params: CacheParams) -> DirectCache {
         params.validate();
         let lines = params.lines() as usize;
         let line_shift = params.line.trailing_zeros();
+        let tag_shift = line_shift + (params.lines() - 1).count_ones();
+        assert!(tag_shift >= 1, "a cache needs at least two bytes of lines");
         DirectCache {
             line_shift,
             index_mask: params.lines() - 1,
-            tag_shift: line_shift + (params.lines() - 1).count_ones(),
-            tags: vec![None; lines],
-            dirty: vec![false; lines],
+            tag_shift,
+            tags: vec![EMPTY; lines],
+            dirty: vec![0; lines.div_ceil(64)],
             params,
         }
     }
@@ -86,10 +97,26 @@ impl DirectCache {
         addr >> self.tag_shift
     }
 
+    #[inline]
+    fn dirty_bit(&self, index: usize) -> bool {
+        self.dirty[index / 64] >> (index % 64) & 1 != 0
+    }
+
+    #[inline]
+    fn set_dirty_bit(&mut self, index: usize, dirty: bool) {
+        let word = &mut self.dirty[index / 64];
+        let bit = 1u64 << (index % 64);
+        if dirty {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
     /// Whether `addr` currently hits.
     #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        self.tags[self.index(addr)] == Some(self.tag(addr))
+        self.tags[self.index(addr)] == self.tag(addr)
     }
 
     /// Installs the line containing `addr`, optionally marking it dirty,
@@ -98,22 +125,19 @@ impl DirectCache {
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Writeback> {
         let index = self.index(addr);
         let new_tag = self.tag(addr);
-        let evicted = self.tags[index].and_then(|old_tag| {
-            if old_tag == new_tag {
-                None
-            } else {
-                let old_addr = old_tag << self.tag_shift | (index as u64) << self.line_shift;
-                Some(Writeback { addr: old_addr, dirty: self.dirty[index] })
-            }
+        let old_tag = self.tags[index];
+        let evicted = (old_tag != EMPTY && old_tag != new_tag).then(|| Writeback {
+            addr: old_tag << self.tag_shift | (index as u64) << self.line_shift,
+            dirty: self.dirty_bit(index),
         });
-        self.tags[index] = Some(new_tag);
-        self.dirty[index] = dirty;
+        self.tags[index] = new_tag;
+        self.set_dirty_bit(index, dirty);
         evicted
     }
 
     /// Whether the line containing `addr` is present and dirty.
     pub fn is_dirty(&self, addr: u64) -> bool {
-        self.probe(addr) && self.dirty[self.index(addr)]
+        self.probe(addr) && self.dirty_bit(self.index(addr))
     }
 
     /// Marks the line containing `addr` dirty.
@@ -124,17 +148,16 @@ impl DirectCache {
     #[inline]
     pub fn mark_dirty(&mut self, addr: u64) {
         assert!(self.probe(addr), "cannot dirty a line that is not cached");
-        let index = self.index(addr);
-        self.dirty[index] = true;
+        self.set_dirty_bit(self.index(addr), true);
     }
 
     /// Removes the line containing `addr` if present; returns whether it
     /// was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let index = self.index(addr);
-        if self.tags[index] == Some(self.tag(addr)) {
-            self.tags[index] = None;
-            self.dirty[index] = false;
+        if self.tags[index] == self.tag(addr) {
+            self.tags[index] = EMPTY;
+            self.set_dirty_bit(index, false);
             true
         } else {
             false
@@ -149,8 +172,8 @@ impl DirectCache {
     /// Panics if `set` is out of range.
     pub fn invalidate_set(&mut self, set: usize) {
         assert!(set < self.tags.len(), "set index out of range");
-        self.tags[set] = None;
-        self.dirty[set] = false;
+        self.tags[set] = EMPTY;
+        self.set_dirty_bit(set, false);
     }
 
     /// Number of sets (== lines for a direct-mapped cache).
@@ -160,13 +183,13 @@ impl DirectCache {
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Empties the cache.
     pub fn clear(&mut self) {
-        self.tags.fill(None);
-        self.dirty.fill(false);
+        self.tags.fill(EMPTY);
+        self.dirty.fill(0);
     }
 }
 
@@ -291,6 +314,36 @@ mod tests {
         let c = small();
         assert_eq!(c.line_addr(0x47), 0x40);
         assert_eq!(c.line_addr(0x40), 0x40);
+    }
+
+    #[test]
+    fn paper_l1_tag_array_bytes() {
+        // 2,048 lines: 8 bytes of tag each plus one dirty bit each.
+        let c = DirectCache::new(CacheParams::primary_data());
+        let bytes = (c.tags.capacity() + c.dirty.capacity()) * std::mem::size_of::<u64>();
+        assert_eq!(bytes, 16_640);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two bytes")]
+    fn zero_tag_shift_rejected() {
+        DirectCache::new(CacheParams { size: 1, line: 1, ..CacheParams::primary_data() });
+    }
+
+    #[test]
+    fn two_byte_caches_are_accepted() {
+        // The smallest geometries that keep one tag bit: one 2-byte line,
+        // and two 1-byte lines.
+        for (size, line) in [(2, 2), (2, 1)] {
+            let mut c = DirectCache::new(CacheParams { size, line, ..CacheParams::primary_data() });
+            let top = u64::MAX;
+            assert!(!c.probe(top));
+            assert!(c.fill(top, true).is_none());
+            assert!(c.probe(top));
+            assert!(c.is_dirty(top));
+            let wb = c.fill(top - size, false).expect("same set, other tag");
+            assert_eq!(wb, Writeback { addr: c.line_addr(top), dirty: true });
+        }
     }
 
     #[test]

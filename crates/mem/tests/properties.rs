@@ -11,16 +11,39 @@ use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum CacheOp {
-    Fill { addr: u32, dirty: bool },
-    Invalidate { addr: u32 },
-    Probe { addr: u32 },
+    Fill { addr: u64, dirty: bool },
+    Invalidate { addr: u64 },
+    Probe { addr: u64 },
+    MarkDirty { addr: u64 },
+    InvalidateSet { set: usize },
+    Clear,
+}
+
+/// Full 64-bit addresses over the small cache's 512-byte period: the
+/// bits above it come from a few fixed values (including all ones, so
+/// the tag is the largest possible) or are random, so fills collide and
+/// refill often.
+fn cache_addr() -> impl Strategy<Value = u64> {
+    (0u8..5, any::<u64>(), 0u64..512).prop_map(|(high, random, low)| {
+        let top = match high {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX >> 9,
+            3 => (u64::MAX >> 9) - 1,
+            _ => random >> 9,
+        };
+        top << 9 | low
+    })
 }
 
 fn cache_op() -> impl Strategy<Value = CacheOp> {
     prop_oneof![
-        (any::<u32>(), any::<bool>()).prop_map(|(addr, dirty)| CacheOp::Fill { addr, dirty }),
-        any::<u32>().prop_map(|addr| CacheOp::Invalidate { addr }),
-        any::<u32>().prop_map(|addr| CacheOp::Probe { addr }),
+        (cache_addr(), any::<bool>()).prop_map(|(addr, dirty)| CacheOp::Fill { addr, dirty }),
+        cache_addr().prop_map(|addr| CacheOp::Invalidate { addr }),
+        cache_addr().prop_map(|addr| CacheOp::Probe { addr }),
+        cache_addr().prop_map(|addr| CacheOp::MarkDirty { addr }),
+        (0usize..16).prop_map(|set| CacheOp::InvalidateSet { set }),
+        (0u8..20).prop_map(|_| CacheOp::Clear),
     ]
 }
 
@@ -37,46 +60,71 @@ fn small_params() -> CacheParams {
 }
 
 proptest! {
-    /// The direct-mapped cache agrees with a trivial index->tag map.
+    /// The direct-mapped cache agrees with a trivial index -> (line,
+    /// dirty) map over full 64-bit addresses, for every operation.
     #[test]
     fn cache_matches_reference_model(ops in proptest::collection::vec(cache_op(), 1..200)) {
         let mut cache = DirectCache::new(small_params());
         let lines = 512 / 32;
-        let mut reference: HashMap<u64, u64> = HashMap::new(); // index -> line addr
+        // index -> (line addr, dirty)
+        let mut reference: HashMap<u64, (u64, bool)> = HashMap::new();
+        let place = |addr: u64| (addr / 32 * 32, (addr / 32) % lines);
         for op in ops {
             match op {
                 CacheOp::Fill { addr, dirty } => {
-                    let addr = u64::from(addr);
-                    let line = addr / 32 * 32;
-                    let index = (addr / 32) % lines;
+                    let (line, index) = place(addr);
                     let evicted = cache.fill(addr, dirty);
-                    let prev = reference.insert(index, line);
+                    let prev = reference.insert(index, (line, dirty));
                     match (evicted, prev) {
-                        (Some(wb), Some(old)) => prop_assert_eq!(wb.addr, old),
+                        (Some(wb), Some((old, old_dirty))) => {
+                            prop_assert_ne!(old, line, "refill reported as eviction");
+                            prop_assert_eq!(wb.addr, old);
+                            prop_assert_eq!(wb.dirty, old_dirty);
+                        }
                         (Some(_), None) => prop_assert!(false, "evicted from empty set"),
-                        (None, Some(old)) => prop_assert_eq!(old, line, "silent eviction"),
+                        (None, Some((old, _))) => prop_assert_eq!(old, line, "silent eviction"),
                         (None, None) => {}
                     }
                 }
                 CacheOp::Invalidate { addr } => {
-                    let addr = u64::from(addr);
-                    let line = addr / 32 * 32;
-                    let index = (addr / 32) % lines;
-                    let was_present = reference.get(&index) == Some(&line);
+                    let (line, index) = place(addr);
+                    let was_present = reference.get(&index).map(|e| e.0) == Some(line);
                     prop_assert_eq!(cache.invalidate(addr), was_present);
                     if was_present {
                         reference.remove(&index);
                     }
                 }
                 CacheOp::Probe { addr } => {
-                    let addr = u64::from(addr);
-                    let line = addr / 32 * 32;
-                    let index = (addr / 32) % lines;
-                    let expect = reference.get(&index) == Some(&line);
-                    prop_assert_eq!(cache.probe(addr), expect);
+                    let (line, index) = place(addr);
+                    let entry = reference.get(&index).filter(|e| e.0 == line);
+                    prop_assert_eq!(cache.probe(addr), entry.is_some());
+                    prop_assert_eq!(cache.is_dirty(addr), entry.is_some_and(|e| e.1));
+                }
+                CacheOp::MarkDirty { addr } => {
+                    let (line, index) = place(addr);
+                    // Marking needs a resident line; otherwise it panics.
+                    if let Some(entry) = reference.get_mut(&index).filter(|e| e.0 == line) {
+                        cache.mark_dirty(addr);
+                        entry.1 = true;
+                    }
+                    prop_assert_eq!(cache.is_dirty(addr), reference.contains_key(&index)
+                        && reference[&index] == (line, true));
+                }
+                CacheOp::InvalidateSet { set } => {
+                    cache.invalidate_set(set);
+                    reference.remove(&(set as u64));
+                }
+                CacheOp::Clear => {
+                    cache.clear();
+                    reference.clear();
                 }
             }
             prop_assert_eq!(cache.occupancy(), reference.len());
+            for (&index, &(line, dirty)) in &reference {
+                prop_assert_eq!(cache.set_of(line), index as usize);
+                prop_assert!(cache.probe(line));
+                prop_assert_eq!(cache.is_dirty(line), dirty);
+            }
         }
     }
 

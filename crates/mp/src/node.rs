@@ -874,4 +874,16 @@ mod tests {
         deliver(&mut ports[0], 100 + m.hop);
         assert!(!ports[0].state().cache.probe(0x40));
     }
+
+    #[test]
+    fn fill_stamps_are_one_word_per_frame() {
+        // With the L1D's 16,640 B of tags and dirty bits (pinned by the
+        // mem crate's `paper_l1_tag_array_bytes`), a node's frame tables
+        // take 33,024 B.
+        let st = ShardState::new(0, 4, 32, 1);
+        assert_eq!(*st.cache.params(), CacheParams::primary_data());
+        assert_eq!(st.fill_stamp.len(), st.cache.sets());
+        let stamp_bytes = st.fill_stamp.capacity() * std::mem::size_of_val(&st.fill_stamp[0]);
+        assert_eq!(stamp_bytes, 16_384);
+    }
 }

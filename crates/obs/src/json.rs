@@ -107,11 +107,17 @@ impl Value {
 /// (2^53 - 1): the upper end of [`Value::as_u64`].
 pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on any input; no
+/// document this project writes nests deeper than ten.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Trailing non-whitespace is an
-/// error; the error string carries a byte offset for debugging.
+/// error, as is nesting deeper than 128 arrays and objects; the error
+/// string carries a byte offset for debugging.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
-    let mut p = Parser { s, b, i: 0 };
+    let mut p = Parser { s, b, i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -125,6 +131,8 @@ struct Parser<'a> {
     s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open at `i`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -149,8 +157,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -158,6 +166,17 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.i)),
         }
+    }
+
+    /// Parses an array or object one nesting level down.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = body(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -304,6 +323,27 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting") && err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_fails_on_a_default_stack() {
+        // 100,000 levels would overflow a spawned thread's default stack
+        // if the parser recursed without a cap.
+        for open in ["[", "{\"a\":"] {
+            let doc = open.repeat(100_000);
+            let res = std::thread::spawn(move || parse(&doc).map(|_| ())).join().unwrap();
+            let err = res.unwrap_err();
+            assert!(err.contains("nesting"), "{open}: {err}");
+        }
     }
 
     #[test]

@@ -20,14 +20,20 @@ use interleave_obs::{Counter, Registry};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
-    /// (tag, target) per entry; disabled BTB has no entries.
-    entries: Vec<Option<(u64, u64)>>,
+    /// (tag, target) per entry, tag [`EMPTY`] if the entry is invalid;
+    /// disabled BTB has no entries.
+    entries: Vec<(u64, u64)>,
     index_mask: u64,
     /// Word-offset bits plus the index width: a tag is the PC above both
-    /// (stored so lookups need no bit count).
+    /// (stored so lookups need no bit count). At least 2, so no tag can
+    /// equal [`EMPTY`].
     tag_shift: u32,
     stats: BtbStats,
 }
+
+/// The tag of an invalid entry. A tag is a PC shifted right by at least
+/// two bits, so it is at most `u64::MAX >> 2`.
+const EMPTY: u64 = u64::MAX;
 
 /// Prediction outcome counters for a [`Btb`], accumulated by
 /// [`Btb::check`].
@@ -54,7 +60,7 @@ impl Btb {
             "BTB entries must be zero or a power of two"
         );
         Btb {
-            entries: vec![None; entries],
+            entries: vec![(EMPTY, 0); entries],
             index_mask: entries.saturating_sub(1) as u64,
             tag_shift: 2 + entries.saturating_sub(1).count_ones(),
             stats: BtbStats::default(),
@@ -73,7 +79,7 @@ impl Btb {
 
     /// Whether the BTB holds no valid entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(Option::is_none)
+        self.entries.iter().all(|&(tag, _)| tag == EMPTY)
     }
 
     #[inline]
@@ -94,10 +100,8 @@ impl Btb {
         if self.entries.is_empty() {
             return None;
         }
-        match self.entries[self.index(pc)] {
-            Some((tag, target)) if tag == self.tag(pc) => Some(target),
-            _ => None,
-        }
+        let (tag, target) = self.entries[self.index(pc)];
+        (tag == self.tag(pc)).then_some(target)
     }
 
     /// Whether the prediction for this branch matches its resolved outcome.
@@ -149,9 +153,9 @@ impl Btb {
         }
         let index = self.index(pc);
         if taken {
-            self.entries[index] = Some((self.tag(pc), target));
-        } else if matches!(self.entries[index], Some((tag, _)) if tag == self.tag(pc)) {
-            self.entries[index] = None;
+            self.entries[index] = (self.tag(pc), target);
+        } else if self.entries[index].0 == self.tag(pc) {
+            self.entries[index] = (EMPTY, 0);
         }
     }
 }
@@ -215,6 +219,12 @@ mod tests {
         // All taken branches mispredict; not-taken predict correctly.
         assert!(!btb.predicts_correctly(0x40, true, 0x100));
         assert!(btb.predicts_correctly(0x40, false, 0));
+    }
+
+    #[test]
+    fn paper_btb_is_16_bytes_per_entry() {
+        let btb = Btb::new(2048);
+        assert_eq!(btb.entries.capacity() * std::mem::size_of::<(u64, u64)>(), 32_768);
     }
 
     #[test]

@@ -3,6 +3,9 @@ use interleave_obs::validate::Violation;
 
 const FU_COUNT: usize = 6;
 
+// The per-context register masks are one `u64` each.
+const _: () = assert!(Reg::COUNT <= 64);
+
 #[inline]
 fn fu_slot(fu: FuKind) -> usize {
     match fu {
@@ -61,9 +64,15 @@ pub struct Scoreboard {
     /// construction (context count is a hardware parameter), no spare
     /// capacity, contiguous per-context index ranges.
     reg_ready: Box<[u64]>,
-    /// Whether the pending value comes from an outstanding memory operation
-    /// (drives data-stall vs pipeline-stall attribution).
-    mem_pending: Box<[bool]>,
+    /// Per context, a bit per register ([`Reg::index`]) whose pending
+    /// value comes from an outstanding memory operation (drives
+    /// data-stall vs pipeline-stall attribution).
+    mem_pending: Box<[u64]>,
+    /// Per context, a bit per register whose ready cycle was written
+    /// since the context's last [`Scoreboard::clear_context`]. Every
+    /// other register's ready cycle is at most that clear's `now`, so
+    /// the next clear only needs to visit these.
+    written: Box<[u64]>,
     fu: [FuState; FU_COUNT],
 }
 
@@ -79,7 +88,8 @@ impl Scoreboard {
         Scoreboard {
             contexts,
             reg_ready: vec![0; contexts * Reg::COUNT].into_boxed_slice(),
-            mem_pending: vec![false; contexts * Reg::COUNT].into_boxed_slice(),
+            mem_pending: vec![0; contexts].into_boxed_slice(),
+            written: vec![0; contexts].into_boxed_slice(),
             fu: [FuState { free_at: 0, owner: usize::MAX, prev_free_at: 0 }; FU_COUNT],
         }
     }
@@ -88,6 +98,11 @@ impl Scoreboard {
     fn slot(&self, ctx: usize, reg: Reg) -> usize {
         debug_assert!(ctx < self.contexts);
         ctx * Reg::COUNT + reg.index()
+    }
+
+    #[inline]
+    fn is_mem_pending(&self, ctx: usize, reg: Reg) -> bool {
+        self.mem_pending[ctx] >> reg.index() & 1 != 0
     }
 
     /// Earliest cycle at or after `candidate` at which `instr` may enter EX.
@@ -120,10 +135,10 @@ impl Scoreboard {
     /// pipeline-stall cycles).
     #[inline]
     pub fn blocked_on_memory(&self, ctx: usize, instr: &Instr, now: u64) -> bool {
-        instr.sources().chain(instr.dest()).any(|reg| {
-            let slot = self.slot(ctx, reg);
-            self.mem_pending[slot] && self.reg_ready[slot] > now
-        })
+        instr
+            .sources()
+            .chain(instr.dest())
+            .any(|reg| self.is_mem_pending(ctx, reg) && self.reg_ready[self.slot(ctx, reg)] > now)
     }
 
     /// Records the effects of `instr` entering EX at `ex`: reserves its
@@ -140,7 +155,8 @@ impl Scoreboard {
         if let Some(dst) = instr.dest() {
             let slot = self.slot(ctx, dst);
             self.reg_ready[slot] = ex + u64::from(t.latency);
-            self.mem_pending[slot] = false;
+            self.mem_pending[ctx] &= !(1 << dst.index());
+            self.written[ctx] |= 1 << dst.index();
         }
     }
 
@@ -153,7 +169,8 @@ impl Scoreboard {
         }
         let slot = self.slot(ctx, reg);
         self.reg_ready[slot] = ready_at;
-        self.mem_pending[slot] = true;
+        self.mem_pending[ctx] |= 1 << reg.index();
+        self.written[ctx] |= 1 << reg.index();
     }
 
     /// Cycle at which `reg` becomes available for forwarding.
@@ -168,12 +185,18 @@ impl Scoreboard {
     /// Rolling back only the most recent reservation per unit is an
     /// approximation; it is exact for the dominant squash cause (a load
     /// miss with at most one in-flight long operation per context).
+    ///
+    /// Only registers written since the previous clear are visited: the
+    /// rest are ready by that clear's `now`, and time never goes back.
     pub fn clear_context(&mut self, ctx: usize, now: u64) {
-        let regs = ctx * Reg::COUNT..(ctx + 1) * Reg::COUNT;
-        for ready in &mut self.reg_ready[regs.clone()] {
+        let base = ctx * Reg::COUNT;
+        let mut written = std::mem::take(&mut self.written[ctx]);
+        while written != 0 {
+            let ready = &mut self.reg_ready[base + written.trailing_zeros() as usize];
             *ready = (*ready).min(now);
+            written &= written - 1;
         }
-        self.mem_pending[regs].fill(false);
+        self.mem_pending[ctx] = 0;
         for state in &mut self.fu {
             if state.owner == ctx && state.free_at > now {
                 // prev_free_at <= free_at and now < free_at, so this only
@@ -218,15 +241,13 @@ impl Scoreboard {
         }
         for ctx in 0..self.contexts {
             let slot = self.slot(ctx, Reg::ZERO);
-            if self.reg_ready[slot] != 0 || self.mem_pending[slot] {
+            let mem_pending = self.is_mem_pending(ctx, Reg::ZERO);
+            if self.reg_ready[slot] != 0 || mem_pending {
                 return Err(Violation::new(
                     "pipeline.scoreboard",
                     "hard-wired zero register acquired scoreboard state",
                     now,
-                    format!(
-                        "ready_at {}, mem_pending {}",
-                        self.reg_ready[slot], self.mem_pending[slot]
-                    ),
+                    format!("ready_at {}, mem_pending {mem_pending}", self.reg_ready[slot]),
                 )
                 .with_context(ctx));
             }
@@ -308,7 +329,7 @@ impl Scoreboard {
                 )
                 .with_context(ctx));
             }
-            if self.mem_pending[slot] {
+            if self.is_mem_pending(ctx, Reg::from_index(i)) {
                 return Err(Violation::new(
                     "pipeline.scoreboard",
                     "squashed context still has a memory-pending register",

@@ -103,17 +103,94 @@ proptest! {
         }
     }
 
+    /// The scoreboard, whose clear visits only the registers written
+    /// since the context's previous clear, answers every `ready_at` and
+    /// `blocked_on_memory` query exactly like a reference that sweeps all
+    /// 64 registers on every clear, under random issue, memory-pending
+    /// and clear sequences over three contexts with time moving forward.
+    #[test]
+    fn scoreboard_clear_matches_full_sweep(
+        ops in proptest::collection::vec(
+            ((0u8..4, 0usize..3, 0u8..6), (0usize..64, 0usize..64, 0u64..40, 0u64..4)),
+            1..120,
+        ),
+    ) {
+        let timing = TimingModel::r4000_like();
+        let contexts = 3;
+        let mut sb = Scoreboard::new(contexts);
+        // Reference per context and register: (ready cycle, mem-pending).
+        let mut reference = vec![[(0u64, false); Reg::COUNT]; contexts];
+        let mut now = 0u64;
+        for ((kind, ctx, op_sel), (a, b, delay, step)) in ops {
+            now += step;
+            let (dst, src) = (Reg::from_index(a), Reg::from_index(b));
+            match kind {
+                0 | 1 => {
+                    let instr = match op_sel {
+                        0 => Instr::alu(0, Some(dst), Some(src), None),
+                        1 => Instr::arith(0, Op::IntMul, Some(dst), Some(src), None),
+                        2 => Instr::arith(0, Op::IntDiv, Some(dst), Some(src), None),
+                        3 => Instr::arith(0, Op::FpDivDouble, Some(dst), Some(src), None),
+                        4 => Instr::load(0, dst, src, 0x100),
+                        _ => Instr::store(0, dst, src, 0x100),
+                    };
+                    let ex = now + delay;
+                    sb.issue(ctx, &instr, &timing, ex);
+                    if let Some(d) = instr.dest() {
+                        let latency = u64::from(timing.timing(instr.op).latency);
+                        reference[ctx][d.index()] = (ex + latency, false);
+                    }
+                }
+                2 => {
+                    sb.set_mem_pending(ctx, dst, now + delay);
+                    if !dst.is_zero() {
+                        reference[ctx][dst.index()] = (now + delay, true);
+                    }
+                }
+                _ => {
+                    sb.clear_context(ctx, now);
+                    for slot in &mut reference[ctx] {
+                        *slot = (slot.0.min(now), false);
+                    }
+                    prop_assert!(sb.check_cleared(ctx, now).is_ok());
+                }
+            }
+            for (c, regs) in reference.iter().enumerate() {
+                for (i, &(ready, _)) in regs.iter().enumerate() {
+                    prop_assert_eq!(sb.ready_at(c, Reg::from_index(i)), ready, "ctx {} reg {}", c, i);
+                }
+                for i in 0..Reg::COUNT {
+                    let reg = Reg::from_index(i);
+                    let blocked = |r: Reg| regs[r.index()].1 && regs[r.index()].0 > now;
+                    let reader = Instr::alu(0, None, Some(reg), None);
+                    prop_assert_eq!(sb.blocked_on_memory(c, &reader, now), blocked(reg));
+                    let writer = Instr::alu(0, Some(reg), None, None);
+                    prop_assert_eq!(
+                        sb.blocked_on_memory(c, &writer, now),
+                        writer.dest().is_some_and(blocked)
+                    );
+                }
+            }
+        }
+    }
+
     /// The BTB behaves exactly like a direct-mapped map of (index ->
-    /// (tag, target)) with install-on-taken / evict-on-not-taken.
+    /// (tag, target)) with install-on-taken / evict-on-not-taken, for PCs
+    /// at the bottom and at the very top of the address space.
     #[test]
     fn btb_matches_reference_model(
-        branches in proptest::collection::vec((0u64..4096, any::<bool>(), 0u64..1 << 20), 1..200),
+        branches in proptest::collection::vec(
+            (any::<bool>(), 0u64..4096, 0u64..4, any::<bool>(), 0u64..1 << 20),
+            1..200,
+        ),
     ) {
         let entries = 64u64;
         let mut btb = Btb::new(entries as usize);
         let mut reference: HashMap<u64, (u64, u64)> = HashMap::new(); // index -> (tag, target)
-        for (word, taken, target) in branches {
-            let pc = word * 4;
+        for (high, word, byte, taken, target) in branches {
+            // The top 4,096 words end at u64::MAX itself.
+            let word = if high { (u64::MAX >> 2) - 4095 + word } else { word };
+            let pc = word * 4 + byte;
             let index = word % entries;
             let tag = word / entries;
             let target = target * 4;
@@ -135,6 +212,7 @@ proptest! {
             } else if matches!(reference.get(&index), Some(&(t, _)) if t == tag) {
                 reference.remove(&index);
             }
+            prop_assert_eq!(btb.is_empty(), reference.is_empty());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end service tests over real sockets: wire-protocol
 //! round-trip vs an in-process `Runner` (IEEE-754-exact), cache
 //! dedupe/discrimination at the job level, admission control, the
-//! events stream, and malformed-request handling.
+//! events stream, and malformed and hostile request handling.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,6 +212,22 @@ fn malformed_requests_get_400_and_server_stays_up() {
     assert_eq!(health.status, 200);
     assert!(health.body.contains("\"ok\": true"), "{}", health.body);
 
+    stop(&addr, handle);
+}
+
+#[test]
+fn hostile_nesting_gets_400_and_server_keeps_serving() {
+    let (addr, handle) = start(config(None, 1));
+    // 100 KB of `[`: far below the body cap, but without the parser's
+    // nesting cap it overflows the connection thread's stack and aborts
+    // the whole daemon.
+    let resp = client::post(&addr, "/jobs", &"[".repeat(100_000)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting"), "{}", resp.body);
+
+    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+    let id = field_u64(&submit(&addr, "{\"artifact\": \"smoke\"}"), "id");
+    wait_done(&addr, id);
     stop(&addr, handle);
 }
 

@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use interleave_core::InstrSource;
-use interleave_engine::rand64::{bounded, coin, hashed, unit_f64};
+use interleave_engine::rand64::{bounded, hashed};
 use interleave_isa::{Instr, Op, Reg};
 use interleave_obs::{profile, Histogram};
 
@@ -43,6 +43,8 @@ use crate::AppProfile;
 /// ```
 pub struct SyntheticApp {
     profile: AppProfile,
+    /// The profile's probabilities and sizes in the form the walk uses.
+    consts: Consts,
     /// Keyed-sampling seed: every draw is `hashed(key, site, emitted)`.
     key: u64,
     code_base: u64,
@@ -79,6 +81,105 @@ pub struct SyntheticApp {
     /// call (and the 1-instruction runs of `next_instr`).
     batch_lens: Histogram,
 }
+
+/// Per-profile constants, computed once so the per-instruction walk does
+/// no float math: every probability is a [`threshold`] on a draw's top
+/// 53 bits.
+#[derive(Debug, Clone, Copy)]
+struct Consts {
+    /// Thresholds of the op-class cascade's running sums, in the order
+    /// load, store, branch, FP, shift, integer multiply, integer divide;
+    /// each sum is the same left-to-right `f64` sum the cascade compared
+    /// the unit draw against.
+    class: [u64; 7],
+    /// `frac_fp`, as the FP-destination coin of a load.
+    load_fp: u64,
+    dep_near: u64,
+    streaming: u64,
+    locality: u64,
+    fp_div: u64,
+    fp_double: u64,
+    /// A branch site whose hash is below this modulo 1,000 is a loop
+    /// branch: the count of `k` in `0..1000` with
+    /// `k as f64 / 1000.0 < loop_branch_frac` (a prefix, since the
+    /// quotient grows with `k`).
+    loop_sites: u64,
+    /// Bytes of the hot data subset.
+    hot: u64,
+    /// Bytes of the drifting cold-data window.
+    window: u64,
+}
+
+impl Consts {
+    fn new(p: &AppProfile) -> Consts {
+        let mut class = [0; 7];
+        let mut acc = 0.0;
+        for (t, frac) in class.iter_mut().zip([
+            p.frac_load,
+            p.frac_store,
+            p.frac_branch,
+            p.frac_fp,
+            p.frac_shift,
+            p.frac_int_mul,
+            p.frac_int_div,
+        ]) {
+            acc += frac;
+            *t = threshold(acc);
+        }
+        Consts {
+            class,
+            load_fp: threshold(p.frac_fp),
+            dep_near: threshold(p.dep_near),
+            streaming: threshold(p.streaming),
+            locality: threshold(p.locality),
+            fp_div: threshold(p.fp_div_frac),
+            fp_double: threshold(p.fp_double_frac),
+            loop_sites: (0..1000u64).take_while(|&k| k as f64 / 1000.0 < p.loop_branch_frac).count()
+                as u64,
+            // The hot subset is what the application keeps in its
+            // primary cache; clamp it to cache scale so `locality` really
+            // means "re-references recently used data".
+            hot: ((p.data_footprint as f64 * p.hot_fraction) as u64).clamp(64, 12 * 1024),
+            window: (32 * 1024).min(p.data_footprint),
+        }
+    }
+}
+
+/// The integer form of a coin with probability `p`: for every draw `d`,
+/// `interleave_engine::rand64::coin(d, p)` equals `heads(d, threshold(p))`.
+///
+/// The coin compares `(d >> 11) as f64 * 2^-53` against `p`. Both the
+/// conversion (53 bits) and the scaling (a power of two) are exact, so
+/// it holds exactly when the integer `d >> 11` is below `p * 2^53`,
+/// that is, below its ceiling. NaN and negative `p` give 0 (never
+/// heads), as the float compare does.
+const fn threshold(p: f64) -> u64 {
+    let x = p * (1u64 << 53) as f64;
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// Whether `draw` lands heads on a coin of [`threshold`] `t`.
+#[inline]
+fn heads(draw: u64, t: u64) -> bool {
+    draw >> 11 < t
+}
+
+/// Fixed coins of the walk.
+const CONSUME: u64 = threshold(0.85);
+const ADDR_STEP: u64 = threshold(0.002);
+const BR_PHASE: u64 = threshold(0.015);
+const BR_DRIFT: u64 = threshold(0.05);
+const TAKEN_LOOP: u64 = threshold(0.92);
+const TAKEN_DATA: u64 = threshold(0.5);
+
+/// Size of a hot code region (one "phase" of execution). Every profile's
+/// code footprint is at least twice this ([`AppProfile::validate`]).
+const REGION_BYTES: u64 = 2 * 1024;
 
 const INT_POOL_BASE: u8 = 8;
 const FP_POOL_BASE: u8 = 8;
@@ -161,6 +262,7 @@ impl SyntheticApp {
         let data_base = 0x1_0000_0000 + app_slot as u64 * 0x1039_7000;
         let key = seed ^ mix_hash(app_slot as u64 + 1) ^ mix_hash(profile.name.len() as u64);
         SyntheticApp {
+            consts: Consts::new(&profile),
             key,
             code_base,
             data_base,
@@ -227,7 +329,7 @@ impl SyntheticApp {
     /// (low bits); `site` distinguishes the two operand positions.
     fn int_src(&mut self, site: u64) -> Reg {
         let d = self.draw(site);
-        let reg = if coin(d, self.profile.dep_near) {
+        let reg = if heads(d, self.consts.dep_near) {
             self.last_int
         } else {
             Reg::int(INT_POOL_BASE + bounded(d, u64::from(POOL_LEN)) as u8)
@@ -237,7 +339,7 @@ impl SyntheticApp {
 
     fn fp_src(&mut self, site: u64) -> Reg {
         let d = self.draw(site);
-        let reg = if coin(d, self.profile.dep_near) {
+        let reg = if heads(d, self.consts.dep_near) {
             self.last_fp
         } else {
             Reg::fp(FP_POOL_BASE + bounded(d, u64::from(POOL_LEN)) as u8)
@@ -265,11 +367,6 @@ impl SyntheticApp {
         reg
     }
 
-    /// Size of a hot code region (one "phase" of execution).
-    fn region_bytes(&self) -> u64 {
-        (2 * 1024).min(self.profile.code_footprint)
-    }
-
     fn step_pc(&mut self) -> u64 {
         let pc = self.pc;
         self.pc = self.wrap_region(self.pc + 4);
@@ -278,14 +375,14 @@ impl SyntheticApp {
 
     /// Keeps an address inside the current hot region.
     fn wrap_region(&self, addr: u64) -> u64 {
-        let span = self.region_bytes();
-        let offset = addr.wrapping_sub(self.region_base) % span;
+        let offset = addr.wrapping_sub(self.region_base) & (REGION_BYTES - 1);
         self.region_base + (offset & !3)
     }
 
     fn data_addr(&mut self) -> u64 {
         let p = self.profile;
-        let offset = if unit_f64(self.draw(site::ADDR_CLASS)) < p.streaming {
+        let c = self.consts;
+        let offset = if heads(self.draw(site::ADDR_CLASS), c.streaming) {
             self.stream_pos = (self.stream_pos + p.stream_stride) % p.data_footprint;
             if p.software_prefetch {
                 // Prefetch the next stream element so its line is (mostly)
@@ -299,22 +396,17 @@ impl SyntheticApp {
                 ));
             }
             self.stream_pos
-        } else if coin(self.draw(site::ADDR_LOC), p.locality) {
-            // The hot subset is what the application keeps in its primary
-            // cache; clamp it to cache scale so `locality` really means
-            // "re-references recently used data".
-            let hot = ((p.data_footprint as f64 * p.hot_fraction) as u64).clamp(64, 12 * 1024);
-            bounded(self.draw(site::ADDR_HOT), hot)
+        } else if heads(self.draw(site::ADDR_LOC), c.locality) {
+            bounded(self.draw(site::ADDR_HOT), c.hot)
         } else {
             // Cold references fall in a window that drifts slowly through
             // the footprint (working-set behaviour), not uniformly over
             // the whole data segment.
-            let window = (32 * 1024).min(p.data_footprint);
-            if coin(self.draw(site::ADDR_STEP), 0.002) {
-                let step = window / 4;
+            if heads(self.draw(site::ADDR_STEP), ADDR_STEP) {
+                let step = c.window / 4;
                 self.data_window = (self.data_window + step) % p.data_footprint;
             }
-            (self.data_window + bounded(self.draw(site::ADDR_OFF), window)) % p.data_footprint
+            (self.data_window + bounded(self.draw(site::ADDR_OFF), c.window)) % p.data_footprint
         };
         self.data_base + (offset & !3)
     }
@@ -328,13 +420,13 @@ impl SyntheticApp {
         // program): jump to a new hot region. These look like indirect
         // jumps to the BTB — their targets vary — and are the source of
         // I-cache pressure proportional to the code footprint.
-        if coin(self.draw(site::BR_PHASE), 0.015) {
-            let regions = (p.code_footprint / self.region_bytes()).max(1);
-            if coin(self.draw(site::BR_DRIFT), 0.05) {
+        if heads(self.draw(site::BR_PHASE), BR_PHASE) {
+            let regions = p.code_footprint / REGION_BYTES;
+            if heads(self.draw(site::BR_DRIFT), BR_DRIFT) {
                 // Working-set drift: bring a new region into the active set.
                 let pick = bounded(self.draw(site::BR_PICK), regions);
                 let slot = bounded(self.draw(site::BR_SLOT_NEW), self.active_regions.len() as u64);
-                self.active_regions[slot as usize] = self.code_base + pick * self.region_bytes();
+                self.active_regions[slot as usize] = self.code_base + pick * REGION_BYTES;
             }
             let slot = bounded(self.draw(site::BR_SLOT), self.active_regions.len() as u64);
             self.region_base = self.active_regions[slot as usize];
@@ -346,18 +438,18 @@ impl SyntheticApp {
         // PC so the BTB can learn the biased sites.
         let h = mix_hash(pc ^ 0x5EED);
         let block_bytes = u64::from(p.block_len) * 4;
-        let is_loop = (h % 1000) as f64 / 1000.0 < p.loop_branch_frac;
+        let is_loop = h % 1000 < self.consts.loop_sites;
         let (taken_prob, target) = if is_loop {
             // Loop-closing branch: strongly biased taken, tight backward
             // target (the hot-loop attractor).
             let back = block_bytes * (1 + (h >> 10) % 4);
-            (0.92, self.wrap_region(pc.wrapping_sub(back)))
+            (TAKEN_LOOP, self.wrap_region(pc.wrapping_sub(back)))
         } else {
             // Data-dependent branch: unbiased, short forward target.
             let fwd = block_bytes * (1 + (h >> 10) % 2);
-            (0.5, self.wrap_region(pc + fwd))
+            (TAKEN_DATA, self.wrap_region(pc + fwd))
         };
-        let taken = coin(self.draw(site::BR_TAKEN), taken_prob);
+        let taken = heads(self.draw(site::BR_TAKEN), taken_prob);
         if taken {
             self.pc = target;
         }
@@ -433,36 +525,32 @@ impl SyntheticApp {
         self.block_left -= 1;
         let pc = self.step_pc();
 
-        let p = self.profile;
-        let class = unit_f64(self.draw(site::OP_CLASS));
-        let mut acc = p.frac_load;
-        if class < acc {
-            let dst = if coin(self.draw(site::LOAD_DST), p.frac_fp) {
+        let c = self.consts;
+        let class = self.draw(site::OP_CLASS);
+        if heads(class, c.class[0]) {
+            let dst = if heads(self.draw(site::LOAD_DST), c.load_fp) {
                 self.next_fp_dst()
             } else {
                 self.next_int_dst()
             };
             let addr = self.data_addr();
             self.recent_loads = [Some((dst, self.emitted)), self.recent_loads[0]];
-            if self.due_consumer.is_none() && coin(self.draw(site::CONSUME), 0.85) {
+            if self.due_consumer.is_none() && heads(self.draw(site::CONSUME), CONSUME) {
                 self.due_consumer = Some((dst, 2));
             }
             return Instr::load(pc, dst, Reg::int(ADDR_REG), addr);
         }
-        acc += p.frac_store;
-        if class < acc {
+        if heads(class, c.class[1]) {
             let src = self.int_src(site::SRC_A);
             let addr = self.data_addr();
             return Instr::store(pc, src, Reg::int(ADDR_REG), addr);
         }
-        acc += p.frac_branch;
-        if class < acc {
+        if heads(class, c.class[2]) {
             return self.gen_branch(pc);
         }
-        acc += p.frac_fp;
-        if class < acc {
-            if coin(self.draw(site::FP_DIV), p.fp_div_frac) {
-                let op = if coin(self.draw(site::FP_DOUBLE), p.fp_double_frac) {
+        if heads(class, c.class[3]) {
+            if heads(self.draw(site::FP_DIV), c.fp_div) {
+                let op = if heads(self.draw(site::FP_DOUBLE), c.fp_double) {
                     Op::FpDivDouble
                 } else {
                     Op::FpDivSingle
@@ -477,18 +565,15 @@ impl SyntheticApp {
             let (s1, s2) = (self.fp_src(site::SRC_A), self.fp_src(site::SRC_B));
             return Instr::arith(pc, op, Some(self.next_fp_dst()), Some(s1), Some(s2));
         }
-        acc += p.frac_shift;
-        if class < acc {
+        if heads(class, c.class[4]) {
             let src = self.int_src(site::SRC_A);
             return Instr::arith(pc, Op::Shift, Some(self.next_int_dst()), Some(src), None);
         }
-        acc += p.frac_int_mul;
-        if class < acc {
+        if heads(class, c.class[5]) {
             let (s1, s2) = (self.int_src(site::SRC_A), self.int_src(site::SRC_B));
             return Instr::arith(pc, Op::IntMul, Some(self.next_int_dst()), Some(s1), Some(s2));
         }
-        acc += p.frac_int_div;
-        if class < acc {
+        if heads(class, c.class[6]) {
             return self.gen_divide(pc, Op::IntDiv);
         }
         let (s1, s2) = (self.int_src(site::SRC_A), self.int_src(site::SRC_B));
@@ -527,11 +612,10 @@ impl InstrSource for SyntheticApp {
             Some(limit) => limit.saturating_sub(self.emitted).min(max as u64) as usize,
             None => max,
         };
-        out.reserve(produced);
-        for _ in 0..produced {
+        out.extend((0..produced).map(|_| {
             self.emitted += 1;
-            out.push(self.gen_instr());
-        }
+            self.gen_instr()
+        }));
         if produced > 0 {
             profile::mark("workloads.gen_batch");
             profile::mark_n("workloads.gen_instrs", produced as u64);
@@ -553,6 +637,7 @@ impl std::fmt::Debug for SyntheticApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use interleave_engine::rand64::{coin, unit_f64};
     use proptest::prelude::*;
 
     fn take(profile: AppProfile, n: usize) -> Vec<Instr> {
@@ -803,5 +888,45 @@ mod tests {
             let batched = take_batched(AppProfile::base("inv"), 600, &plan);
             prop_assert_eq!(one_by_one, batched);
         }
+
+        /// The integer coin agrees with the float compare it replaces,
+        /// for random draws and probabilities, 0 and 1, exact multiples
+        /// of 2^-53 and their neighbours, and draws just either side of
+        /// each threshold.
+        #[test]
+        fn heads_matches_float_coin(
+            draw in any::<u64>(),
+            raw in any::<u64>(),
+            kind in 0u8..6,
+            low in 0u64..1 << 11,
+        ) {
+            let multiple = (raw >> 11) as f64 / (1u64 << 53) as f64;
+            let p = match kind {
+                0 => unit_f64(raw),
+                1 => 0.0,
+                2 => 1.0,
+                3 => multiple,
+                4 => multiple.next_up(),
+                _ => multiple.next_down(),
+            };
+            let t = threshold(p);
+            let edge = t.min((1 << 53) - 1);
+            for d in [draw, edge.saturating_sub(1) << 11 | low, edge << 11 | low] {
+                prop_assert_eq!(heads(d, t), coin(d, p), "draw {:#x}, p {:e}", d, p);
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_edges() {
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(2f64.powi(-53)), 1);
+        assert_eq!(threshold(2f64.powi(-54)), 1);
+        // Never heads, like the float compare.
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(-0.5), 0);
+        // Always heads.
+        assert!(heads(u64::MAX, threshold(f64::INFINITY)));
     }
 }

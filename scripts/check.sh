@@ -28,9 +28,10 @@ for arg in "$@"; do
   esac
 done
 
-# Serve smoke: boot the daemon on an ephemeral port, submit the same
-# CI-scale spec twice, and enforce the service contract end to end —
-# the second submit is served fully from the result cache, both wire
+# Serve smoke: boot the daemon on an ephemeral port, check that a
+# hostile 100 KB body of `[` gets a 400 instead of aborting it, submit
+# the same CI-scale spec twice, and enforce the service contract end
+# to end — the second submit is served fully from the result cache, both wire
 # round-trips byte-match an offline sweep of the same spec (METRICS
 # strict, BENCH with volatile host keys stripped), the cached
 # round-trip clears the latency ceiling, and SIGTERM shuts the daemon
@@ -57,6 +58,24 @@ serve_smoke() {
     exit 1
   fi
   addr="${addr#http://}"
+  local host="${addr%:*}" port="${addr##*:}"
+  # Nesting deeper than the JSON parser's cap is rejected up front; the
+  # submits below then prove the daemon is still serving.
+  local status
+  exec 3<>"/dev/tcp/$host/$port"
+  printf 'POST /jobs HTTP/1.1\r\nHost: %s\r\nContent-Length: 100000\r\nConnection: close\r\n\r\n' \
+    "$addr" >&3
+  head -c 100000 /dev/zero | tr '\0' '[' >&3
+  status="$(head -n 1 <&3 | tr -d '\r')"
+  exec 3>&- 3<&-
+  case "$status" in
+    "HTTP/1.1 400"*) ;;
+    *)
+      echo "check.sh: hostile nested body got '$status', expected HTTP/1.1 400:" >&2
+      cat "$log" >&2
+      exit 1
+      ;;
+  esac
   ./target/release/interleave-sim submit --artifact smoke --scale ci \
     --addr "$addr" --wait --json "$sdir/sub1" >/dev/null
   ./target/release/interleave-sim submit --artifact smoke --scale ci \
@@ -78,13 +97,12 @@ serve_smoke() {
   wait "$serve_pid" 2>/dev/null || true
   serve_pid=""
   # No orphan listener: a reconnect to the old port must be refused.
-  local host="${addr%:*}" port="${addr##*:}"
   if (exec 3<>"/dev/tcp/$host/$port") 2>/dev/null; then
     exec 3>&- 3<&- || true
     echo "check.sh: serve left an orphan listener on $addr after SIGTERM" >&2
     exit 1
   fi
-  echo "check.sh: serve smoke ok (cached resubmit byte-identical to offline sweep, clean shutdown)"
+  echo "check.sh: serve smoke ok (hostile body rejected, cached resubmit byte-identical to offline sweep, clean shutdown)"
 }
 
 if [ "$serve_only" -eq 1 ]; then
