@@ -1,7 +1,3 @@
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use interleave_obs::validate::Violation;
 
 /// How a data access was serviced, for latency sampling and statistics.
@@ -106,27 +102,166 @@ impl Transaction {
     }
 }
 
-/// Hasher for line-address keys: one multiply by the 64-bit golden
-/// ratio, folded so the low bits (which index the table) depend on the
-/// high product bits — line addresses have their low bits all zero.
-/// Keys are simulator-generated, so collision resistance is not needed.
-#[derive(Debug, Default)]
-struct LineHasher(u64);
+/// Bit 0 of a slot's line word, set for a dirty line. Lines are at
+/// least two bytes, so a line address never has it set.
+const DIRTY: u64 = 1;
 
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// One tracked line in 16 bytes: the line address with [`DIRTY`]
+/// folded into bit 0, and the sharer bit vector of a shared line or the
+/// owner of a dirty line (any `usize`, so a corrupted owner stays
+/// representable for the checker to catch).
+///
+/// The all-zero slot reads as a line shared by nobody. The protocol
+/// never stores that state — the last sharer's eviction removes the
+/// line — so it marks a vacant slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u64,
+    state: u64,
+}
+
+impl Slot {
+    const VACANT: Slot = Slot { line: 0, state: 0 };
+
+    fn new(line: u64, state: LineState) -> Slot {
+        match state {
+            LineState::Shared(mask) => Slot { line, state: mask },
+            LineState::Dirty(owner) => Slot { line: line | DIRTY, state: owner as u64 },
         }
     }
 
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
+    fn is_vacant(self) -> bool {
+        self.line & DIRTY == 0 && self.state == 0
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    fn line(self) -> u64 {
+        self.line & !DIRTY
+    }
+
+    fn state(self) -> LineState {
+        if self.line & DIRTY == 0 {
+            LineState::Shared(self.state)
+        } else {
+            LineState::Dirty(self.state as usize)
+        }
+    }
+}
+
+/// The smallest line table: [`Directory::new`] starts here and grows.
+const MIN_SLOTS: usize = 16;
+
+/// The directory's line table: open addressing with linear probing over
+/// a power-of-two array of [`Slot`]s, at most three quarters full, with
+/// backward-shift deletion (no tombstones).
+#[derive(Debug, Clone)]
+struct LineTable {
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+    /// `64 - log2(slots.len())`: the top bits of a line's hash pick its
+    /// home slot.
+    shift: u32,
+}
+
+impl LineTable {
+    /// A table of `slots` vacant slots (a power of two, at least
+    /// [`MIN_SLOTS`]).
+    fn with_slots(slots: usize) -> LineTable {
+        debug_assert!(slots.is_power_of_two() && slots >= MIN_SLOTS);
+        LineTable { slots: vec![Slot::VACANT; slots], len: 0, shift: 64 - slots.trailing_zeros() }
+    }
+
+    /// The home slot of `line`: one multiply by the 64-bit golden ratio,
+    /// whose top bits depend on every bit of the line address (its low
+    /// bits are all zero). Keys are simulator-generated, so collision
+    /// resistance is not needed.
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn next(&self, i: usize) -> usize {
+        (i + 1) & (self.slots.len() - 1)
+    }
+
+    /// `Ok` with the slot holding `line`, or `Err` with the vacant slot
+    /// that ends its probe sequence.
+    fn find(&self, line: u64) -> Result<usize, usize> {
+        let mut i = self.home(line);
+        loop {
+            let slot = self.slots[i];
+            if slot.is_vacant() {
+                return Err(i);
+            }
+            if slot.line() == line {
+                return Ok(i);
+            }
+            i = self.next(i);
+        }
+    }
+
+    fn get(&self, line: u64) -> Option<LineState> {
+        self.find(line).ok().map(|i| self.slots[i].state())
+    }
+
+    fn state(&self, at: usize) -> LineState {
+        self.slots[at].state()
+    }
+
+    /// Replaces the state of the line held at `at`.
+    fn set(&mut self, at: usize, state: LineState) {
+        self.slots[at] = Slot::new(self.slots[at].line(), state);
+    }
+
+    /// Stores `line` in the vacant slot [`LineTable::find`] returned,
+    /// doubling the table first if it would pass three quarters full.
+    fn insert(&mut self, vacant: usize, line: u64, state: LineState) {
+        let slot = Slot::new(line, state);
+        debug_assert!(!slot.is_vacant(), "a shared line needs a sharer");
+        let at = if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+            self.find(line).unwrap_err()
+        } else {
+            vacant
+        };
+        self.slots[at] = slot;
+        self.len += 1;
+    }
+
+    fn grow(&mut self) {
+        let grown = vec![Slot::VACANT; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, grown);
+        self.shift -= 1;
+        for slot in old.into_iter().filter(|s| !s.is_vacant()) {
+            let at = self.find(slot.line()).unwrap_err();
+            self.slots[at] = slot;
+        }
+    }
+
+    /// Empties the slot at `hole`, moving later members of its probe run
+    /// back so every line stays reachable from its home slot.
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = self.next(i);
+            let slot = self.slots[i];
+            if slot.is_vacant() {
+                break;
+            }
+            // The slot may fill the hole iff the hole lies on its probe
+            // path: no farther from `i` than its home slot is.
+            if i.wrapping_sub(self.home(slot.line())) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = i;
+            }
+        }
+        self.slots[hole] = Slot::VACANT;
+        self.len -= 1;
+    }
+
+    /// Every tracked line and its state, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
+        self.slots.iter().filter(|s| !s.is_vacant()).map(|s| (s.line(), s.state()))
     }
 }
 
@@ -156,7 +291,7 @@ pub struct Directory {
     line: u64,
     /// `log2(line)`.
     line_shift: u32,
-    states: HashMap<u64, LineState, BuildHasherDefault<LineHasher>>,
+    table: LineTable,
     stats: DirectoryStats,
 }
 
@@ -165,22 +300,43 @@ pub struct Directory {
 pub const MAX_NODES: usize = 64;
 
 impl Directory {
-    /// Creates a directory for `nodes` nodes with `line`-byte lines.
+    /// Creates a directory for `nodes` nodes with `line`-byte lines. Its
+    /// line table starts small and doubles as lines arrive.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is zero or exceeds [`MAX_NODES`], or if `line`
-    /// is not a power of two.
+    /// is not a power of two of at least 2 bytes.
     pub fn new(nodes: usize, line: u64) -> Directory {
+        Directory::with_capacity(nodes, line, 0)
+    }
+
+    /// Creates a directory that tracks up to `lines` lines at most half
+    /// full, so it never grows below that bound. A machine whose nodes
+    /// notify every eviction tracks only lines some node caches: at
+    /// most `nodes` × primary-cache frames.
+    ///
+    /// # Panics
+    ///
+    /// As [`Directory::new`].
+    pub fn with_capacity(nodes: usize, line: u64, lines: usize) -> Directory {
         assert!((1..=MAX_NODES).contains(&nodes), "bit-vector directory supports 1..=64 nodes");
-        assert!(line.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line.is_power_of_two() && line >= 2,
+            "line size must be a power of two of at least 2 bytes"
+        );
         Directory {
             nodes,
             line,
             line_shift: line.trailing_zeros(),
-            states: HashMap::default(),
+            table: LineTable::with_slots((lines * 2).next_power_of_two().max(MIN_SLOTS)),
             stats: DirectoryStats::default(),
         }
+    }
+
+    /// Host bytes held by the line table (16 per slot).
+    pub fn table_bytes(&self) -> usize {
+        self.table.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// The home node of the line containing `addr` (address-interleaved).
@@ -225,8 +381,7 @@ impl Directory {
     /// which samples latency from this class immediately and replays the
     /// mutating [`Directory::read`] at the next quantum barrier.
     pub fn classify_read(&self, node: usize, addr: u64) -> MissClass {
-        let line = self.line_of(addr);
-        match self.states.get(&line).copied() {
+        match self.table.get(self.line_of(addr)) {
             None | Some(LineState::Shared(_)) => self.memory_class(node, addr),
             Some(LineState::Dirty(owner)) if owner == node => MissClass::Hit,
             Some(LineState::Dirty(_)) => MissClass::RemoteCache,
@@ -237,8 +392,7 @@ impl Directory {
     /// (see [`Directory::classify_read`]). `cached` indicates whether the
     /// node already holds the line.
     pub fn classify_write(&self, node: usize, addr: u64, cached: bool) -> MissClass {
-        let line = self.line_of(addr);
-        match self.states.get(&line).copied() {
+        match self.table.get(self.line_of(addr)) {
             None => self.memory_class(node, addr),
             Some(LineState::Dirty(owner)) if owner == node => MissClass::Hit,
             Some(LineState::Dirty(_)) => MissClass::RemoteCache,
@@ -262,14 +416,15 @@ impl Directory {
         debug_assert!(node < self.nodes);
         let memory = self.memory_class(node, addr);
         let bit = 1u64 << node;
-        let tx = match self.states.entry(self.line_of(addr)) {
-            Entry::Vacant(e) => {
-                e.insert(LineState::Shared(bit));
+        let line = self.line_of(addr);
+        let tx = match self.table.find(line) {
+            Err(vacant) => {
+                self.table.insert(vacant, line, LineState::Shared(bit));
                 Transaction::new(memory)
             }
-            Entry::Occupied(mut e) => match *e.get() {
+            Ok(at) => match self.table.state(at) {
                 LineState::Shared(mask) => {
-                    e.insert(LineState::Shared(mask | bit));
+                    self.table.set(at, LineState::Shared(mask | bit));
                     Transaction::new(memory)
                 }
                 // Re-read of our own dirty line (should normally hit).
@@ -277,7 +432,7 @@ impl Directory {
                 LineState::Dirty(owner) => {
                     // Intervention: owner writes back and keeps a shared copy.
                     self.stats.writebacks += 1;
-                    e.insert(LineState::Shared(bit | (1 << owner)));
+                    self.table.set(at, LineState::Shared(bit | (1 << owner)));
                     Transaction {
                         intervene: Some(owner),
                         ..Transaction::new(MissClass::RemoteCache)
@@ -297,13 +452,14 @@ impl Directory {
         debug_assert!(node < self.nodes);
         let memory = self.memory_class(node, addr);
         let local_home = self.home(addr) == node;
-        let tx = match self.states.entry(self.line_of(addr)) {
-            Entry::Vacant(e) => {
-                e.insert(LineState::Dirty(node));
+        let line = self.line_of(addr);
+        let tx = match self.table.find(line) {
+            Err(vacant) => {
+                self.table.insert(vacant, line, LineState::Dirty(node));
                 Transaction::new(memory)
             }
-            Entry::Occupied(mut e) => {
-                let tx = match *e.get() {
+            Ok(at) => {
+                let tx = match self.table.state(at) {
                     LineState::Dirty(owner) if owner == node => Transaction::new(MissClass::Hit),
                     LineState::Dirty(owner) => {
                         self.stats.writebacks += 1;
@@ -327,7 +483,7 @@ impl Directory {
                         Transaction { invalidate: others, ..Transaction::new(class) }
                     }
                 };
-                e.insert(LineState::Dirty(node));
+                self.table.set(at, LineState::Dirty(node));
                 tx
             }
         };
@@ -338,22 +494,22 @@ impl Directory {
     /// Notifies the directory that `node` evicted the line containing
     /// `addr` (`dirty` if it was modified).
     pub fn evict(&mut self, node: usize, addr: u64, dirty: bool) {
-        let Entry::Occupied(mut e) = self.states.entry(self.line_of(addr)) else {
+        let Ok(at) = self.table.find(self.line_of(addr)) else {
             return;
         };
-        match *e.get() {
+        match self.table.state(at) {
             LineState::Dirty(owner) if owner == node => {
                 if dirty {
                     self.stats.writebacks += 1;
                 }
-                e.remove();
+                self.table.remove(at);
             }
             LineState::Shared(mask) => {
                 let rest = mask & !(1 << node);
                 if rest == 0 {
-                    e.remove();
+                    self.table.remove(at);
                 } else {
-                    e.insert(LineState::Shared(rest));
+                    self.table.set(at, LineState::Shared(rest));
                 }
             }
             LineState::Dirty(_) => {}
@@ -362,7 +518,7 @@ impl Directory {
 
     /// Current sharer count of the line containing `addr` (for tests).
     pub fn sharers(&self, addr: u64) -> usize {
-        match self.states.get(&self.line_of(addr)) {
+        match self.table.get(self.line_of(addr)) {
             None => 0,
             Some(LineState::Dirty(_)) => 1,
             Some(LineState::Shared(mask)) => mask.count_ones() as usize,
@@ -370,15 +526,13 @@ impl Directory {
     }
 
     /// Checks the directory's state-machine legality at `cycle`: every
-    /// tracked line is aligned; a shared line has a non-empty sharer
-    /// vector with no bits beyond the node count (owner/sharer-vector
-    /// consistency — a dirty line is `Dirty(owner)` by construction, so
-    /// an M-line with sharers cannot even be represented and the check
-    /// enforces the representation's side conditions); a dirty line's
-    /// owner is a real node. O(tracked lines) — drivers run this at
-    /// chunk boundaries, not per tick.
+    /// tracked line is aligned; a shared line's sharer vector has no
+    /// bits beyond the node count; a dirty line's owner is a real node.
+    /// A dirty line with sharers, or a shared line with none, cannot be
+    /// represented (the latter is a vacant slot). O(table slots) —
+    /// drivers run this at chunk boundaries, not per tick.
     pub fn check_invariants(&self, cycle: u64) -> Result<(), Violation> {
-        for (&line, &state) in &self.states {
+        for (line, state) in self.table.iter() {
             if line % self.line != 0 {
                 return Err(Violation::new(
                     "mp.directory",
@@ -389,14 +543,6 @@ impl Directory {
             }
             match state {
                 LineState::Shared(mask) => {
-                    if mask == 0 {
-                        return Err(Violation::new(
-                            "mp.directory",
-                            "shared line has an empty sharer vector",
-                            cycle,
-                            format!("line {line:#x}"),
-                        ));
-                    }
                     if self.nodes < 64 && mask >> self.nodes != 0 {
                         let ghost = 63 - mask.leading_zeros() as usize;
                         return Err(Violation::new(
@@ -428,7 +574,7 @@ impl Directory {
     /// as `(line_address, node, dirty)` per cached copy — the driver's
     /// directory↔cache cross-check.
     pub fn for_each_cached_copy(&self, mut f: impl FnMut(u64, usize, bool)) {
-        for (&line, &state) in &self.states {
+        for (line, state) in self.table.iter() {
             match state {
                 LineState::Dirty(owner) => f(line, owner, true),
                 LineState::Shared(mask) => {
@@ -442,13 +588,16 @@ impl Directory {
         }
     }
 
-    /// Corrupts the directory by marking `line_addr` dirty-owned by
-    /// `owner` without any legality checks. Fault injection for the
-    /// validation layer's own regression tests — never called by the
-    /// protocol paths.
+    /// Corrupts the directory by marking `line_addr` (bit 0 clear)
+    /// dirty-owned by `owner` without any legality checks. Fault
+    /// injection for the validation layer's own regression tests —
+    /// never called by the protocol paths.
     #[doc(hidden)]
     pub fn corrupt_line_for_test(&mut self, line_addr: u64, owner: usize) {
-        self.states.insert(line_addr, LineState::Dirty(owner));
+        match self.table.find(line_addr) {
+            Ok(at) => self.table.set(at, LineState::Dirty(owner)),
+            Err(vacant) => self.table.insert(vacant, line_addr, LineState::Dirty(owner)),
+        }
     }
 }
 
@@ -550,6 +699,48 @@ mod tests {
     #[should_panic]
     fn too_many_nodes_rejected() {
         let _ = Directory::new(65, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_rejected() {
+        // Bit 0 of a line address carries the dirty flag.
+        let _ = Directory::new(4, 1);
+    }
+
+    #[test]
+    fn table10_sizing_is_512_kib_and_holds_its_bound() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        let frames = 2_048;
+        let mut dir = Directory::with_capacity(8, 32, 8 * frames);
+        assert_eq!(dir.table_bytes(), 512 * 1024);
+        for line in 0..8 * frames as u64 {
+            dir.read((line % 8) as usize, line * 32);
+        }
+        assert_eq!(dir.table_bytes(), 512 * 1024, "the bound fits without growing");
+        assert_eq!(dir.table.len, 8 * frames);
+    }
+
+    #[test]
+    fn unsized_directory_grows_by_doubling() {
+        let mut dir = Directory::new(4, 32);
+        assert_eq!(dir.table_bytes(), MIN_SLOTS * 16);
+        for line in 0..1_000u64 {
+            dir.write((line % 4) as usize, line * 32, false);
+        }
+        assert_eq!(dir.table_bytes(), 2_048 * 16);
+        assert!((0..1_000u64).all(|line| dir.sharers(line * 32) == 1));
+    }
+
+    #[test]
+    fn vacancy_is_the_unstored_state() {
+        // Dirty at node 0 has an all-zero state word, but its dirty bit
+        // keeps the slot occupied.
+        assert!(Slot::VACANT.is_vacant());
+        assert!(!Slot::new(0, LineState::Dirty(0)).is_vacant());
+        assert!(!Slot::new(0, LineState::Shared(1 << 63)).is_vacant());
+        assert_eq!(Slot::new(0x40, LineState::Dirty(63)).state(), LineState::Dirty(63));
+        assert_eq!(Slot::new(0x40, LineState::Dirty(69)).line(), 0x40);
     }
 
     #[test]

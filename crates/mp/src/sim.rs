@@ -282,15 +282,28 @@ impl MpSim {
     /// when validation is enabled, or if the run exceeds an internal
     /// safety bound (livelock).
     pub fn run(&self) -> MpResult {
+        self.run_on(Arc::new(RwLock::new(self.directory())))
+    }
+
+    /// The master directory, sized once: a node reports each eviction
+    /// before the fill that caused it, so every tracked line is cached
+    /// by some node's L1D and `nodes × frames` lines bound the table,
+    /// which therefore never grows during a run.
+    fn directory(&self) -> Directory {
+        let l1d = CacheParams::primary_data();
+        Directory::with_capacity(self.nodes, l1d.line, self.nodes * l1d.lines() as usize)
+    }
+
+    /// Runs the simulation over `master`, the machine's directory.
+    fn run_on(&self, master: Arc<RwLock<Directory>>) -> MpResult {
         self.app.validate();
+        let table_bytes = read_lock(&master).table_bytes();
         assert!(self.nodes >= 1, "need at least one node");
         let threads = self.nodes * self.contexts_per_node;
         let quota = (self.total_work / threads as u64).max(1);
         let hop = self.latency.lookahead();
         let contexts = self.contexts_per_node;
 
-        let line_size = CacheParams::primary_data().line;
-        let master = Arc::new(RwLock::new(Directory::new(self.nodes, line_size)));
         let states: Vec<Arc<ShardSlot>> = (0..self.nodes)
             .map(|n| Arc::new(ShardSlot::new(ShardState::new(n, contexts, threads as u32, hop))))
             .collect();
@@ -346,7 +359,11 @@ impl MpSim {
         let cpus: Vec<Processor<ShardPort>> = shards.into_iter().map(|s| s.cpu).collect();
         let breakdown: Breakdown = cpus.iter().map(|c| c.breakdown()).sum();
         let per_node: Vec<Breakdown> = cpus.iter().map(|c| c.breakdown().clone()).collect();
-        let directory = *read_lock(&master).stats();
+        let directory = {
+            let dir = read_lock(&master);
+            debug_assert_eq!(dir.table_bytes(), table_bytes, "the directory outgrew its bound");
+            *dir.stats()
+        };
         let mut metrics = Registry::new();
         for cpu in &cpus {
             cpu.collect_metrics(&mut metrics);
@@ -595,6 +612,18 @@ mod tests {
         ] {
             assert_eq!(host_only.build().descriptor(), base);
         }
+    }
+
+    #[test]
+    fn directory_is_sized_once_for_a_table10_cell() {
+        // Table 10's CI cell shape (the builder defaults: 8 nodes, 400k
+        // work, 20k warmup) at its widest: 8 nodes x 2,048 L1D frames at
+        // most half full is 32,768 slots of 16 bytes.
+        let sim = MpSim::builder(apps::ocean()).scheme(Scheme::Blocked).contexts(8).build();
+        let master = Arc::new(RwLock::new(sim.directory()));
+        assert_eq!(read_lock(&master).table_bytes(), 512 * 1024);
+        sim.run_on(master.clone());
+        assert_eq!(read_lock(&master).table_bytes(), 512 * 1024, "the table reallocated");
     }
 
     #[test]

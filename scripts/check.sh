@@ -41,6 +41,9 @@ serve_smoke() {
   local sdir="$tmpdir/serve"
   mkdir -p "$sdir"
   local log="$sdir/serve.log"
+  # Create the log before the backgrounded daemon does, so the first
+  # poll below never greps a file that does not exist yet.
+  : >"$log"
   ./target/release/interleave-sim serve --addr 127.0.0.1:0 \
     --cache-dir "$sdir/cache" >"$log" 2>&1 &
   serve_pid=$!

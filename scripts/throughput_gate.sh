@@ -34,12 +34,15 @@
 # table (share of wall, calls) so CI logs always carry the attribution
 # data a later regression hunt needs.
 #
-# Rate keys are also compared against the last line of
-# `ci/perf_history.jsonl` (one JSON object per line: `rev`, `host`, and
-# rates under the baseline file's key names). A fresh rate more than 10%
-# below that line's value for the same key prints a warning naming the
-# recorded rev; it never fails the gate, because the history comes from
-# one reference host and CI hardware differs.
+# The gate also checks `ci/perf_history.jsonl` (one JSON object per
+# line: `rev`, `host`, rates under the baseline file's key names, and
+# the parent's medians as `parent_<key>`, measured alternately with the
+# line's own rates on the same host). Each line is compared only with
+# the parent medians it records: lines from different sessions are not
+# comparable, because host drift between sessions exceeds most changes.
+# A line more than 10% below its own parent prints a warning naming its
+# rev; lines without `parent_<key>` are skipped. The check never fails
+# the gate: the history records accepted changes, not this build.
 #
 # A missing or malformed rate on either side is a hard failure — an
 # artifact without the key means the instrumentation came unwired, which
@@ -152,25 +155,41 @@ case "$baseline_key" in
     ;;
 esac
 
-# Warns (never fails) when rate `$2` is more than 10% below key `$1`
-# on the last line of the perf history.
-history_warning() {
-  local key="$1" cur="$2" history last prev rev
+# Compares every history line's rate for key `$1` with the
+# `parent_$1` median recorded in the same line; warns (never fails) on
+# a line more than 10% below its parent and prints the newest
+# comparison.
+history_check() {
+  local key="$1" history
   history="$(dirname "$0")/../ci/perf_history.jsonl"
   [ -f "$history" ] || return 0
-  last="$(grep -v '^[[:space:]]*$' "$history" | tail -1 || true)"
-  prev="$(printf '%s\n' "$last" | grep -o "\"$key\": *[0-9.]*" | head -1 | sed 's/.*: *//' || true)"
-  [ -n "$prev" ] || return 0
-  rev="$(printf '%s\n' "$last" | grep -o '"rev": *"[^"]*"' | sed 's/.*: *"//; s/"$//' || true)"
-  if awk -v c="$cur" -v p="$prev" 'BEGIN { exit (c + 0 < p * 0.9) ? 0 : 1 }'; then
-    echo "throughput_gate: WARNING — $cur cycles/sec is more than 10% below the last" \
-      "ci/perf_history.jsonl entry ($key=$prev at rev ${rev:-?})" >&2
-  fi
+  awk -v key="$key" '
+    # The number after "k": on this line, or "" when the key is absent.
+    # The leading quote keeps "k" from matching inside "parent_k".
+    function num(k,   m) {
+      if (!match($0, "\"" k "\": *[0-9.]+")) return ""
+      m = substr($0, RSTART, RLENGTH); sub(/.*: */, "", m); return m
+    }
+    NF {
+      cur = num(key); par = num("parent_" key)
+      if (cur == "" || par == "" || par + 0 == 0) next
+      rev = "?"
+      if (match($0, /"rev": *"[^"]*"/)) {
+        rev = substr($0, RSTART, RLENGTH); sub(/^"rev": *"/, "", rev); sub(/"$/, "", rev)
+      }
+      change = (cur / par - 1) * 100
+      if (cur + 0 < par * 0.9)
+        printf "throughput_gate: WARNING — ci/perf_history.jsonl line %d (%s): %s=%s is %.1f%% below its parent median %s\n", \
+          NR, rev, key, cur, -change, par > "/dev/stderr"
+      last = sprintf("throughput_gate: history: %s: %s=%s vs its parent %s (%+.1f%%)", rev, key, cur, par, change)
+    }
+    END { if (last != "") print last }
+  ' "$history"
 }
 
 current="$(extract_rate "$current_json" sim_cycles_per_sec)"
 baseline="$(extract_rate "$baseline_json" "$baseline_key")"
-history_warning "$baseline_key" "$current"
+history_check "$baseline_key"
 
 # Pass iff current >= 0.7 * baseline (awk handles the floats; its exit
 # status carries the verdict).
