@@ -26,18 +26,19 @@
 //! 3. **Per-cycle bookkeeping kernels.** Times the constant-time
 //!    structures the processor touches every simulated cycle in
 //!    isolation — fetch-unit advance, in-place read (`at`) and
-//!    out-of-order retire, issue-window issue and retire, an MSHR
-//!    expire/lookup/allocate round, and a TLB access — and prints ns
-//!    per operation (median of three trials). No timing is asserted
-//!    (the fetch kernel checksums the instructions it reads): these
-//!    numbers are for comparing revisions on one host.
+//!    out-of-order retire, and issue-window issue and retire — and
+//!    prints ns per operation (median of three trials). No timing is
+//!    asserted (the fetch kernel checksums the instructions it reads):
+//!    these numbers are for comparing revisions on one host. The
+//!    memory hierarchy's per-access cost (MSHR and TLB included) is
+//!    timed by the repo benchmark's `mem_replay` layer, not here.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use interleave_core::{FetchUnit, InstrSource, ProcConfig, Processor, Scheme, VecSource};
 use interleave_isa::{Instr, Op, Reg};
-use interleave_mem::{DirectTlb, MemConfig, MshrFile, UniMemSystem};
+use interleave_mem::{MemConfig, UniMemSystem};
 use interleave_pipeline::{InFlight, IssueWindow, FP_ISSUE_TO_RETIRE, INT_ISSUE_TO_RETIRE};
 use interleave_workloads::{AppProfile, SyntheticApp};
 
@@ -241,39 +242,6 @@ fn kernel_window() -> u64 {
     retired
 }
 
-/// The data-access sequence of `UniMemSystem::access_data`: sweep
-/// completed fills, look the line up, allocate on a miss when free.
-fn kernel_mshr() -> u64 {
-    let mut mshr = MshrFile::new(MemConfig::workstation().mshrs);
-    let mut merged = 0;
-    for now in 0..KERNEL_OPS {
-        mshr.expire(now);
-        let line = (now.wrapping_mul(0x9E37_79B9) % 64) * 64;
-        match mshr.lookup(line) {
-            Some(_) => merged += 1,
-            None if mshr.has_free_entry() => mshr.allocate(line, now + 40),
-            None => {}
-        }
-    }
-    merged
-}
-
-/// Four interleaved contexts fetching from their own code pages in a
-/// warm (full) TLB, with an occasional data page outside the working set.
-fn kernel_tlb() -> u64 {
-    let entries = MemConfig::workstation().dtlb_entries as u64;
-    let mut tlb = DirectTlb::new(entries as usize, 4096);
-    for page in 0..entries {
-        tlb.access((5000 + page) * 4096);
-    }
-    let mut hits = 0;
-    for i in 0..KERNEL_OPS {
-        let page = if i % 64 == 0 { 1000 + i % 200 } else { i % 4 };
-        hits += u64::from(tlb.access(page * 4096 + (i % 1024) * 4));
-    }
-    hits
-}
-
 fn bench_kernels() {
     println!("kernels: ns/op, median of {GEN_TRIALS} trials of {KERNEL_OPS} ops");
     let report = |name: &str, kernel: fn() -> u64| {
@@ -281,8 +249,6 @@ fn bench_kernels() {
     };
     report("fetch advance+retire", kernel_fetch);
     report("window issue+retire", kernel_window);
-    report("mshr expire+lookup+allocate", kernel_mshr);
-    report("tlb access", kernel_tlb);
 }
 
 fn main() {

@@ -387,8 +387,12 @@ fn runlengths(sweeps: &[SweepResult]) -> String {
         Table::new("Mean run length (instructions between unavailability events, 4 contexts)");
     t.headers(["Workload", "Blocked", "Interleaved", "min..max (interleaved)"]);
     for name in targets(sweep) {
-        let lengths =
-            |scheme| &cell(sweep, name, scheme, 4).as_uni().expect("uni cell").run_lengths;
+        let lengths = |scheme| {
+            cell(sweep, name, scheme, 4)
+                .metrics()
+                .histogram_value("core.run_length")
+                .expect("uni cell")
+        };
         let (blocked, interleaved) = (lengths(Scheme::Blocked), lengths(Scheme::Interleaved));
         t.row([
             name.to_string(),

@@ -23,9 +23,10 @@
 //!    process and the call, then renamed into place, so a sweep killed mid-write never leaves a
 //!    torn entry — the next run recomputes that cell.
 //! 3. **Exactness.** The serialization round-trips every field of the
-//!    result bit-for-bit (histograms and registries via their exact
-//!    `from_value` reconstructions; the one `f64`, `avg_mlp`, as its IEEE
-//!    bit pattern), so a resumed sweep's artifacts are byte-identical to
+//!    result bit-for-bit (the registry, which holds the memory counters
+//!    and run-length histogram, via its exact `from_value`
+//!    reconstruction; the one `f64`, `avg_mlp`, as its IEEE bit
+//!    pattern), so a resumed sweep's artifacts are byte-identical to
 //!    an uninterrupted run's, and a cached response byte-equals a fresh
 //!    run — enforced by `tests/sweep_determinism.rs` and the resume and
 //!    serve smokes in `scripts/check.sh`.
@@ -33,17 +34,16 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use interleave_mem::MemStats;
 use interleave_mp::{DirectoryStats, MpResult};
 use interleave_obs::json::{self, Value};
-use interleave_obs::{Histogram, Registry};
+use interleave_obs::Registry;
 use interleave_stats::{Breakdown, Category};
 use interleave_workloads::MultiprogramResult;
 
 use crate::runner::{Cell, CellResult, ExperimentSpec, Target};
 
 /// Schema tag written into (and required of) every checkpoint file.
-const SCHEMA: &str = "interleave-checkpoint-v2";
+const SCHEMA: &str = "interleave-checkpoint-v3";
 
 /// Numbers every `store` call of the process, so concurrent stores of
 /// one cell never share a temp file.
@@ -65,7 +65,7 @@ fn fnv1a64(data: &str) -> u64 {
 /// descriptor, salted with the descriptor format and crate versions.
 fn descriptor(spec: &ExperimentSpec, cell: &Cell) -> String {
     let sim = spec.build(cell).descriptor();
-    format!("interleave-cell-v2 crate={} {sim}", env!("CARGO_PKG_VERSION"))
+    format!("interleave-cell-v3 crate={} {sim}", env!("CARGO_PKG_VERSION"))
 }
 
 /// The checkpoint key for one cell of a spec.
@@ -186,8 +186,6 @@ fn to_json(descriptor: &str, result: &CellResult) -> String {
             out.push_str(&format!("  \"cycles\": {},\n", r.cycles));
             out.push_str(&format!("  \"breakdown\": {},\n", breakdown_json(&r.breakdown)));
             out.push_str(&format!("  \"instructions\": {},\n", r.instructions));
-            out.push_str(&format!("  \"mem_stats\": {},\n", mem_stats_json(&r.mem_stats)));
-            out.push_str(&format!("  \"run_lengths\": {},\n", hist_json(&r.run_lengths)));
             out.push_str(&format!("  \"metrics\": {}\n", r.metrics.to_json_line()));
         }
         CellResult::Mp(r) => {
@@ -222,9 +220,7 @@ fn parse(text: &str, descriptor: &str, uni: bool) -> Option<CellResult> {
         ("uni", true) => Some(CellResult::Uni(Box::new(MultiprogramResult {
             cycles,
             breakdown,
-            mem_stats: mem_stats_from_value(doc.get("mem_stats")?)?,
             instructions: doc.get("instructions")?.as_u64()?,
-            run_lengths: Histogram::from_value(doc.get("run_lengths")?)?,
             metrics,
         }))),
         ("mp", false) => {
@@ -267,51 +263,6 @@ fn breakdown_from_value(v: &Value) -> Option<Breakdown> {
     Some(b)
 }
 
-/// Field order here is the (stable) serialization contract; the parser
-/// looks fields up by name, so reordering would stay compatible.
-const MEM_STAT_FIELDS: [&str; 9] = [
-    "l1d_hits",
-    "l1d_misses",
-    "l1i_hits",
-    "l1i_misses",
-    "l2_hits",
-    "l2_misses",
-    "dtlb_misses",
-    "itlb_misses",
-    "writebacks",
-];
-
-fn mem_stats_json(m: &MemStats) -> String {
-    let vals = [
-        m.l1d_hits,
-        m.l1d_misses,
-        m.l1i_hits,
-        m.l1i_misses,
-        m.l2_hits,
-        m.l2_misses,
-        m.dtlb_misses,
-        m.itlb_misses,
-        m.writebacks,
-    ];
-    let fields: Vec<String> =
-        MEM_STAT_FIELDS.iter().zip(vals).map(|(name, v)| format!("\"{name}\": {v}")).collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-fn mem_stats_from_value(v: &Value) -> Option<MemStats> {
-    Some(MemStats {
-        l1d_hits: v.get("l1d_hits")?.as_u64()?,
-        l1d_misses: v.get("l1d_misses")?.as_u64()?,
-        l1i_hits: v.get("l1i_hits")?.as_u64()?,
-        l1i_misses: v.get("l1i_misses")?.as_u64()?,
-        l2_hits: v.get("l2_hits")?.as_u64()?,
-        l2_misses: v.get("l2_misses")?.as_u64()?,
-        dtlb_misses: v.get("dtlb_misses")?.as_u64()?,
-        itlb_misses: v.get("itlb_misses")?.as_u64()?,
-        writebacks: v.get("writebacks")?.as_u64()?,
-    })
-}
-
 fn directory_json(d: &DirectoryStats) -> String {
     format!(
         "{{\"local\": {}, \"remote\": {}, \"remote_cache\": {}, \"upgrades\": {}, \
@@ -329,25 +280,6 @@ fn directory_from_value(v: &Value) -> Option<DirectoryStats> {
         invalidations: v.get("invalidations")?.as_u64()?,
         writebacks: v.get("writebacks")?.as_u64()?,
     })
-}
-
-/// A bare histogram in the registry's histogram JSON shape (exactly
-/// reconstructed by [`Histogram::from_value`]).
-fn hist_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h
-        .nonzero_buckets()
-        .map(|(lo, hi, n)| format!("{{\"lo\": {lo}, \"hi\": {hi}, \"n\": {n}}}"))
-        .collect();
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.4}, \
-         \"buckets\": [{}]}}",
-        h.count(),
-        h.sum(),
-        h.min(),
-        h.max(),
-        h.mean(),
-        buckets.join(", ")
-    )
 }
 
 #[cfg(test)]
@@ -550,9 +482,23 @@ mod tests {
             .replacen("  \"descriptor\"", &v1_fields, 1);
         std::fs::write(&path, v1).unwrap();
         assert!(cache.load(&spec1, &cells[0]).is_none());
+        // A v2-shaped file (memory counters and run-length histogram
+        // stored again beside the registry that holds them): ignored.
+        let v2_fields = "  \"mem_stats\": {\"l1d_hits\": 1, \"l1d_misses\": 0, \"l1i_hits\": 1, \
+                         \"l1i_misses\": 0, \"l2_hits\": 0, \"l2_misses\": 0, \"dtlb_misses\": 0, \
+                         \"itlb_misses\": 0, \"writebacks\": 0},\n  \"run_lengths\": {\"count\": 0, \
+                         \"sum\": 0, \"min\": 0, \"max\": 0, \"mean\": 0.0000, \"buckets\": []},\n  \
+                         \"metrics\"";
+        let v2 = to_json(&descriptor(&spec1, &cells[0]), &result)
+            .replacen(SCHEMA, "interleave-checkpoint-v2", 1)
+            .replacen("interleave-cell-v3", "interleave-cell-v2", 1)
+            .replacen("  \"metrics\"", v2_fields, 1);
+        assert!(v2.contains("\"mem_stats\"") && v2.contains("interleave-cell-v2"));
+        std::fs::write(&path, v2).unwrap();
+        assert!(cache.load(&spec1, &cells[0]).is_none());
         let rerun = Runner::serial().checkpoint_dir(&dir).run(&spec1);
         assert_eq!(rerun.resumed, 0);
-        assert_eq!(cache.load(&spec1, &cells[0]).as_ref(), Some(&result), "rewritten as v2");
+        assert_eq!(cache.load(&spec1, &cells[0]).as_ref(), Some(&result), "rewritten as v3");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -642,6 +588,28 @@ mod tests {
         assert_eq!(third.resumed, third.cells.len() - 1);
         assert!(first.results_match(&third));
         assert_eq!(first.metrics_json(), third.metrics_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The in-process twin of the resume smoke in `scripts/check.sh`: a
+    /// directory holding one valid checkpoint and a torn temp file of
+    /// another cell (a store killed before its rename) resumes exactly
+    /// the checkpointed cell and recomputes the torn one.
+    #[test]
+    fn one_checkpoint_beside_a_torn_temp_file_resumes_one_cell() {
+        let spec = spec();
+        let cells = spec.cells();
+        let dir = temp_dir("torn");
+        let fresh = Runner::serial().run(&spec);
+        let cache = ResultCache::new(&dir);
+        let kept = cache.store(&spec, &cells[1], &fresh.cells[1].1).unwrap();
+        let torn_doc = to_json(&descriptor(&spec, &cells[0]), &fresh.cells[0].1);
+        let torn = cache.path(&descriptor(&spec, &cells[0])).with_extension("json.tmp.1.0");
+        std::fs::write(&torn, &torn_doc[..torn_doc.len() / 2]).unwrap();
+        let resumed = Runner::serial().checkpoint_dir(&dir).run(&spec);
+        assert_eq!(resumed.resumed, 1, "only {} restores", kept.display());
+        assert!(resumed.results_match(&fresh));
+        assert_eq!(resumed.metrics_json(), fresh.metrics_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -617,33 +617,10 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot as the `STATUS_*.json` document
-    /// (`interleave-status-v1`: scalar fields one per line, then the
-    /// merged metrics registry).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"artifact\": {},\n", json::escape(&self.artifact)));
-        out.push_str("  \"schema\": \"interleave-status-v1\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"done\": {},\n", self.done));
-        out.push_str(&format!("  \"total\": {},\n", self.total));
-        out.push_str(&format!("  \"finished\": {},\n", self.finished));
-        out.push_str(&format!("  \"wall_ms\": {},\n", self.wall_ms));
-        out.push_str(&format!("  \"cells_per_sec\": {:.3},\n", self.cells_per_sec));
-        out.push_str(&format!("  \"eta_secs\": {:.1},\n", self.eta_secs));
-        out.push_str(&format!("  \"sim_cycles\": {},\n", self.sim_cycles));
-        out.push_str(&format!("  \"sim_cycles_per_sec\": {:.1},\n", self.sim_cycles_per_sec));
-        out.push_str(&format!("  \"last_cell\": {},\n", json::escape(&self.last_cell)));
-        out.push_str(&format!("  \"metrics\": {}\n", self.metrics.to_json(2)));
-        out.push_str("}\n");
-        out
-    }
-
-    /// The same `interleave-status-v1` document as [`Snapshot::to_json`]
-    /// on a single line (no trailing newline) — the framing used by the
-    /// serve daemon's `GET /jobs/<id>/events` newline-delimited stream,
-    /// where each line must be one complete document.
+    /// Serializes the snapshot as the `interleave-status-v1` document on
+    /// a single line (no trailing newline): the `STATUS_*.json` file holds
+    /// it plus a newline, and each line of the serve daemon's
+    /// `GET /jobs/<id>/events` newline-delimited stream is one of them.
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"artifact\": {}, \"schema\": \"interleave-status-v1\", \"scale\": \"{}\", \
@@ -804,7 +781,7 @@ fn write_status(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, snapshot.to_json())?;
+    std::fs::write(&tmp, format!("{}\n", snapshot.to_json_line()))?;
     std::fs::rename(&tmp, path)
 }
 
@@ -922,18 +899,20 @@ impl Runner {
         let telemetry = &telemetry;
         let checkpoints = self.cache.as_deref();
         let resumed_cells = AtomicUsize::new(0);
-        let fresh_cells = AtomicUsize::new(0);
-        // Test hook: exit after n freshly computed cells, checkpoints
-        // already flushed, so the resume smoke in scripts/check.sh can
-        // kill a sweep mid-grid deterministically.
-        let kill_after =
-            std::env::var("INTERLEAVE_SWEEP_KILL_AFTER").ok().and_then(|v| v.parse::<usize>().ok());
         let timed_cell = |c: &Cell| {
             let _cell = profile::enter("runner.cell");
             let cell_start = Instant::now();
-            let restored = checkpoints.and_then(|cache| cache.load(spec, c));
-            let fresh = restored.is_none();
-            let result = restored.unwrap_or_else(|| {
+            let result = if let Some(result) = checkpoints.and_then(|cache| cache.load(spec, c)) {
+                resumed_cells.fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "sweep {}: resumed {} {} x{} from checkpoint",
+                    telemetry.artifact,
+                    c.target.name(),
+                    c.scheme.name(),
+                    c.contexts
+                );
+                result
+            } else {
                 let result = spec.run_cell(c);
                 if let Some(cache) = checkpoints {
                     if let Err(e) = cache.store(spec, c, &result) {
@@ -946,30 +925,9 @@ impl Runner {
                     }
                 }
                 result
-            });
-            if !fresh {
-                resumed_cells.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "sweep {}: resumed {} {} x{} from checkpoint",
-                    telemetry.artifact,
-                    c.target.name(),
-                    c.scheme.name(),
-                    c.contexts
-                );
-            }
+            };
             let wall = cell_start.elapsed();
             telemetry.cell_finished(c, &result);
-            if fresh {
-                let done = fresh_cells.fetch_add(1, Ordering::SeqCst) + 1;
-                if kill_after.is_some_and(|n| done >= n) {
-                    eprintln!(
-                        "sweep {}: INTERLEAVE_SWEEP_KILL_AFTER={} reached, exiting",
-                        telemetry.artifact,
-                        kill_after.unwrap_or(0)
-                    );
-                    std::process::exit(86);
-                }
-            }
             (result, wall)
         };
         let results: Vec<(CellResult, Duration)> = if self.jobs == 1 || cells.len() <= 1 {

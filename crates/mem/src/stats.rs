@@ -20,54 +20,3 @@ pub struct MemStats {
     /// Dirty lines written back to the next level.
     pub writebacks: u64,
 }
-
-impl MemStats {
-    /// Primary data-cache miss rate (0.0 when no accesses).
-    pub fn l1d_miss_rate(&self) -> f64 {
-        ratio(self.l1d_misses, self.l1d_hits + self.l1d_misses)
-    }
-
-    /// Primary instruction-cache miss rate (0.0 when no accesses).
-    pub fn l1i_miss_rate(&self) -> f64 {
-        ratio(self.l1i_misses, self.l1i_hits + self.l1i_misses)
-    }
-
-    /// Fraction of primary misses that hit in the secondary cache.
-    pub fn l2_hit_fraction(&self) -> f64 {
-        ratio(self.l2_hits, self.l2_hits + self.l2_misses)
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rates() {
-        let s = MemStats {
-            l1d_hits: 90,
-            l1d_misses: 10,
-            l2_hits: 8,
-            l2_misses: 2,
-            ..Default::default()
-        };
-        assert!((s.l1d_miss_rate() - 0.1).abs() < 1e-12);
-        assert!((s.l2_hit_fraction() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_rates_are_zero() {
-        let s = MemStats::default();
-        assert_eq!(s.l1d_miss_rate(), 0.0);
-        assert_eq!(s.l1i_miss_rate(), 0.0);
-        assert_eq!(s.l2_hit_fraction(), 0.0);
-    }
-}

@@ -145,7 +145,7 @@ impl Histogram {
 
     /// Reconstructs a histogram from its serialized JSON object (the
     /// `{"count","sum","min","max","mean","buckets"}` shape written by
-    /// [`crate::Registry::to_json`]). The reconstruction is exact — the
+    /// [`crate::Registry::to_json_line`]). The reconstruction is exact — the
     /// same buckets, count, sum, min, and max — which is what lets
     /// sweep checkpoints and shard merges reproduce byte-identical
     /// artifacts. Returns `None` if the value is not such an object, or
@@ -156,7 +156,7 @@ impl Histogram {
             buckets: [0; BUCKETS],
             count,
             sum: v.get("sum")?.as_u64()?,
-            // `to_json` writes the *observed* min, which reads as 0 for
+            // `to_json_line` writes the *observed* min, which reads as 0 for
             // an empty histogram; restore the internal sentinel so a
             // later `merge`/`record` keeps tracking the true minimum.
             min: if count == 0 { u64::MAX } else { v.get("min")?.as_u64()? },

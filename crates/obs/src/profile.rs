@@ -26,24 +26,24 @@
 //!
 //! # Cost when disabled
 //!
-//! Mirrors `INTERLEAVE_VALIDATE`: the instrumentation is always
-//! compiled, and [`enabled`] resolves once from `INTERLEAVE_PROFILE=1`
-//! (overridable at runtime with [`set_enabled`], which `interleave-sim
-//! sweep --trace-out` uses). Disabled cost per site is one relaxed atomic
-//! load and a branch — no clock read, no TLS access.
+//! The instrumentation is always compiled and starts off. Only
+//! [`set_enabled`] turns it on: `interleave-sim sweep --trace-out` and
+//! library callers such as the repo benchmark do. No environment
+//! variable reaches it. Disabled cost per site is one relaxed load of
+//! an `AtomicBool` and a branch, with no clock read and no TLS access.
 //!
-//! # Test hook
+//! # Testing the attribution
 //!
-//! `INTERLEAVE_PROFILE_SLOW=<phase>:<micros>` sleeps that long inside
-//! every exit of the named scope, inflating its self time and the real
-//! wall clock. CI uses it to prove the phase-attributed throughput gate
-//! names the regressed phase (see `scripts/throughput_gate.sh`).
+//! Nested scopes' self/total split is pinned by this module's unit
+//! tests; `scripts/check.sh` checks the phase-attributed throughput
+//! gate by feeding it a `PROFILE_*.json` whose `runner.cell` self time
+//! it inflated by hand.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::chrome::ChromeTrace;
 use crate::json::{self, Value};
@@ -130,8 +130,8 @@ impl PhaseProfile {
 
     /// Serialize as a JSON array, one phase object per line (so shell
     /// gates can `grep` individual phases), sorted by name. `indent` is
-    /// the number of leading spaces applied to each line, as in
-    /// [`crate::Registry::to_json`].
+    /// the number of leading spaces applied to each line, so the array
+    /// can be embedded in a larger hand-rolled document.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
         let mut out = String::new();
@@ -210,49 +210,24 @@ pub struct HostSpan {
 
 // --- enable switch -------------------------------------------------------
 
-const STATE_UNRESOLVED: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNRESOLVED);
-static SPANS_ON: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static SPANS_ON: AtomicBool = AtomicBool::new(false);
 static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The initial profiling default: on when `INTERLEAVE_PROFILE=1` is set
-/// (cached on first query; mirroring `validate::default_enabled`).
-pub fn default_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("INTERLEAVE_PROFILE").is_ok_and(|v| v == "1"))
-}
 
 /// Whether profiling is currently on. Disabled cost at every
 /// instrumentation site is this one relaxed load plus a branch.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => resolve_enabled(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn resolve_enabled() -> bool {
-    let on = default_enabled();
-    if on {
-        let _ = epoch();
-    }
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Overrides the enable switch at runtime (used by `interleave-sim
-/// sweep --trace-out`, which profiles regardless of the environment).
+/// Turns profiling on or off (off at process start). `interleave-sim
+/// sweep --trace-out` turns it on for the sweep it profiles.
 pub fn set_enabled(on: bool) {
     if on {
         let _ = epoch();
     }
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Turns span recording for Chrome-trace export on or off (off by
@@ -261,12 +236,12 @@ pub fn set_enabled(on: bool) {
 /// [`enabled`] and this switch are on are recorded; each thread keeps at
 /// most 65,536 spans and counts the overflow as dropped.
 pub fn record_spans(on: bool) {
-    SPANS_ON.store(u8::from(on), Ordering::Relaxed);
+    SPANS_ON.store(on, Ordering::Relaxed);
 }
 
 #[inline]
 fn spans_on() -> bool {
-    SPANS_ON.load(Ordering::Relaxed) != 0
+    SPANS_ON.load(Ordering::Relaxed)
 }
 
 /// The instant host spans are timestamped against (set the first time
@@ -279,18 +254,6 @@ fn epoch() -> Instant {
 /// Microseconds from `epoch` to `t`, truncated (0 if `t` precedes it).
 fn micros_since(epoch: Instant, t: Instant) -> u64 {
     u64::try_from(t.saturating_duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The `INTERLEAVE_PROFILE_SLOW=<phase>:<micros>` test hook, parsed
-/// once.
-fn slow_hook() -> Option<&'static (String, u64)> {
-    static HOOK: OnceLock<Option<(String, u64)>> = OnceLock::new();
-    HOOK.get_or_init(|| {
-        let spec = std::env::var("INTERLEAVE_PROFILE_SLOW").ok()?;
-        let (name, micros) = spec.rsplit_once(':')?;
-        Some((name.to_string(), micros.parse().ok()?))
-    })
-    .as_ref()
 }
 
 // --- thread-local accumulation -------------------------------------------
@@ -456,17 +419,6 @@ impl Drop for ScopeGuard {
         if !self.active {
             return;
         }
-        if let Some((slow_name, micros)) = slow_hook() {
-            let current = TLS.with(|tls| {
-                let t = tls.borrow();
-                t.stack.last().map(|f| t.slots[f.slot as usize].0)
-            });
-            if current == Some(slow_name.as_str()) {
-                // Sleep before reading the exit clock so the synthetic
-                // slowdown lands inside this scope's measured self time.
-                std::thread::sleep(Duration::from_micros(*micros));
-            }
-        }
         let end = Instant::now();
         TLS.with(|tls| tls.borrow_mut().exit(end));
     }
@@ -592,6 +544,8 @@ pub fn spans_to_chrome(spans: &[HostSpan]) -> ChromeTrace {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     /// Serializes tests that toggle the global switch or inspect the

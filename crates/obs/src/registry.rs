@@ -114,50 +114,12 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Serialize as a JSON object, one key per metric, sorted by name.
-    ///
-    /// Counters serialize as bare numbers; histograms as
+    /// Serialize as a single-line JSON object, one key per metric, sorted
+    /// by name. Counters serialize as bare numbers; histograms as
     /// `{"count","sum","min","max","mean","buckets":[{"lo","hi","n"}]}`.
-    /// `indent` is the number of leading spaces applied to each line so
-    /// the object can be embedded in larger hand-rolled documents.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::new();
-        out.push_str("{\n");
-        for (i, (name, metric)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = writeln!(out, "{pad}  {}: {v}{comma}", json::escape(name));
-                }
-                Metric::Histogram(h) => {
-                    let buckets: Vec<String> = h
-                        .nonzero_buckets()
-                        .map(|(lo, hi, n)| format!("{{\"lo\": {lo}, \"hi\": {hi}, \"n\": {n}}}"))
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        "{pad}  {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                         \"mean\": {:.4}, \"buckets\": [{}]}}{comma}",
-                        json::escape(name),
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.mean(),
-                        buckets.join(", ")
-                    );
-                }
-            }
-        }
-        let _ = write!(out, "{pad}}}");
-        out
-    }
-
-    /// Serialize as a single-line JSON object (same per-metric shapes as
-    /// [`Registry::to_json`], no newlines). Sweep `METRICS_*.json`
-    /// artifacts embed one registry per cell line so that shard merging
-    /// and checkpoint resume can splice cells byte-exactly.
+    /// This is the registry's one JSON form: sweep `METRICS_*.json`
+    /// artifacts embed one registry per cell line, and checkpoints,
+    /// `STATUS_*.json` and `uni --json` embed or write the same line.
     pub fn to_json_line(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, metric)) in self.entries.iter().enumerate() {
@@ -269,8 +231,8 @@ mod tests {
         h.record(300);
         r.histogram("core.run_length", &h);
         r.counter("mem.l1d.misses", 17);
-        let j = r.to_json(0);
-        assert_eq!(j, r.clone().to_json(0));
+        let j = r.to_json_line();
+        assert_eq!(j, r.clone().to_json_line());
         let v = json::parse(&j).expect("registry json parses");
         assert_eq!(v.get("mem.l1d.misses").and_then(|m| m.as_u64()), Some(17));
         let hist = v.get("core.run_length").expect("histogram present");
@@ -296,13 +258,12 @@ mod tests {
         r.histogram("mp.empty", &Histogram::new());
         r.counter("mem.l1d.misses", 17);
         r.counter("big", 1 << 50);
-        for doc in [r.to_json(0), r.to_json_line()] {
-            let v = json::parse(&doc).expect("registry json parses");
-            let back = Registry::from_value(&v).expect("registry round-trips");
-            assert_eq!(back, r);
-        }
-        // Single-line and indented forms agree after a round trip.
-        assert!(!r.to_json_line().contains('\n'));
+        let doc = r.to_json_line();
+        let v = json::parse(&doc).expect("registry json parses");
+        let back = Registry::from_value(&v).expect("registry round-trips");
+        assert_eq!(back, r);
+        assert_eq!(back.to_json_line(), doc);
+        assert!(!doc.contains('\n'));
     }
 
     #[test]

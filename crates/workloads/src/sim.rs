@@ -1,6 +1,6 @@
 use interleave_core::{FetchUnit, ProcConfig, Processor, Scheme, StorePolicy};
-use interleave_mem::{MemConfig, MemStats, UniMemSystem};
-use interleave_obs::{profile, Histogram, Registry};
+use interleave_mem::{MemConfig, UniMemSystem};
+use interleave_obs::{profile, Registry};
 use interleave_stats::Breakdown;
 
 use crate::mixes::Workload;
@@ -161,12 +161,8 @@ pub struct MultiprogramResult {
     pub cycles: u64,
     /// Execution-time breakdown over the measured period.
     pub breakdown: Breakdown,
-    /// Memory-system counters over the measured period.
-    pub mem_stats: MemStats,
     /// Instructions retired in the measured period (>= total quota).
     pub instructions: u64,
-    /// Run-length histogram over the measured period.
-    pub run_lengths: Histogram,
     /// Full instrumentation snapshot (processor, pipeline, and memory
     /// metrics) collected at the end of the run. Event counters
     /// accumulate from cycle zero; the `cycles.*` entries mirror the
@@ -357,14 +353,7 @@ impl MultiprogramSim {
         let mut metrics = Registry::new();
         cpu.collect_metrics(&mut metrics);
         cpu.port().collect_metrics(&mut metrics);
-        MultiprogramResult {
-            cycles,
-            breakdown: cpu.breakdown().clone(),
-            mem_stats: *cpu.port().stats(),
-            instructions,
-            run_lengths: cpu.run_lengths().clone(),
-            metrics,
-        }
+        MultiprogramResult { cycles, breakdown: cpu.breakdown().clone(), instructions, metrics }
     }
 
     fn all_quotas_met(

@@ -687,16 +687,22 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 result.throughput()
             );
             println!("{}", breakdown_report("execution-time breakdown", &result.breakdown));
+            let count = |name: &str| result.metrics.counter_value(name).unwrap_or(0);
+            // `part` as a percentage of `part + rest` (0 when both are 0).
+            let pct = |part: &str, rest: &str| {
+                let (p, r) = (count(part), count(rest));
+                p as f64 * 100.0 / (p + r).max(1) as f64
+            };
             println!(
                 "memory: {:.1}% L1D miss, {:.2}% L1I miss, {} DTLB misses, {:.0}% of misses hit L2",
-                result.mem_stats.l1d_miss_rate() * 100.0,
-                result.mem_stats.l1i_miss_rate() * 100.0,
-                result.mem_stats.dtlb_misses,
-                result.mem_stats.l2_hit_fraction() * 100.0,
+                pct("mem.l1d.misses", "mem.l1d.hits"),
+                pct("mem.l1i.misses", "mem.l1i.hits"),
+                count("mem.dtlb.misses"),
+                pct("mem.l2.hits", "mem.l2.misses"),
             );
             println!("\n{}", registry_table(&result.metrics));
             if let Some(path) = json {
-                std::fs::write(&path, result.metrics.to_json(0))
+                std::fs::write(&path, format!("{}\n", result.metrics.to_json_line()))
                     .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
                 println!("wrote {path}");
             }
@@ -810,8 +816,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     sweep.wall,
                     sweep.scale.name()
                 );
-                // Present whenever the profiler ran: `--trace-out`, or the
-                // process-wide `INTERLEAVE_PROFILE=1` switch.
+                // Present whenever the profiler ran (`--trace-out`).
                 if let Some(profile) = sweep.profile.as_ref().filter(|p| !p.is_empty()) {
                     println!("{}", phase_table(&sweep.name, profile, sweep.wall));
                     println!(
@@ -1686,7 +1691,10 @@ mod tests {
             .seed(7)
             .build()
             .run();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), result.metrics.to_json(0));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{}\n", result.metrics.to_json_line())
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -112,7 +112,7 @@ fn run_direct(scheme: Scheme, contexts: usize, quota: u64, idle_skip: bool) -> (
     let mut reg = Registry::new();
     cpu.collect_metrics(&mut reg);
     cpu.port().collect_metrics(&mut reg);
-    (cycles, reg.to_json(0))
+    (cycles, reg.to_json_line())
 }
 
 /// mp-splash runs eight contexts per node, the widest the readiness
