@@ -14,7 +14,7 @@
 //! whether it runs serially or on any number of threads (see the
 //! `determinism` integration test).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::cache::ResultCache;
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use interleave_core::{Scheme, StorePolicy};
 use interleave_mp::{LatencyModel, MpResult, MpSim, MpSimBuilder, SplashProfile};
-use interleave_obs::bus::{Subscriber, Watch};
+use interleave_obs::bus::Watch;
 use interleave_obs::json;
 use interleave_obs::profile::{self, PhaseProfile};
 use interleave_obs::Registry;
@@ -158,12 +158,6 @@ impl Shard {
     /// Total number of shards.
     pub fn count(self) -> usize {
         self.count
-    }
-
-    /// Status-file suffix (`shard2of4`), kept free of `/` so shards
-    /// sharing one status directory never overwrite each other.
-    pub fn label(self) -> String {
-        format!("shard{}of{}", self.index, self.count)
     }
 
     /// The canonical grid indices this shard owns, in ascending order.
@@ -567,17 +561,15 @@ impl CellSim {
 /// scheduling.
 ///
 /// Every runner owns a latest-wins telemetry bus: after each completed
-/// cell it publishes a [`Snapshot`] (progress, throughput, merged
-/// metrics), which in-process clients read via [`Runner::subscribe`] and
-/// out-of-process clients read from the atomically-replaced
-/// `STATUS_<name>.json` written when a status directory is configured
-/// ([`Runner::status_dir`], `sweep --status-dir`), e.g. with
-/// `interleave-sim watch`.
+/// cell it publishes a [`Snapshot`] (progress and throughput). A caller
+/// that wants to follow the sweep hands in its own bus with
+/// [`Runner::with_bus`], as the serve daemon does for each job's
+/// `/jobs/<id>/events` stream; a CLI sweep reports through the stderr
+/// heartbeat ([`Runner::progress`]).
 #[derive(Debug, Clone)]
 pub struct Runner {
     jobs: usize,
     progress: bool,
-    status_dir: Option<PathBuf>,
     shard: Option<Shard>,
     cache: Option<Arc<ResultCache>>,
     bus: Watch<Snapshot>,
@@ -590,14 +582,10 @@ pub struct Runner {
 pub struct Snapshot {
     /// Spec name (artifact stem).
     pub artifact: String,
-    /// Scale name (`ci` / `full`).
-    pub scale: &'static str,
     /// Completed cells.
     pub done: usize,
     /// Total cells in the sweep.
     pub total: usize,
-    /// Wall-clock milliseconds since the sweep started.
-    pub wall_ms: u64,
     /// Completed cells per host second.
     pub cells_per_sec: f64,
     /// Estimated seconds to completion at the current rate.
@@ -608,37 +596,26 @@ pub struct Snapshot {
     pub sim_cycles_per_sec: f64,
     /// Whether every cell has completed.
     pub finished: bool,
-    /// Coordinates of the most recently completed cell, or `""` before
-    /// the first one.
-    pub last_cell: String,
-    /// Metric registries of completed cells, merged. The registry fold
-    /// is commutative, so this is independent of completion order.
-    pub metrics: Registry,
 }
 
 impl Snapshot {
-    /// Serializes the snapshot as the `interleave-status-v1` document on
-    /// a single line (no trailing newline): the `STATUS_*.json` file holds
-    /// it plus a newline, and each line of the serve daemon's
-    /// `GET /jobs/<id>/events` newline-delimited stream is one of them.
+    /// Serializes the snapshot as the `interleave-status-v2` document on
+    /// a single line (no trailing newline): each line of the serve
+    /// daemon's `GET /jobs/<id>/events` newline-delimited stream is one
+    /// of them.
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"artifact\": {}, \"schema\": \"interleave-status-v1\", \"scale\": \"{}\", \
-             \"done\": {}, \"total\": {}, \"finished\": {}, \"wall_ms\": {}, \
-             \"cells_per_sec\": {:.3}, \"eta_secs\": {:.1}, \"sim_cycles\": {}, \
-             \"sim_cycles_per_sec\": {:.1}, \"last_cell\": {}, \"metrics\": {}}}",
+            "{{\"artifact\": {}, \"schema\": \"interleave-status-v2\", \"done\": {}, \
+             \"total\": {}, \"finished\": {}, \"cells_per_sec\": {:.3}, \"eta_secs\": {:.1}, \
+             \"sim_cycles\": {}, \"sim_cycles_per_sec\": {:.1}}}",
             json::escape(&self.artifact),
-            self.scale,
             self.done,
             self.total,
             self.finished,
-            self.wall_ms,
             self.cells_per_sec,
             self.eta_secs,
             self.sim_cycles,
-            self.sim_cycles_per_sec,
-            json::escape(&self.last_cell),
-            self.metrics.to_json_line()
+            self.sim_cycles_per_sec
         )
     }
 }
@@ -652,113 +629,73 @@ fn heartbeat_due(done: usize, total: usize, since_last: Duration) -> bool {
 }
 
 /// Per-sweep telemetry state: publishes a [`Snapshot`] on the bus after
-/// every cell, mirrors it to the status file (write-then-rename, so
-/// readers never observe a partial document), and prints the
-/// rate-limited stderr heartbeat when progress reporting is on.
+/// every cell and prints the rate-limited stderr heartbeat when progress
+/// reporting is on.
 struct SweepTelemetry<'a> {
-    artifact: String,
-    scale: Scale,
+    artifact: &'a str,
     total: usize,
     started: Instant,
     heartbeat: bool,
     bus: &'a Watch<Snapshot>,
-    status_path: Option<PathBuf>,
     state: Mutex<TelemetryState>,
 }
 
 struct TelemetryState {
     done: usize,
     sim_cycles: u64,
-    metrics: Registry,
     last_print: Instant,
 }
 
 impl<'a> SweepTelemetry<'a> {
     fn new(runner: &'a Runner, spec: &'a ExperimentSpec, total: usize) -> SweepTelemetry<'a> {
         let now = Instant::now();
-        // Shard identity is part of the telemetry name so concurrent
-        // shards of one spec never clobber each other's status files.
-        let artifact = match runner.shard {
-            Some(shard) => format!("{}.{}", spec.name(), shard.label()),
-            None => spec.name().to_string(),
-        };
-        let status_path =
-            runner.status_dir.as_ref().map(|dir| dir.join(format!("STATUS_{artifact}.json")));
         SweepTelemetry {
-            artifact,
-            scale: spec.scale(),
+            artifact: spec.name(),
             total,
             started: now,
             heartbeat: runner.progress,
             bus: &runner.bus,
-            status_path,
-            state: Mutex::new(TelemetryState {
-                done: 0,
-                sim_cycles: 0,
-                metrics: Registry::new(),
-                last_print: now,
-            }),
+            state: Mutex::new(TelemetryState { done: 0, sim_cycles: 0, last_print: now }),
         }
     }
 
-    fn snapshot(&self, state: &TelemetryState, last_cell: String) -> Snapshot {
+    fn snapshot(&self, state: &TelemetryState) -> Snapshot {
         let wall = self.started.elapsed();
-        let secs = wall.as_secs_f64().max(1e-9);
-        let cells_per_sec = state.done as f64 / secs;
+        let cells_per_sec = state.done as f64 / wall.as_secs_f64().max(1e-9);
         let eta_secs =
             if state.done == 0 { 0.0 } else { (self.total - state.done) as f64 / cells_per_sec };
         Snapshot {
             artifact: self.artifact.to_string(),
-            scale: self.scale.name(),
             done: state.done,
             total: self.total,
-            wall_ms: u64::try_from(wall.as_millis()).unwrap_or(u64::MAX),
             cells_per_sec,
             eta_secs,
             sim_cycles: state.sim_cycles,
             sim_cycles_per_sec: cycles_per_sec(state.sim_cycles, wall),
             finished: state.done >= self.total,
-            last_cell,
-            metrics: state.metrics.clone(),
         }
     }
 
-    /// Publishes the starting snapshot so subscribers (and the status
-    /// file) see the sweep before its first cell completes.
+    /// Publishes the starting snapshot so subscribers see the sweep
+    /// before its first cell completes.
     fn begin(&self) {
         let state = self.state.lock().expect("telemetry lock");
-        self.emit(self.snapshot(&state, String::new()), false);
+        self.bus.publish(self.snapshot(&state));
     }
 
     /// Folds one completed cell in, publishes, and maybe heartbeats.
-    fn cell_finished(&self, cell: &Cell, result: &CellResult) {
+    /// The state lock is held while publishing, so snapshots leave in
+    /// `done` order and the last one published is the final one.
+    fn cell_finished(&self, result: &CellResult) {
         let now = Instant::now();
         let mut state = self.state.lock().expect("telemetry lock");
         state.done += 1;
         state.sim_cycles += result.cycles();
-        state.metrics.merge(result.metrics());
-        let print = self.heartbeat && {
-            let due = heartbeat_due(state.done, self.total, now.duration_since(state.last_print));
-            if due {
-                state.last_print = now;
-            }
-            due
-        };
-        let last_cell = format!("{} {} x{}", cell.target.name(), cell.scheme.name(), cell.contexts);
-        let snapshot = self.snapshot(&state, last_cell);
-        self.emit(snapshot, print);
-    }
-
-    /// Publishes one snapshot. Callers hold the state lock, so snapshots
-    /// leave in `done` order (the last one published is the final one)
-    /// and no two workers write the status file's temp sibling at once.
-    fn emit(&self, snapshot: Snapshot, print: bool) {
-        if let Some(path) = &self.status_path {
-            if let Err(e) = write_status(path, &snapshot) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        if print {
+        let snapshot = self.snapshot(&state);
+        if self.heartbeat
+            && heartbeat_due(state.done, self.total, now.duration_since(state.last_print))
+        {
+            state.last_print = now;
             eprintln!(
                 "sweep {}: {}/{} cells, {:.2} cells/s, {:.2e} sim cycles/s, ETA {:.0}s",
                 snapshot.artifact,
@@ -773,29 +710,10 @@ impl<'a> SweepTelemetry<'a> {
     }
 }
 
-/// Atomically replaces the status file: write a sibling temp file, then
-/// rename over the target, so a concurrent `watch` never reads a torn
-/// document.
-fn write_status(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, format!("{}\n", snapshot.to_json_line()))?;
-    std::fs::rename(&tmp, path)
-}
-
 impl Runner {
     /// A runner using `jobs` worker threads (clamped to at least 1).
     pub fn new(jobs: usize) -> Runner {
-        Runner {
-            jobs: jobs.max(1),
-            progress: false,
-            status_dir: None,
-            shard: None,
-            cache: None,
-            bus: Watch::new(),
-        }
+        Runner { jobs: jobs.max(1), progress: false, shard: None, cache: None, bus: Watch::new() }
     }
 
     /// A single-threaded runner.
@@ -807,14 +725,6 @@ impl Runner {
     /// (default off).
     pub fn progress(mut self, on: bool) -> Runner {
         self.progress = on;
-        self
-    }
-
-    /// Mirrors every telemetry snapshot to `<dir>/STATUS_<name>.json`,
-    /// atomically replaced after each cell, so `interleave-sim watch`
-    /// (or any file-tailing client) can follow the sweep live.
-    pub fn status_dir(mut self, dir: impl Into<PathBuf>) -> Runner {
-        self.status_dir = Some(dir.into());
         self
     }
 
@@ -859,14 +769,6 @@ impl Runner {
     pub fn with_bus(mut self, bus: Watch<Snapshot>) -> Runner {
         self.bus = bus;
         self
-    }
-
-    /// Subscribes to the runner's live telemetry bus. Snapshots are
-    /// latest-wins: a subscriber polling [`Subscriber::latest`] (or
-    /// blocking on [`Subscriber::changed`]) always sees the newest
-    /// state of whatever sweep this runner is executing.
-    pub fn subscribe(&self) -> Subscriber<Snapshot> {
-        self.bus.subscribe()
     }
 
     /// The worker-thread count.
@@ -927,7 +829,7 @@ impl Runner {
                 result
             };
             let wall = cell_start.elapsed();
-            telemetry.cell_finished(c, &result);
+            telemetry.cell_finished(&result);
             (result, wall)
         };
         let results: Vec<(CellResult, Duration)> = if self.jobs == 1 || cells.len() <= 1 {
@@ -1320,8 +1222,9 @@ mod tests {
     #[test]
     fn bus_publishes_per_cell_snapshots() {
         let spec = tiny_spec();
-        let runner = Runner::new(2);
-        let mut sub = runner.subscribe();
+        let bus = Watch::new();
+        let mut sub = bus.subscribe();
+        let runner = Runner::new(2).with_bus(bus);
         assert!(sub.latest().is_none(), "nothing published before the sweep");
         let sweep = runner.run(&spec);
         let last = sub.latest().expect("final snapshot on the bus");
@@ -1329,40 +1232,16 @@ mod tests {
         assert_eq!(last.done, 6);
         assert_eq!(last.total, 6);
         assert!(last.finished);
-        assert!(!last.last_cell.is_empty());
         let total: u64 = sweep.cells.iter().map(|(_, r)| r.cycles()).sum();
         assert_eq!(last.sim_cycles, total);
-        // The merged registry equals the fold of every cell's registry
-        // (order-independent by the monoid property).
-        let mut merged = Registry::new();
-        for (_, r) in &sweep.cells {
-            merged.merge(r.metrics());
-        }
-        assert_eq!(last.metrics, merged);
-    }
-
-    #[test]
-    fn status_file_is_written_and_parses() {
-        let dir = std::env::temp_dir().join(format!("ilv_status_{}", std::process::id()));
-        let spec = tiny_spec();
-        let sweep = Runner::serial().status_dir(&dir).run(&spec);
-        let path = dir.join("STATUS_tiny.json");
-        let text = std::fs::read_to_string(&path).expect("status file written");
-        let doc = interleave_obs::json::parse(&text).expect("status json parses");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("interleave-status-v1"));
-        assert_eq!(doc.get("done").and_then(|v| v.as_u64()), Some(6));
-        assert_eq!(doc.get("finished").and_then(|v| v.as_bool()), Some(true));
-        let total: u64 = sweep.cells.iter().map(|(_, r)| r.cycles()).sum();
+        let doc = interleave_obs::json::parse(&last.to_json_line()).expect("snapshot parses");
+        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("interleave-status-v2"));
         assert_eq!(doc.get("sim_cycles").and_then(|v| v.as_u64()), Some(total));
-        assert!(doc.get("metrics").and_then(|m| m.get("cycles.busy")).is_some());
-        assert!(!path.with_extension("json.tmp").exists(), "temp file renamed away");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Workers finishing cells concurrently still publish in `done`
-    /// order: after every sweep the bus and the status file hold the
-    /// final snapshot, and no temp file is left behind. Resumed sweeps
-    /// finish cells fastest, so they race hardest.
+    /// order: after every sweep the bus holds the final snapshot.
+    /// Resumed sweeps finish cells fastest, so they race hardest.
     #[test]
     fn concurrent_workers_publish_the_final_snapshot_last() {
         let dir = std::env::temp_dir().join(format!("ilv_status_race_{}", std::process::id()));
@@ -1370,18 +1249,12 @@ mod tests {
         let total = spec.cells().len();
         assert_eq!(total, 10);
         Runner::serial().checkpoint_dir(dir.join("ck")).run(&spec);
-        let path = dir.join("STATUS_tiny.json");
         for run in 0..50 {
-            let runner = Runner::new(4).status_dir(&dir).checkpoint_dir(dir.join("ck"));
-            let mut sub = runner.subscribe();
-            runner.run(&spec);
+            let bus = Watch::new();
+            let mut sub = bus.subscribe();
+            Runner::new(4).with_bus(bus).checkpoint_dir(dir.join("ck")).run(&spec);
             let last = sub.latest().expect("final snapshot on the bus");
             assert!(last.finished && last.done == total, "run {run}: bus ended at {}", last.done);
-            let doc = interleave_obs::json::parse(&std::fs::read_to_string(&path).unwrap())
-                .expect("status json parses");
-            assert_eq!(doc.get("finished").and_then(|v| v.as_bool()), Some(true), "run {run}");
-            assert_eq!(doc.get("done").and_then(|v| v.as_u64()), Some(total as u64), "run {run}");
-            assert!(!path.with_extension("json.tmp").exists(), "run {run}: temp file left");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,9 +8,10 @@
 //! sweep, not a backlog, so a slow subscriber can never stall the
 //! publisher or accumulate unbounded history.
 //!
-//! The bench `Runner` publishes a `Snapshot` here after every cell and
-//! mirrors it to an atomically-replaced `STATUS_*.json` for
-//! out-of-process subscribers (`interleave-sim watch`).
+//! The bench `Runner` publishes a `Snapshot` here after every cell. The
+//! serve daemon hands each job's bus to its runner and streams the
+//! snapshots to `GET /jobs/<id>/events` clients; nothing else reads it
+//! out of process.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;

@@ -118,8 +118,9 @@ impl Registry {
     /// by name. Counters serialize as bare numbers; histograms as
     /// `{"count","sum","min","max","mean","buckets":[{"lo","hi","n"}]}`.
     /// This is the registry's one JSON form: sweep `METRICS_*.json`
-    /// artifacts embed one registry per cell line, and checkpoints,
-    /// `STATUS_*.json` and `uni --json` embed or write the same line.
+    /// artifacts embed one registry per cell line, checkpoints embed the
+    /// same line, `uni --json` writes it, and the daemon's `/stats`
+    /// reports its served-metrics fold in it.
     pub fn to_json_line(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, metric)) in self.entries.iter().enumerate() {

@@ -1,5 +1,5 @@
 //! Minimal HTTP client over [`std::net::TcpStream`] for the serve
-//! daemon's own CLI (`submit`, `poll`, `watch`) and tests.
+//! daemon's own CLI (`submit`, `poll`) and tests.
 //!
 //! Matches the server's framing: one request per connection, explicit
 //! `Content-Length`, and newline-delimited streaming reads for the
@@ -25,18 +25,6 @@ impl HttpResponse {
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
-}
-
-/// Splits an `http://host:port/path` URL into `(authority, path)`.
-/// `None` for anything that is not a plain `http://` URL.
-pub fn split_url(url: &str) -> Option<(&str, &str)> {
-    let rest = url.strip_prefix("http://")?;
-    let slash = rest.find('/').unwrap_or(rest.len());
-    let (authority, path) = rest.split_at(slash);
-    if authority.is_empty() {
-        return None;
-    }
-    Some((authority, if path.is_empty() { "/" } else { path }))
 }
 
 fn connect(addr: &str) -> io::Result<TcpStream> {
@@ -186,22 +174,5 @@ pub fn stream_lines(
         if !on_line(trimmed) {
             return Ok(frames);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn splits_urls() {
-        assert_eq!(
-            split_url("http://127.0.0.1:4994/jobs/1/events"),
-            Some(("127.0.0.1:4994", "/jobs/1/events"))
-        );
-        assert_eq!(split_url("http://host:1"), Some(("host:1", "/")));
-        assert_eq!(split_url("https://x/y"), None);
-        assert_eq!(split_url("http:///y"), None);
-        assert_eq!(split_url("STATUS_smoke.json"), None);
     }
 }

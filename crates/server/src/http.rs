@@ -7,7 +7,7 @@
 //! balloon memory. Anything outside that envelope is rejected with a
 //! parse error that the connection handler turns into a `400`.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum bytes accepted for the request line plus headers.
 const MAX_HEAD: usize = 16 * 1024;
@@ -38,6 +38,20 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Reads one head line (through its `\n`) and charges it to `budget`,
+/// the head bytes still allowed. At most `budget` bytes are buffered, so
+/// a peer that streams bytes without a newline cannot grow the line
+/// without limit.
+fn head_line<R: BufRead>(reader: &mut R, budget: &mut u64) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader.by_ref().take(*budget).read_line(&mut line)?;
+    *budget -= n as u64;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(invalid("request head too large"));
+    }
+    Ok(line)
+}
+
 /// Reads and parses one request from `reader`.
 ///
 /// # Errors
@@ -46,11 +60,11 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// line or header, oversized head/body, non-UTF-8 body) surface as
 /// [`io::ErrorKind::InvalidData`] with a human-readable message.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut budget = MAX_HEAD as u64;
+    let line = head_line(reader, &mut budget)?;
+    if line.is_empty() {
         return Err(invalid("empty request"));
     }
-    let mut total = line.len();
     let mut parts = line.trim_end().split(' ');
     let method = parts.next().filter(|m| !m.is_empty()).ok_or_else(|| invalid("missing method"))?;
     let path = parts.next().ok_or_else(|| invalid("missing request path"))?;
@@ -61,13 +75,9 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
     let (method, path) = (method.to_string(), path.to_string());
     let mut headers = Vec::new();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = head_line(reader, &mut budget)?;
+        if header.is_empty() {
             return Err(invalid("connection closed inside headers"));
-        }
-        total += header.len();
-        if total > MAX_HEAD {
-            return Err(invalid("request head too large"));
         }
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
@@ -206,6 +216,43 @@ mod tests {
         assert!(parse(&huge_header).is_err());
         let huge_body = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(parse(&huge_body).is_err());
+    }
+
+    /// Counts the bytes its reader hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// A peer that streams bytes without a newline is cut off after the
+    /// head budget, not buffered until it stops.
+    #[test]
+    fn unterminated_head_is_cut_off_at_the_cap() {
+        let endless = Counting { inner: io::repeat(b'A').take(8 << 20), read: 0 };
+        let mut reader = io::BufReader::new(endless);
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let consumed = reader.get_ref().read;
+        assert!(consumed <= MAX_HEAD + reader.capacity(), "consumed {consumed} bytes");
+        // The same holds for an endless header line.
+        let endless = Counting {
+            inner: io::Read::chain(
+                &b"GET / HTTP/1.1\r\nX-Pad: "[..],
+                io::repeat(b'y').take(8 << 20),
+            ),
+            read: 0,
+        };
+        let mut reader = io::BufReader::new(endless);
+        assert_eq!(read_request(&mut reader).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(reader.get_ref().read <= MAX_HEAD + reader.capacity());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::time::Duration;
 use interleave_bench::{one_grid_spec, ExperimentSpec, Scale, Snapshot};
 use interleave_obs::bus::Watch;
 use interleave_obs::json::{escape, Value, MAX_SAFE_INTEGER};
-use interleave_obs::Registry;
 
 /// Host worker threads a single job may claim (`"jobs"` knob cap): a
 /// queue full of greedy requests must not oversubscribe the machine,
@@ -206,17 +205,13 @@ impl Job {
         let bus = Watch::new();
         bus.publish(Snapshot {
             artifact: spec.name().to_string(),
-            scale: spec.scale().name(),
             done: 0,
             total: total_cells,
-            wall_ms: 0,
             cells_per_sec: 0.0,
             eta_secs: 0.0,
             sim_cycles: 0,
             sim_cycles_per_sec: 0.0,
             finished: false,
-            last_cell: String::new(),
-            metrics: Registry::new(),
         });
         Ok(Job {
             id,

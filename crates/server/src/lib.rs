@@ -25,7 +25,7 @@
 //! | `GET /jobs/<id>`       | status/result summary                          |
 //! | `GET /jobs/<id>/bench` | the `BENCH_*` document (when done)             |
 //! | `GET /jobs/<id>/metrics` | the `METRICS_*` document (when done)         |
-//! | `GET /jobs/<id>/events`| newline-delimited live `STATUS_*`-shaped JSON  |
+//! | `GET /jobs/<id>/events`| newline-delimited live status snapshots        |
 //! | `GET /healthz`         | liveness + queue depth                         |
 //! | `GET /stats`           | queue/cache/job counters + served-metrics fold |
 //! | `POST /shutdown`       | drain workers and stop accepting               |
@@ -67,9 +67,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Content-addressed result-cache directory (`None` = no caching).
     pub cache_dir: Option<PathBuf>,
-    /// Per-job `STATUS_*.json` mirror root (`None` = bus-only
-    /// telemetry). Job `N` writes under `<dir>/job<N>/`.
-    pub status_dir: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -79,7 +76,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
             cache_dir: None,
-            status_dir: None,
         }
     }
 }
@@ -91,7 +87,6 @@ struct ServerState {
     queue_depth: usize,
     workers: usize,
     cache: Option<Arc<ResultCache>>,
-    status_dir: Option<PathBuf>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_changed: Condvar,
     jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
@@ -128,7 +123,6 @@ impl Server {
             queue_depth: config.queue_depth.max(1),
             workers: config.workers,
             cache: config.cache_dir.map(|dir| Arc::new(ResultCache::new(dir))),
-            status_dir: config.status_dir,
             queue: Mutex::new(VecDeque::new()),
             queue_changed: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
@@ -216,9 +210,6 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
         .with_bus(job.bus.clone());
     if let Some(cache) = &state.cache {
         runner = runner.result_cache(Arc::clone(cache));
-    }
-    if let Some(dir) = &state.status_dir {
-        runner = runner.status_dir(dir.join(format!("job{}", job.id)));
     }
     // A panicking cell must fail the job, not the worker thread: the
     // daemon stays up and keeps serving the queue.

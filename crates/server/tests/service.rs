@@ -17,13 +17,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn config(cache_dir: Option<std::path::PathBuf>, workers: usize) -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        queue_depth: 8,
-        workers,
-        cache_dir,
-        status_dir: None,
-    }
+    ServerConfig { addr: "127.0.0.1:0".into(), queue_depth: 8, workers, cache_dir }
 }
 
 /// Boots a server on an ephemeral port; returns its authority and the
@@ -255,7 +249,6 @@ fn admission_control_answers_429_with_retry_after() {
         queue_depth: 2,
         workers: 0,
         cache_dir: None,
-        status_dir: None,
     });
 
     submit(&addr, "{\"artifact\": \"smoke\", \"seed\": 1}");
@@ -287,15 +280,36 @@ fn events_stream_delivers_status_snapshots() {
     assert!(!frames.is_empty(), "at least one snapshot streams");
     for frame in &frames {
         let doc = json::parse(frame).expect("each frame is one complete JSON document");
+        let Value::Obj(fields) = &doc else { panic!("frame is not an object: {frame}") };
+        assert_eq!(
+            fields.keys().map(String::as_str).collect::<Vec<_>>(),
+            [
+                "artifact",
+                "cells_per_sec",
+                "done",
+                "eta_secs",
+                "finished",
+                "schema",
+                "sim_cycles",
+                "sim_cycles_per_sec",
+                "total"
+            ],
+            "{frame}"
+        );
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
-            Some("interleave-status-v1"),
+            Some("interleave-status-v2"),
             "{frame}"
         );
         assert!(doc.get("done").and_then(Value::as_u64).is_some(), "{frame}");
     }
     let last = json::parse(frames.last().unwrap()).unwrap();
     assert_eq!(last.get("finished").and_then(Value::as_bool), Some(true));
+    let status = json::parse(&client::get(&addr, &format!("/jobs/{id}")).unwrap().body).unwrap();
+    assert_eq!(
+        last.get("sim_cycles").and_then(Value::as_u64),
+        Some(field_u64(&status, "sim_cycles"))
+    );
 
     // Streaming an unknown job is a 404, not a hang.
     let err = client::stream_lines(&addr, "/jobs/999/events", |_| true).unwrap_err();
@@ -317,6 +331,37 @@ fn artifacts_are_ready_once_the_events_stream_closes() {
         assert_eq!(metrics.status, 200, "seed {seed}: {}", metrics.body);
     }
     stop(&addr, handle);
+}
+
+/// A cache directory that cannot be created (its parent is a regular
+/// file) does not fail the job: every cell is computed, served
+/// uncached, and counted as a miss.
+#[test]
+fn unwritable_cache_dir_still_completes_jobs_uncached() {
+    let dir = temp_dir("unwritable");
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocker = dir.join("not_a_dir");
+    std::fs::write(&blocker, "a regular file").unwrap();
+    let (addr, handle) = start(config(Some(blocker.join("cache")), 1));
+
+    let mut cells = 0;
+    let mut bodies = Vec::new();
+    for _ in 0..2 {
+        let id = field_u64(&submit(&addr, "{\"artifact\": \"smoke\", \"seed\": 3}"), "id");
+        let done = wait_done(&addr, id);
+        assert_eq!(field_u64(&done, "cached_cells"), 0, "nothing can be cached");
+        cells = field_u64(&done, "cells");
+        let metrics = client::get(&addr, &format!("/jobs/{id}/metrics")).unwrap();
+        assert_eq!(metrics.status, 200, "{}", metrics.body);
+        bodies.push(metrics.body);
+    }
+    assert_eq!(bodies[0], bodies[1], "uncached reruns serve identical METRICS");
+    let stats = json::parse(&client::get(&addr, "/stats").unwrap().body).unwrap();
+    assert_eq!(field_u64(&stats, "cache_hits"), 0);
+    assert_eq!(field_u64(&stats, "cache_misses"), 2 * cells);
+
+    stop(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Concurrent-client soak for the serve daemon (the full-tier half of
 # the CI serve-e2e job): boots `interleave-sim serve` on an ephemeral
-# port with a result cache and a per-job STATUS_* mirror, fires N
+# port with a result cache, fires N
 # `submit --wait` clients in parallel with distinct (result-affecting)
 # seeds, then resubmits the same wave and requires every resubmit to be
 # served fully from the cache with byte-identical METRICS documents.
@@ -9,8 +9,8 @@
 #
 #   scripts/serve_soak.sh [out_dir] [clients]
 #
-# Everything (server log, per-client logs, per-job STATUS files,
-# fetched artifacts) lands under out_dir so CI can upload it on
+# Everything (server log, per-client logs, fetched artifacts) lands
+# under out_dir so CI can upload it on
 # failure. Requires a release build (target/release/interleave-sim).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,8 +26,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Create the log before backgrounding the daemon, so the address grep
+# below never races the child's redirection.
+: >"$log"
 ./target/release/interleave-sim serve --addr 127.0.0.1:0 \
-  --cache-dir "$out/cache" --status-dir "$out/status" >"$log" 2>&1 &
+  --cache-dir "$out/cache" >"$log" 2>&1 &
 serve_pid=$!
 
 addr=""

@@ -81,9 +81,6 @@ pub enum Command {
         /// whole-grid sweep over the shards' combined directory
         /// assembles their slices.
         checkpoint_dir: Option<String>,
-        /// Directory for the live `STATUS_<spec>.json` snapshots that
-        /// `watch` tails.
-        status_dir: Option<String>,
         /// Run under the host-phase profiler and write a Chrome trace of
         /// the recorded host spans here.
         trace_out: Option<String>,
@@ -121,19 +118,6 @@ pub enum Command {
         id: Option<u64>,
         /// Query `/stats` instead of a job.
         stats: bool,
-    },
-    /// Tail a `STATUS_*.json` file written by a concurrent sweep, or
-    /// stream a daemon's `/jobs/<id>/events` URL.
-    Watch {
-        /// Status file to poll, or a `http://host:port/jobs/<id>/events`
-        /// URL to stream (positional argument).
-        file: String,
-        /// Render the current snapshot once and exit.
-        once: bool,
-        /// Poll interval in milliseconds.
-        interval_ms: u64,
-        /// Give up after this many seconds (`None` = wait forever).
-        timeout_secs: Option<u64>,
     },
     /// Run with per-cycle tracing and export a Chrome trace-event JSON.
     Trace {
@@ -182,21 +166,16 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
     (
         "sweep",
         "--artifact ARTIFACT [--jobs N] [--mp-jobs N] [--scale ci|full] [--json DIR] \
-         [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--status-dir DIR] \
-         [--trace-out PATH] [--progress]",
+         [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--trace-out PATH] \
+         [--progress]",
     ),
-    (
-        "serve",
-        "[--addr HOST:PORT] [--queue-depth N] [--workers N] [--cache-dir DIR] \
-         [--status-dir DIR]",
-    ),
+    ("serve", "[--addr HOST:PORT] [--queue-depth N] [--workers N] [--cache-dir DIR]"),
     (
         "submit",
         "--artifact GRID [--addr HOST:PORT] [--scale ci|full] [--seed N] [--jobs N] \
          [--mp-jobs N] [--wait] [--json DIR] [--timeout-secs N]",
     ),
     ("poll", "[JOB_ID] [--addr HOST:PORT] [--stats]"),
-    ("watch", "STATUS_FILE_OR_EVENTS_URL [--once] [--interval-ms N] [--timeout-secs N]"),
     (
         "trace",
         "[--file PATH] [--workload W] [--scheme S] [--contexts N] [--max-cycles N] \
@@ -446,7 +425,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             mp_jobs: a.opt_num("mp-jobs")?,
             shard: a.typed("shard", "K/N with 1 <= K <= N", Shard::parse)?,
             checkpoint_dir: a.string("checkpoint-dir"),
-            status_dir: a.string("status-dir"),
             trace_out: a.string("trace-out"),
             progress: a.switch("progress"),
         },
@@ -457,7 +435,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 queue_depth: a.num("queue-depth", default.queue_depth)?.max(1),
                 workers: a.num("workers", default.workers)?,
                 cache_dir: a.get("cache-dir").map(Into::into),
-                status_dir: a.get("status-dir").map(Into::into),
             })
         }
         "submit" => Command::Submit {
@@ -485,12 +462,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 })
                 .transpose()?,
             stats: a.switch("stats"),
-        },
-        "watch" => Command::Watch {
-            file: a.positionals[0].clone(),
-            once: a.switch("once"),
-            interval_ms: a.num("interval-ms", 250)?,
-            timeout_secs: a.opt_num("timeout-secs")?,
         },
         "trace" => Command::Trace {
             file: a.string("file"),
@@ -565,35 +536,6 @@ fn phase_table(
         ]);
     }
     t
-}
-
-/// Renders one `interleave-status-v1` snapshot as a progress line.
-/// `None` when the document is not such a snapshot.
-fn render_status(doc: &crate::obs::json::Value) -> Option<String> {
-    if doc.get("schema")?.as_str()? != "interleave-status-v1" {
-        return None;
-    }
-    let artifact = doc.get("artifact")?.as_str()?;
-    let scale = doc.get("scale")?.as_str()?;
-    let done = doc.get("done")?.as_u64()?;
-    let total = doc.get("total")?.as_u64()?;
-    let cells_per_sec = doc.get("cells_per_sec")?.as_f64()?;
-    let sim_rate = doc.get("sim_cycles_per_sec")?.as_f64()?;
-    if doc.get("finished")?.as_bool()? {
-        let wall_ms = doc.get("wall_ms")?.as_u64()?;
-        return Some(format!(
-            "{artifact} [{scale}]: finished {done}/{total} cells in {:.2}s \
-             ({cells_per_sec:.2} cells/s, {sim_rate:.2e} sim cycles/s)",
-            wall_ms as f64 / 1e3
-        ));
-    }
-    let eta = doc.get("eta_secs")?.as_f64()?;
-    let last = doc.get("last_cell")?.as_str()?;
-    let tail = if last.is_empty() { String::new() } else { format!(" — {last}") };
-    Some(format!(
-        "{artifact} [{scale}]: {done}/{total} cells, {cells_per_sec:.2} cells/s, \
-         {sim_rate:.2e} sim cycles/s, ETA {eta:.0}s{tail}"
-    ))
 }
 
 fn breakdown_report(title: &str, b: &crate::stats::Breakdown) -> Table {
@@ -737,7 +679,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             mp_jobs,
             shard,
             checkpoint_dir,
-            status_dir,
             trace_out,
             progress,
         } => {
@@ -748,7 +689,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     ("--json", json.is_some()),
                     ("--shard", shard.is_some()),
                     ("--checkpoint-dir", checkpoint_dir.is_some()),
-                    ("--status-dir", status_dir.is_some()),
                     ("--trace-out", trace_out.is_some()),
                 ];
                 if let Some((flag, _)) = grid_flags.iter().find(|(_, set)| *set) {
@@ -788,9 +728,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             }
             if let Some(dir) = checkpoint_dir {
                 runner = runner.checkpoint_dir(dir);
-            }
-            if let Some(dir) = status_dir {
-                runner = runner.status_dir(dir);
             }
             let sweeps: Vec<SweepResult> = specs.iter().map(|spec| runner.run(spec)).collect();
             // A shard holds only a slice of each grid, which the paper
@@ -980,72 +917,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             }
             print!("{}", response.body);
         }
-        Command::Watch { file, once, interval_ms, timeout_secs } => {
-            // A daemon events URL streams NDJSON frames instead of
-            // polling a file; the server closes the stream at the
-            // `finished` snapshot.
-            if let Some((authority, path)) = crate::server::client::split_url(&file) {
-                let mut bad_frame: Option<String> = None;
-                let mut last_line = String::new();
-                crate::server::client::stream_lines(authority, path, |frame| {
-                    let doc = crate::obs::json::parse(frame).ok();
-                    match doc.as_ref().and_then(render_status) {
-                        Some(line) => {
-                            if line != last_line {
-                                println!("{line}");
-                                last_line = line;
-                            }
-                            !once
-                        }
-                        None => {
-                            bad_frame = Some(frame.to_string());
-                            false
-                        }
-                    }
-                })
-                .map_err(|e| CliError(format!("cannot stream `{file}`: {e}")))?;
-                if let Some(frame) = bad_frame {
-                    return Err(CliError(format!(
-                        "`{file}` sent a non-interleave-status-v1 frame: {frame}"
-                    )));
-                }
-                return Ok(());
-            }
-            let deadline =
-                timeout_secs.map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s));
-            let interval = std::time::Duration::from_millis(interval_ms.max(1));
-            let mut last_line = String::new();
-            loop {
-                match std::fs::read_to_string(&file) {
-                    Ok(text) => {
-                        // The writer replaces the file atomically, so a
-                        // successful read is always a complete document.
-                        let doc = crate::obs::json::parse(&text)
-                            .map_err(|e| CliError(format!("`{file}` is not valid JSON: {e}")))?;
-                        let line = render_status(&doc).ok_or_else(|| {
-                            CliError(format!("`{file}` is not an interleave-status-v1 document"))
-                        })?;
-                        if line != last_line {
-                            println!("{line}");
-                            last_line = line;
-                        }
-                        let finished =
-                            doc.get("finished").and_then(|v| v.as_bool()).unwrap_or(false);
-                        if finished || once {
-                            break;
-                        }
-                    }
-                    // Not created yet: keep waiting for the sweep to
-                    // publish its first snapshot.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound && !once => {}
-                    Err(e) => return Err(CliError(format!("cannot read `{file}`: {e}"))),
-                }
-                if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                    return Err(CliError(format!("timed out waiting on `{file}`")));
-                }
-                std::thread::sleep(interval);
-            }
-        }
         Command::Trace { file, workload, scheme, contexts, max_cycles, seed, out } => {
             let mut cpu = crate::core::Processor::new(
                 crate::core::ProcConfig::new(scheme, contexts),
@@ -1230,11 +1101,17 @@ mod tests {
             ("uni --sede 7", "--sede"),
             ("sweep --artifact smoke --jbos 1", "--jbos"),
             ("uni --quota 1 --quota 2", "--quota"),
-            ("watch --frob x f", "--frob"),
+            ("poll --frob x 1", "--frob"),
             ("uni --contexts --quota 3", "--contexts"),
+            // No status directory: sweeps report through `--progress`,
+            // daemon jobs through `/jobs/<id>/events`.
+            ("sweep --artifact smoke --status-dir d", "--status-dir"),
+            ("serve --status-dir d", "--status-dir"),
         ] {
             expect_err(argv(line), flag);
         }
+        let err = parse(&argv("watch x")).unwrap_err();
+        assert!(err.0.contains("unknown subcommand `watch`"), "{}", err.0);
     }
 
     /// Context and node counts outside what the hardware model supports
@@ -1272,7 +1149,7 @@ mod tests {
                 assert!(text.contains(arg.text), "{sub} {}", arg.text);
             }
         }
-        assert_eq!(SUBCOMMANDS.len(), 10);
+        assert_eq!(SUBCOMMANDS.len(), 9);
         let commands = text.split("SCHEMES:").next().unwrap();
         assert!(commands.lines().all(|l| l.len() <= 80 && l == l.trim_end()), "{text}");
     }
@@ -1281,7 +1158,7 @@ mod tests {
     fn parses_sweep() {
         let cmd = parse(&argv(
             "sweep --artifact table7 --jobs 4 --scale full --json out --seed 9 --mp-jobs 2 \
-             --status-dir st --trace-out h.json --progress",
+             --trace-out h.json --progress",
         ))
         .unwrap();
         assert_eq!(
@@ -1295,7 +1172,6 @@ mod tests {
                 mp_jobs: Some(2),
                 shard: None,
                 checkpoint_dir: None,
-                status_dir: Some("st".into()),
                 trace_out: Some("h.json".into()),
                 progress: true,
             }
@@ -1312,7 +1188,6 @@ mod tests {
                 mp_jobs: None,
                 shard: None,
                 checkpoint_dir: None,
-                status_dir: None,
                 trace_out: None,
                 progress: false,
             }
@@ -1337,7 +1212,6 @@ mod tests {
                 mp_jobs: None,
                 shard: None,
                 checkpoint_dir: None,
-                status_dir: None,
                 trace_out: Some("h.json".into()),
                 progress: false,
             }
@@ -1384,46 +1258,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_watch() {
-        let cmd =
-            parse(&argv("watch STATUS_t.json --once --interval-ms 50 --timeout-secs 2")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Watch {
-                file: "STATUS_t.json".into(),
-                once: true,
-                interval_ms: 50,
-                timeout_secs: Some(2),
-            }
-        );
-        assert_eq!(
-            parse(&argv("watch s.json")).unwrap(),
-            Command::Watch {
-                file: "s.json".into(),
-                once: false,
-                interval_ms: 250,
-                timeout_secs: None,
-            }
-        );
-        // The status file is positional and required.
-        assert!(parse(&argv("watch")).is_err());
-        assert!(parse(&argv("watch --once")).is_err());
-    }
-
-    #[test]
     fn parses_serve_submit_and_poll() {
         assert_eq!(
-            parse(&argv(
-                "serve --addr 127.0.0.1:0 --queue-depth 8 --workers 2 --cache-dir c \
-                 --status-dir s"
-            ))
-            .unwrap(),
+            parse(&argv("serve --addr 127.0.0.1:0 --queue-depth 8 --workers 2 --cache-dir c"))
+                .unwrap(),
             Command::Serve(ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 queue_depth: 8,
                 workers: 2,
                 cache_dir: Some("c".into()),
-                status_dir: Some("s".into()),
             })
         );
         assert_eq!(parse(&argv("serve")).unwrap(), Command::Serve(ServerConfig::default()));
@@ -1475,7 +1318,6 @@ mod tests {
             queue_depth: 4,
             workers: 1,
             cache_dir: Some(dir.join("cache")),
-            status_dir: None,
         })
         .unwrap();
         let addr = server.local_addr().to_string();
@@ -1517,14 +1359,15 @@ mod tests {
             std::fs::read(out.join("METRICS_smoke.json")).unwrap(),
             std::fs::read(out2.join("METRICS_smoke.json")).unwrap()
         );
-        // `watch` accepts the events URL and renders to completion.
-        run(Command::Watch {
-            file: format!("http://{addr}/jobs/2/events"),
-            once: false,
-            interval_ms: 10,
-            timeout_secs: None,
+        // A finished job's events stream replays its final snapshot.
+        let mut last = String::new();
+        crate::server::client::stream_lines(&addr, "/jobs/2/events", |frame| {
+            last = frame.to_string();
+            true
         })
         .unwrap();
+        let last = crate::obs::json::parse(&last).unwrap();
+        assert_eq!(last.get("finished").and_then(|v| v.as_bool()), Some(true));
         // `poll` answers for a job, the stats page, and health.
         run(Command::Poll { addr: Some(addr.clone()), id: Some(1), stats: false }).unwrap();
         run(Command::Poll { addr: Some(addr.clone()), id: None, stats: true }).unwrap();
@@ -1535,67 +1378,6 @@ mod tests {
         let _ = crate::server::client::post(&addr, "/shutdown", "");
         handle.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn render_status_covers_running_and_finished() {
-        let running = crate::obs::json::parse(
-            r#"{"artifact": "smoke", "schema": "interleave-status-v1", "scale": "ci",
-                "done": 1, "total": 4, "finished": false, "wall_ms": 500,
-                "cells_per_sec": 2.0, "eta_secs": 1.5, "sim_cycles": 9,
-                "sim_cycles_per_sec": 18.0, "last_cell": "FP Interleaved x2",
-                "metrics": {}}"#,
-        )
-        .unwrap();
-        let line = render_status(&running).unwrap();
-        assert!(line.contains("smoke [ci]: 1/4 cells"), "{line}");
-        assert!(line.contains("ETA 2s") || line.contains("ETA 1.5"), "{line}");
-        assert!(line.contains("FP Interleaved x2"), "{line}");
-
-        let finished = crate::obs::json::parse(
-            r#"{"artifact": "smoke", "schema": "interleave-status-v1", "scale": "ci",
-                "done": 4, "total": 4, "finished": true, "wall_ms": 2000,
-                "cells_per_sec": 2.0, "eta_secs": 0.0, "sim_cycles": 9,
-                "sim_cycles_per_sec": 18.0, "last_cell": "FP Interleaved x2",
-                "metrics": {}}"#,
-        )
-        .unwrap();
-        let line = render_status(&finished).unwrap();
-        assert!(line.contains("finished 4/4 cells in 2.00s"), "{line}");
-
-        let wrong = crate::obs::json::parse(r#"{"schema": "other"}"#).unwrap();
-        assert!(render_status(&wrong).is_none());
-    }
-
-    #[test]
-    fn watch_once_renders_a_status_file() {
-        let path = std::env::temp_dir().join(format!("ilv_watch_{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            "{\"artifact\": \"smoke\", \"schema\": \"interleave-status-v1\", \
-             \"scale\": \"ci\", \"done\": 0, \"total\": 1, \"finished\": false, \
-             \"wall_ms\": 0, \"cells_per_sec\": 0.0, \"eta_secs\": 0.0, \
-             \"sim_cycles\": 0, \"sim_cycles_per_sec\": 0.0, \"last_cell\": \"\", \
-             \"metrics\": {}}",
-        )
-        .unwrap();
-        run(Command::Watch {
-            file: path.to_string_lossy().into_owned(),
-            once: true,
-            interval_ms: 10,
-            timeout_secs: Some(5),
-        })
-        .unwrap();
-        std::fs::remove_file(&path).ok();
-        // A missing file with `--once` is an error, not a wait.
-        let err = run(Command::Watch {
-            file: "/nonexistent/ilv_watch_missing.json".into(),
-            once: true,
-            interval_ms: 10,
-            timeout_secs: Some(1),
-        })
-        .unwrap_err();
-        assert!(err.0.contains("cannot read"), "{err}");
     }
 
     #[test]
@@ -1636,9 +1418,7 @@ mod tests {
 
     #[test]
     fn sweep_rejects_grid_flags_for_artifacts_without_a_grid() {
-        for flag in
-            ["--json out", "--shard 1/2", "--checkpoint-dir c", "--status-dir s", "--trace-out t"]
-        {
+        for flag in ["--json out", "--shard 1/2", "--checkpoint-dir c", "--trace-out t"] {
             let cmd = parse(&argv(&format!("sweep --artifact table4 {flag}"))).unwrap();
             let err = run(cmd).unwrap_err();
             let flag = flag.split(' ').next().unwrap();
