@@ -14,10 +14,6 @@ use interleave_isa::Instr;
 /// moved onto a worker thread — the multiprocessor driver advances each
 /// node on its own host thread between conservative quantum barriers.
 pub trait InstrSource: Send {
-    /// Produces the next instruction in program order, or `None` at end of
-    /// stream.
-    fn next_instr(&mut self) -> Option<Instr>;
-
     /// Appends up to `max` further instructions of the stream to `out`
     /// (program order, nothing cleared) and returns how many were
     /// produced. Fewer than `max` — including zero — means end of
@@ -32,24 +28,10 @@ pub trait InstrSource: Send {
     /// number of instructions it appended. [`FetchUnit`] panics on a
     /// refill that changes the buffer's length by anything else.
     ///
-    /// The default loops [`InstrSource::next_instr`]; batch-aware
-    /// sources (the synthetic generator) override it to amortize
-    /// per-call bookkeeping across a whole run. Implementations must
-    /// produce the identical stream either way: a caller may freely mix
-    /// call granularities.
-    fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
-        let mut produced = 0;
-        while produced < max {
-            match self.next_instr() {
-                Some(instr) => {
-                    out.push(instr);
-                    produced += 1;
-                }
-                None => break,
-            }
-        }
-        produced
-    }
+    /// The stream must not depend on how it is cut into runs: any
+    /// sequence of `max` values yields the same instructions in the same
+    /// order.
+    fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize;
 }
 
 /// An [`InstrSource`] backed by a fixed vector — handy for tests and the
@@ -62,9 +44,11 @@ pub trait InstrSource: Send {
 /// use interleave_isa::Instr;
 ///
 /// let mut s = VecSource::new([Instr::nop(0), Instr::nop(4)]);
-/// assert!(s.next_instr().is_some());
-/// assert!(s.next_instr().is_some());
-/// assert!(s.next_instr().is_none());
+/// let mut out = Vec::new();
+/// assert_eq!(s.next_run(&mut out, 1), 1);
+/// assert_eq!(s.next_run(&mut out, 8), 1);
+/// assert_eq!(s.next_run(&mut out, 8), 0);
+/// assert_eq!(out, [Instr::nop(0), Instr::nop(4)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VecSource {
@@ -79,8 +63,10 @@ impl VecSource {
 }
 
 impl InstrSource for VecSource {
-    fn next_instr(&mut self) -> Option<Instr> {
-        self.items.pop_front()
+    fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
+        let n = max.min(self.items.len());
+        out.extend(self.items.drain(..n));
+        n
     }
 }
 
@@ -489,16 +475,26 @@ mod tests {
         f.at(0);
     }
 
+    #[test]
+    fn vec_source_appends_what_it_returns_and_runs_short_only_at_end() {
+        let sentinel = Instr::nop(0xdead);
+        let mut s = VecSource::new((0..10).map(|i| Instr::nop(i * 4)));
+        let mut out = vec![sentinel];
+        for (max, want) in [(0, 0), (3, 3), (1, 1), (4, 4), (5, 2), (5, 0)] {
+            let before = out.len();
+            assert_eq!(s.next_run(&mut out, max), want);
+            assert_eq!(out.len(), before + want);
+        }
+        assert_eq!(out[0], sentinel);
+        let pcs: Vec<u64> = out[1..].iter().map(|i| i.pc).collect();
+        assert_eq!(pcs, (0..10).map(|i| i * 4).collect::<Vec<_>>());
+    }
+
     /// Clears the buffer it is handed before appending: breaks the
     /// append-only contract of `next_run`.
-    struct Clobbering(u64);
+    struct Clobbering;
 
     impl InstrSource for Clobbering {
-        fn next_instr(&mut self) -> Option<Instr> {
-            self.0 += 4;
-            Some(Instr::nop(self.0))
-        }
-
         fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
             out.clear();
             out.extend((0..max).map(|_| Instr::nop(0)));
@@ -509,7 +505,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must append exactly the count it returns")]
     fn refill_rejects_a_source_that_clears_the_buffer() {
-        let mut f = FetchUnit::new(Box::new(Clobbering(0)));
+        let mut f = FetchUnit::new(Box::new(Clobbering));
         // Hold index 0 in flight through the next refill.
         for _ in 0..REFILL_RUN {
             f.advance();

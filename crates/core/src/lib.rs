@@ -61,4 +61,4 @@ pub use config::{ProcConfig, Scheme, StorePolicy};
 pub use context::{CtxView, WaitReason, MAX_CONTEXTS};
 pub use fetch::{FetchUnit, InstrSource, VecSource};
 pub use ports::{DataOutcome, InstOutcome, PerfectMemory, SyncOutcome, SystemPort};
-pub use processor::{IdleBound, IssueRecord, Processor, SwitchStats};
+pub use processor::{IdleBound, IssueRecord, Processor};

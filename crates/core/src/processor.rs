@@ -296,11 +296,6 @@ impl<P: SystemPort> Processor<P> {
         &self.run_lengths
     }
 
-    /// Context-switch event counters by cause.
-    pub fn switch_stats(&self) -> &SwitchStats {
-        &self.switches
-    }
-
     /// Instructions retired by context `ctx`.
     pub fn retired(&self, ctx: usize) -> u64 {
         self.ctx.retired[ctx]
@@ -764,11 +759,6 @@ impl<P: SystemPort> Processor<P> {
         if self.cfg.validate {
             self.assert_valid();
         }
-    }
-
-    /// Register ready cycle as tracked by the scoreboard (debug aid).
-    pub fn debug_reg_ready(&self, ctx: usize, reg: interleave_isa::Reg) -> u64 {
-        self.scoreboard.ready_at(ctx, reg)
     }
 
     /// Dumps internal scheduling state (debug aid; unstable format).

@@ -238,11 +238,6 @@ pub struct SplashThread {
     thread: usize,
     n_threads: usize,
     inner: SyntheticApp,
-    /// Instructions [`InstrSource::next_instr`] produced ahead of use, in
-    /// runs of [`AHEAD_RUN`] through `next_run`; `ahead_pos` indexes the
-    /// next one. Empty unless the stream is pulled one at a time.
-    ahead: Vec<Instr>,
-    ahead_pos: usize,
     rng: Xoshiro,
     /// The release queued behind a critical section's last instruction.
     pending: Option<Instr>,
@@ -260,8 +255,6 @@ const SHARED_BASE: u64 = 0x7000_0000;
 /// Size of a migratory block (a particle/task record spanning a few
 /// lines).
 const BLOCK_BYTES: u64 = 256;
-/// Instructions `next_instr` produces ahead per refill.
-const AHEAD_RUN: usize = 32;
 
 impl SplashThread {
     /// Creates thread `thread` of `n_threads` for `profile`.
@@ -276,8 +269,6 @@ impl SplashThread {
         SplashThread {
             rng: Xoshiro::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9)),
             inner,
-            ahead: Vec::new(),
-            ahead_pos: 0,
             thread,
             n_threads,
             pending: None,
@@ -404,30 +395,12 @@ impl SplashThread {
 }
 
 impl InstrSource for SplashThread {
-    fn next_instr(&mut self) -> Option<Instr> {
-        if self.ahead_pos == self.ahead.len() {
-            let mut ahead = std::mem::take(&mut self.ahead);
-            ahead.clear();
-            self.ahead_pos = 0;
-            self.next_run(&mut ahead, AHEAD_RUN);
-            self.ahead = ahead;
-        }
-        let instr = self.ahead[self.ahead_pos];
-        self.ahead_pos += 1;
-        Some(instr)
-    }
-
     /// Appends sync instructions and runs of compute instructions, each
     /// run generated in place at the end of `out`; entries that were in
     /// `out` before the call are not touched.
     fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
-        // Instructions `next_instr` produced ahead come first.
-        let ahead = &self.ahead[self.ahead_pos..];
-        let taken = ahead.len().min(max);
-        out.extend_from_slice(&ahead[..taken]);
-        self.ahead_pos += taken;
-        let mut room = (max - taken) as u64;
-        out.reserve(room as usize);
+        let mut room = max as u64;
+        out.reserve(max);
         while room > 0 {
             if let Some(sync) = self.sync_point() {
                 out.push(sync);
@@ -456,9 +429,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn take(profile: SplashProfile, thread: usize, n: usize, count: usize) -> Vec<Instr> {
+    /// Pulls `count` instructions of thread `thread` of `n` in runs whose
+    /// lengths cycle through `plan` (all nonzero), appending after a
+    /// sentinel entry that must come back untouched: a run may rewrite
+    /// only what it appended itself.
+    fn take_in_runs(
+        profile: SplashProfile,
+        thread: usize,
+        n: usize,
+        count: usize,
+        plan: &[usize],
+    ) -> Vec<Instr> {
+        let sentinel = Instr::nop(0xdead);
         let mut t = SplashThread::new(profile, thread, n, 11);
-        (0..count).map(|_| t.next_instr().unwrap()).collect()
+        let mut out = vec![sentinel];
+        for &want in plan.iter().cycle() {
+            let room = count + 1 - out.len();
+            if room == 0 {
+                break;
+            }
+            assert_eq!(t.next_run(&mut out, want.min(room)), want.min(room));
+        }
+        assert_eq!(out[0], sentinel, "an entry older than the run was touched");
+        out.split_off(1)
+    }
+
+    fn take(profile: SplashProfile, thread: usize, n: usize, count: usize) -> Vec<Instr> {
+        take_in_runs(profile, thread, n, count, &[count])
     }
 
     #[test]
@@ -566,59 +563,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// `next_run` at any run lengths yields exactly the `next_instr`
-        /// stream, lock and barrier insertion included.
+        /// Any plan of run lengths yields the stream that all-`1` runs
+        /// do, lock and barrier insertion included.
         #[test]
-        fn next_run_matches_next_instr(plan in proptest::collection::vec(1usize..=64, 1..9)) {
+        fn stream_is_invariant_under_run_plan(plan in proptest::collection::vec(1usize..=64, 1..9)) {
             const LEN: usize = 6_500;
             for p in splash_suite() {
                 for n in [2, 8, 32] {
-                    let one_by_one = take(p.clone(), n - 1, n, LEN);
-                    let mut t = SplashThread::new(p.clone(), n - 1, n, 11);
-                    let mut batched = Vec::new();
-                    for &want in plan.iter().cycle() {
-                        let room = LEN - batched.len();
-                        if room == 0 {
-                            break;
-                        }
-                        prop_assert_eq!(t.next_run(&mut batched, want.min(room)), want.min(room));
-                    }
-                    prop_assert_eq!(&one_by_one, &batched, "{} with {} threads", p.name, n);
+                    let one_by_one = take_in_runs(p.clone(), n - 1, n, LEN, &[1]);
+                    let planned = take_in_runs(p.clone(), n - 1, n, LEN, &plan);
+                    prop_assert_eq!(&one_by_one, &planned, "{} with {} threads", p.name, n);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn mixed_pull_granularities_yield_one_stream() {
-        // `next_instr` produces ahead; a `next_run` after it must hand
-        // those instructions out first, and leave older entries alone.
-        for p in splash_suite() {
-            let expected = take(p.clone(), 3, 8, 3_000);
-            let mut t = SplashThread::new(p.clone(), 3, 8, 11);
-            let mut got = vec![Instr::nop(0xdead)];
-            let mut k = 0usize;
-            while got.len() <= expected.len() {
-                let room = expected.len() + 1 - got.len();
-                if k.is_multiple_of(3) {
-                    got.push(t.next_instr().unwrap());
-                } else {
-                    let want = (k * 7 % 45 + 1).min(room);
-                    assert_eq!(t.next_run(&mut got, want), want);
-                }
-                k += 1;
-            }
-            assert_eq!(got[0], Instr::nop(0xdead), "{}: an older entry was touched", p.name);
-            assert_eq!(&got[1..], &expected[..], "{}", p.name);
         }
     }
 
     #[test]
     fn compute_stream_is_pulled_in_batches() {
+        // Pulled in the fetch unit's refill runs, the inner compute
+        // stream must still be drawn in long runs, not per instruction.
         for p in splash_suite() {
             let mut t = SplashThread::new(p.clone(), 0, 8, 11);
-            for _ in 0..10_000 {
-                t.next_instr();
+            let mut out = Vec::with_capacity(32);
+            for _ in 0..10_000 / 32 {
+                out.clear();
+                assert_eq!(t.next_run(&mut out, 32), 32);
             }
             let mean = t.inner.batch_lens().mean();
             assert!(mean >= 16.0, "{}: mean compute batch {mean}", p.name);

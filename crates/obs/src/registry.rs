@@ -119,8 +119,7 @@ impl Registry {
     /// `{"count","sum","min","max","mean","buckets":[{"lo","hi","n"}]}`.
     /// This is the registry's one JSON form: sweep `METRICS_*.json`
     /// artifacts embed one registry per cell line, checkpoints embed the
-    /// same line, `uni --json` writes it, and the daemon's `/stats`
-    /// reports its served-metrics fold in it.
+    /// same line, and `uni --json` writes it.
     pub fn to_json_line(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, metric)) in self.entries.iter().enumerate() {

@@ -27,7 +27,7 @@
 //! | `GET /jobs/<id>/metrics` | the `METRICS_*` document (when done)         |
 //! | `GET /jobs/<id>/events`| newline-delimited live status snapshots        |
 //! | `GET /healthz`         | liveness + queue depth                         |
-//! | `GET /stats`           | queue/cache/job counters + served-metrics fold |
+//! | `GET /stats`           | queue, cache and job counters                  |
 //! | `POST /shutdown`       | drain workers and stop accepting               |
 
 #![forbid(unsafe_code)]
@@ -48,7 +48,6 @@ use std::time::Duration;
 
 use interleave_bench::{ResultCache, Runner};
 use interleave_obs::json;
-use interleave_obs::Registry;
 
 use http::{Request, Response};
 use job::{Job, JobPhase, JobRequest};
@@ -95,9 +94,6 @@ struct ServerState {
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
     shutdown: AtomicBool,
-    /// Commutative fold of every served job's merged cell metrics —
-    /// the `Registry` the `/stats` endpoint reports.
-    served_metrics: Mutex<Registry>,
 }
 
 /// The daemon: a bound listener plus its shared state. Construct with
@@ -131,7 +127,6 @@ impl Server {
             jobs_done: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            served_metrics: Mutex::new(Registry::new()),
         });
         Ok(Server { listener, state })
     }
@@ -217,11 +212,6 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
     state.jobs_running.fetch_sub(1, Ordering::Relaxed);
     match swept {
         Ok(sweep) => {
-            let mut served = state.served_metrics.lock().expect("served metrics lock");
-            for (_, result) in &sweep.cells {
-                served.merge(result.metrics());
-            }
-            drop(served);
             job.set_phase(JobPhase::Done(Box::new(job::JobOutput {
                 bench_json: sweep.to_json(),
                 metrics_json: sweep.metrics_json(),
@@ -422,24 +412,21 @@ fn healthz(state: &ServerState) -> Response {
     )
 }
 
-/// `GET /stats`: queue depth, job counters, cache hit rate, and the
-/// served-metrics registry fold.
+/// `GET /stats`: queue depth, job counters and cache hit rate.
 fn stats(state: &ServerState) -> Response {
     let queued = state.queue.lock().expect("queue lock").len();
     let (cache_hits, cache_misses, cache_hit_rate) = match &state.cache {
         Some(cache) => (cache.hits(), cache.misses(), cache.hit_rate()),
         None => (0, 0, 0.0),
     };
-    let served = state.served_metrics.lock().expect("served metrics lock").to_json_line();
     Response::json(
         200,
         format!(
-            "{{\"schema\": \"interleave-stats-v1\", \"queued\": {queued}, \
+            "{{\"schema\": \"interleave-stats-v2\", \"queued\": {queued}, \
              \"queue_depth\": {}, \"workers\": {}, \"jobs_submitted\": {}, \
              \"jobs_running\": {}, \"jobs_done\": {}, \"jobs_failed\": {}, \
              \"cache_enabled\": {}, \"cache_hits\": {cache_hits}, \
-             \"cache_misses\": {cache_misses}, \"cache_hit_rate\": {cache_hit_rate:.4}, \
-             \"served_metrics\": {served}}}\n",
+             \"cache_misses\": {cache_misses}, \"cache_hit_rate\": {cache_hit_rate:.4}}}\n",
             state.queue_depth,
             state.workers,
             state.next_id.load(Ordering::SeqCst),

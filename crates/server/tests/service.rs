@@ -134,7 +134,8 @@ fn wire_round_trip_matches_in_process_runner_and_dedupes() {
     assert_eq!(field_u64(&doc, "jobs_done"), 2);
     assert!(field_u64(&doc, "cache_hits") >= field_u64(&second_done, "cells"));
     assert!(doc.get("cache_hit_rate").and_then(Value::as_f64).unwrap() > 0.0);
-    assert!(doc.get("served_metrics").is_some());
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("interleave-stats-v2"));
+    assert!(doc.get("served_metrics").is_none(), "/stats carries counters only");
 
     stop(&addr, handle);
     let _ = std::fs::remove_dir_all(&cache_dir);

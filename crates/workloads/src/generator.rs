@@ -37,8 +37,9 @@ use crate::AppProfile;
 /// use interleave_workloads::{AppProfile, SyntheticApp};
 ///
 /// let mut app = SyntheticApp::new(AppProfile::base("demo"), 0, 42);
-/// let first = app.next_instr().unwrap();
-/// let again = SyntheticApp::new(AppProfile::base("demo"), 0, 42).next_instr().unwrap();
+/// let (mut first, mut again) = (Vec::new(), Vec::new());
+/// assert_eq!(app.next_run(&mut first, 16), 16);
+/// SyntheticApp::new(AppProfile::base("demo"), 0, 42).next_run(&mut again, 16);
 /// assert_eq!(first, again, "streams are deterministic per seed");
 /// ```
 pub struct SyntheticApp {
@@ -78,7 +79,7 @@ pub struct SyntheticApp {
     emitted: u64,
     limit: Option<u64>,
     /// Distribution of run lengths handed out per [`InstrSource::next_run`]
-    /// call (and the 1-instruction runs of `next_instr`).
+    /// call.
     batch_lens: Histogram,
 }
 
@@ -297,10 +298,8 @@ impl SyntheticApp {
         &self.profile
     }
 
-    /// Distribution of run lengths produced per source round-trip:
-    /// `next_run` records the run it hands out, `next_instr` records a
-    /// run of one. The mean is the generator's batching amortization
-    /// factor.
+    /// Distribution of run lengths produced per `next_run` call. The
+    /// mean is the generator's batching amortization factor.
     pub fn batch_lens(&self) -> &Histogram {
         &self.batch_lens
     }
@@ -589,21 +588,9 @@ impl SyntheticApp {
 }
 
 impl InstrSource for SyntheticApp {
-    // Both pull granularities count an instruction, then generate it
-    // (draws are keyed by `emitted`), so the stream is identical no
-    // matter how it is batched.
-    fn next_instr(&mut self) -> Option<Instr> {
-        if self.limit.is_some_and(|limit| self.emitted >= limit) {
-            return None;
-        }
-        self.emitted += 1;
-        let instr = self.gen_instr();
-        profile::mark("workloads.gen_batch");
-        profile::mark_n("workloads.gen_instrs", 1);
-        self.batch_lens.record(1);
-        Some(instr)
-    }
-
+    // Each instruction is counted, then generated (draws are keyed by
+    // `emitted`), so the stream is identical no matter how it is cut
+    // into runs.
     fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
         // The limit bounds the whole run up front, so the loop appends
         // straight into `out` (the fetch unit's buffer) with no
@@ -640,9 +627,14 @@ mod tests {
     use interleave_engine::rand64::{coin, unit_f64};
     use proptest::prelude::*;
 
+    fn pull(app: &mut SyntheticApp, n: usize) -> Vec<Instr> {
+        let mut out = Vec::with_capacity(n);
+        assert_eq!(app.next_run(&mut out, n), n, "unbounded stream");
+        out
+    }
+
     fn take(profile: AppProfile, n: usize) -> Vec<Instr> {
-        let mut app = SyntheticApp::new(profile, 0, 7);
-        (0..n).map(|_| app.next_instr().expect("unbounded stream")).collect()
+        pull(&mut SyntheticApp::new(profile, 0, 7), n)
     }
 
     #[test]
@@ -656,9 +648,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut x = SyntheticApp::new(AppProfile::base("a"), 0, 1);
         let mut y = SyntheticApp::new(AppProfile::base("a"), 0, 2);
-        let xs: Vec<_> = (0..200).map(|_| x.next_instr().unwrap()).collect();
-        let ys: Vec<_> = (0..200).map(|_| y.next_instr().unwrap()).collect();
-        assert_ne!(xs, ys);
+        assert_ne!(pull(&mut x, 200), pull(&mut y, 200));
     }
 
     #[test]
@@ -680,8 +670,7 @@ mod tests {
         let app = SyntheticApp::new(p, 2, 3);
         let base = app.code_base;
         let mut app = app;
-        for _ in 0..5000 {
-            let i = app.next_instr().unwrap();
+        for i in pull(&mut app, 5000) {
             assert!(i.pc >= base && i.pc < base + p.code_footprint, "pc {:x}", i.pc);
         }
     }
@@ -692,8 +681,8 @@ mod tests {
         let app = SyntheticApp::new(p, 1, 3);
         let base = app.data_base;
         let mut app = app;
-        for _ in 0..5000 {
-            if let Some(m) = app.next_instr().unwrap().mem {
+        for i in pull(&mut app, 5000) {
+            if let Some(m) = i.mem {
                 assert!(m.addr >= base && m.addr < base + p.data_footprint);
             }
         }
@@ -793,11 +782,9 @@ mod tests {
     #[test]
     fn limit_caps_stream() {
         let mut app = SyntheticApp::new(AppProfile::base("lim"), 0, 9).with_limit(10);
-        let mut n = 0;
-        while app.next_instr().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 10);
+        let mut out = Vec::new();
+        while app.next_run(&mut out, 1) == 1 {}
+        assert_eq!(out.len(), 10);
     }
 
     #[test]
@@ -850,7 +837,7 @@ mod tests {
         let mut out = Vec::new();
         app.next_run(&mut out, 32);
         app.next_run(&mut out, 32);
-        app.next_instr().unwrap();
+        app.next_run(&mut out, 1);
         let h = app.batch_lens();
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 65);
@@ -858,35 +845,30 @@ mod tests {
         assert_eq!(h.min(), 1);
     }
 
-    /// Pulls `total` instructions using a deterministic mix of call
-    /// granularities derived from `plan`.
-    fn take_batched(profile: AppProfile, total: usize, plan: &[usize]) -> Vec<Instr> {
+    /// Pulls `total` instructions in runs whose lengths cycle through
+    /// `plan` (all nonzero).
+    fn take_in_runs(profile: AppProfile, total: usize, plan: &[usize]) -> Vec<Instr> {
         let mut app = SyntheticApp::new(profile, 0, 7);
         let mut out = Vec::new();
-        let mut k = 0;
-        while out.len() < total {
-            let want = plan[k % plan.len()];
-            k += 1;
-            if want == 0 {
-                out.push(app.next_instr().expect("unbounded stream"));
-            } else {
-                let room = total - out.len();
-                app.next_run(&mut out, want.min(room));
+        for &want in plan.iter().cycle() {
+            let room = total - out.len();
+            if room == 0 {
+                break;
             }
+            app.next_run(&mut out, want.min(room));
         }
         out
     }
 
     proptest! {
-        /// The tentpole invariant: instruction `i` of a stream is
-        /// identical regardless of batch size or call interleaving —
-        /// sampling is a pure function of (key, site, index), and the
-        /// state walk is shared by both pull granularities.
+        /// Instruction `i` of a stream is identical whatever run
+        /// lengths it is pulled in — sampling is a pure function of
+        /// (key, site, index). All-`1` runs are the reference.
         #[test]
-        fn stream_is_invariant_under_batching(plan in proptest::collection::vec(0usize..97, 1..8)) {
-            let one_by_one = take(AppProfile::base("inv"), 600);
-            let batched = take_batched(AppProfile::base("inv"), 600, &plan);
-            prop_assert_eq!(one_by_one, batched);
+        fn stream_is_invariant_under_run_plan(plan in proptest::collection::vec(1usize..97, 1..8)) {
+            let one_by_one = take_in_runs(AppProfile::base("inv"), 600, &[1]);
+            let planned = take_in_runs(AppProfile::base("inv"), 600, &plan);
+            prop_assert_eq!(one_by_one, planned);
         }
 
         /// The integer coin agrees with the float compare it replaces,

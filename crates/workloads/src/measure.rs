@@ -8,6 +8,9 @@ use interleave_stats::Table;
 
 use crate::{AppProfile, SyntheticApp};
 
+/// Instructions pulled per `next_run` call while sampling.
+const SAMPLE_RUN: u64 = 1024;
+
 /// Realized statistics of an instruction-stream sample.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
@@ -46,30 +49,37 @@ impl StreamStats {
         let mut data_lines = std::collections::HashSet::new();
         let mut data_pages = std::collections::HashSet::new();
         let mut code_lines = std::collections::HashSet::new();
-        for _ in 0..n {
-            let instr: Instr = source.next_instr().expect("stream ended during sampling");
-            stats.instructions += 1;
-            code_lines.insert(instr.pc >> 5);
-            match instr.op {
-                Op::Load => stats.loads += 1,
-                Op::Store => stats.stores += 1,
-                Op::Prefetch => stats.prefetches += 1,
-                Op::Branch => {
-                    stats.branches.0 += 1;
-                    if instr.branch.is_some_and(|b| b.taken) {
-                        stats.branches.1 += 1;
+        let mut run: Vec<Instr> = Vec::new();
+        let mut left = n;
+        while left > 0 {
+            run.clear();
+            let want = left.min(SAMPLE_RUN) as usize;
+            assert_eq!(source.next_run(&mut run, want), want, "stream ended during sampling");
+            left -= want as u64;
+            for instr in &run {
+                stats.instructions += 1;
+                code_lines.insert(instr.pc >> 5);
+                match instr.op {
+                    Op::Load => stats.loads += 1,
+                    Op::Store => stats.stores += 1,
+                    Op::Prefetch => stats.prefetches += 1,
+                    Op::Branch => {
+                        stats.branches.0 += 1;
+                        if instr.branch.is_some_and(|b| b.taken) {
+                            stats.branches.1 += 1;
+                        }
                     }
+                    Op::Backoff => stats.backoffs += 1,
+                    op if op.is_fp() => stats.fp_ops += 1,
+                    _ => {}
                 }
-                Op::Backoff => stats.backoffs += 1,
-                op if op.is_fp() => stats.fp_ops += 1,
-                _ => {}
-            }
-            if instr.op.is_divide() {
-                stats.divides += 1;
-            }
-            if let Some(mem) = instr.mem {
-                data_lines.insert(mem.addr >> 5);
-                data_pages.insert(mem.addr >> 12);
+                if instr.op.is_divide() {
+                    stats.divides += 1;
+                }
+                if let Some(mem) = instr.mem {
+                    data_lines.insert(mem.addr >> 5);
+                    data_pages.insert(mem.addr >> 12);
+                }
             }
         }
         stats.data_lines = data_lines.len() as u64;

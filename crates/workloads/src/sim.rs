@@ -399,8 +399,8 @@ impl MultiprogramSim {
 struct EmptySource;
 
 impl interleave_core::InstrSource for EmptySource {
-    fn next_instr(&mut self) -> Option<interleave_isa::Instr> {
-        None
+    fn next_run(&mut self, _out: &mut Vec<interleave_isa::Instr>, _max: usize) -> usize {
+        0
     }
 }
 

@@ -188,31 +188,35 @@ impl TraceSource {
 }
 
 impl InstrSource for TraceSource {
-    fn next_instr(&mut self) -> Option<Instr> {
-        let record = self.records.next()?;
-        let pc = self.pc;
-        self.pc += 4;
-        let src = self.last_dst;
-        Some(match record {
-            TraceRecord::Op(op) => {
-                let fp = op.is_fp();
-                let src = if fp == src.is_fp() { Some(src) } else { None };
-                let dst = self.next_dst(fp);
-                Instr::arith(pc, op, Some(dst), src, None)
-            }
-            TraceRecord::Load(addr) => {
-                let dst = self.next_dst(false);
-                Instr::load(pc, dst, Reg::int(29), addr)
-            }
-            TraceRecord::Store(addr) => Instr::store(pc, src, Reg::int(29), addr),
-            TraceRecord::Branch { taken, target } => {
-                if taken {
-                    self.pc = target;
+    fn next_run(&mut self, out: &mut Vec<Instr>, max: usize) -> usize {
+        let before = out.len();
+        while out.len() - before < max {
+            let Some(record) = self.records.next() else { break };
+            let pc = self.pc;
+            self.pc += 4;
+            let src = self.last_dst;
+            out.push(match record {
+                TraceRecord::Op(op) => {
+                    let fp = op.is_fp();
+                    let src = if fp == src.is_fp() { Some(src) } else { None };
+                    let dst = self.next_dst(fp);
+                    Instr::arith(pc, op, Some(dst), src, None)
                 }
-                Instr::branch(pc, Some(src), taken, target)
-            }
-            TraceRecord::Backoff(cycles) => Instr::backoff(pc, cycles.max(1)),
-        })
+                TraceRecord::Load(addr) => {
+                    let dst = self.next_dst(false);
+                    Instr::load(pc, dst, Reg::int(29), addr)
+                }
+                TraceRecord::Store(addr) => Instr::store(pc, src, Reg::int(29), addr),
+                TraceRecord::Branch { taken, target } => {
+                    if taken {
+                        self.pc = target;
+                    }
+                    Instr::branch(pc, Some(src), taken, target)
+                }
+                TraceRecord::Backoff(cycles) => Instr::backoff(pc, cycles.max(1)),
+            });
+        }
+        out.len() - before
     }
 }
 
@@ -250,25 +254,44 @@ mod tests {
         assert!(err.message.contains("trailing"));
     }
 
+    fn pull_all(src: &mut TraceSource) -> Vec<Instr> {
+        let mut out = Vec::new();
+        while src.next_run(&mut out, 1) == 1 {}
+        out
+    }
+
     #[test]
     fn replays_with_sequential_pcs_and_branch_redirect() {
         let mut src = TraceSource::from_text("A\nB 1 0x1000\nA\n", 0x400).unwrap();
-        let a = src.next_instr().unwrap();
+        let [a, b, c] = pull_all(&mut src)[..] else { panic!("three instructions") };
         assert_eq!(a.pc, 0x400);
-        let b = src.next_instr().unwrap();
         assert_eq!(b.pc, 0x404);
         assert!(b.branch.unwrap().taken);
-        let c = src.next_instr().unwrap();
         assert_eq!(c.pc, 0x1000, "taken branch redirects the PC");
-        assert!(src.next_instr().is_none());
     }
 
     #[test]
     fn loads_feed_following_instructions() {
         let mut src = TraceSource::from_text("L 0x80\nA\n", 0).unwrap();
-        let load = src.next_instr().unwrap();
-        let alu = src.next_instr().unwrap();
+        let [load, alu] = pull_all(&mut src)[..] else { panic!("two instructions") };
         assert_eq!(alu.src1, load.dst, "the consumer reads the load result");
+    }
+
+    #[test]
+    fn appends_what_it_returns_and_runs_short_only_at_end() {
+        let text = "A\nL 0x80\nA\nF\nB 1 0x40\nS 0x100\nK 3\n";
+        let reference = pull_all(&mut TraceSource::from_text(text, 0x400).unwrap());
+        assert_eq!(reference.len(), 7);
+        let sentinel = Instr::nop(0xdead);
+        let mut src = TraceSource::from_text(text, 0x400).unwrap();
+        let mut out = vec![sentinel];
+        for (max, want) in [(0, 0), (2, 2), (1, 1), (3, 3), (4, 1), (4, 0)] {
+            let before = out.len();
+            assert_eq!(src.next_run(&mut out, max), want);
+            assert_eq!(out.len(), before + want);
+        }
+        assert_eq!(out[0], sentinel);
+        assert_eq!(out[1..], reference[..]);
     }
 
     #[test]

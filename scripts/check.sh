@@ -174,9 +174,10 @@ scripts/throughput_gate.sh "$tmpdir/BENCH_smoke.json"
 
 # Smoke: the same grid under the host-phase profiler (`--trace-out`
 # turns it on). The PROFILE artifact must land next to BENCH/METRICS,
-# and the profiled run must stay within 5% of the plain wall clock
-# (plus 300ms of slack — these runs are short enough for scheduler
-# noise to matter).
+# and the profiled run's wall clock must stay within the plain run's
+# plus 5% plus 300ms: on the sub-second smoke grid the fixed 300ms
+# slack dominates, so this bounds gross overhead only (DESIGN.md,
+# "Host profiler", has the measured cost).
 base_ms="$(grep -o '"wall_ms": [0-9]*' "$tmpdir/BENCH_smoke.json" | head -1 | sed 's/.*: //')"
 mkdir -p "$tmpdir/profiled"
 ./target/release/interleave-sim sweep --artifact smoke \
@@ -215,18 +216,12 @@ scripts/throughput_gate.sh "$tmpdir/profiled/BENCH_smoke.json" \
   ci/baseline_smoke.json sim_cycles_per_sec \
   "$tmpdir/profiled/PROFILE_smoke.json" ci/baseline_phases.json
 
-# De-batching guard: workload generation must stay batched. The
-# per-instruction mark ("workloads.gen_instr") was retired when the
-# generator went batched (DESIGN.md, "Hot path v2"): its reappearance,
-# or a per-batch mark rate anywhere near one call per instruction,
-# means the fetch path stopped pulling runs. The budget (0.08 source
-# round-trips per simulated cycle) is ~3x the measured batched rate and
-# ~4x under the old per-instruction rate.
+# De-batching guard: workload generation must stay batched. A
+# per-batch mark rate anywhere near one call per instruction means the
+# fetch path stopped pulling runs (DESIGN.md, "Hot path v2"). The
+# budget (0.08 source round-trips per simulated cycle) is ~3x the
+# measured batched rate and ~4x under the old per-instruction rate.
 profile_json="$tmpdir/profiled/PROFILE_smoke.json"
-if grep -q '"name": "workloads.gen_instr"' "$profile_json"; then
-  echo "check.sh: per-instruction workloads.gen_instr mark is back — generation de-batched?" >&2
-  exit 1
-fi
 batches="$(grep -o '"name": "workloads.gen_batch", "calls": [0-9]*' "$profile_json" | sed 's/.*: //')"
 sim_cycles="$(grep -o '"total_sim_cycles": [0-9]*' "$profile_json" | head -1 | sed 's/.*: //')"
 if [ -z "$batches" ] || [ -z "$sim_cycles" ] || [ "$sim_cycles" -eq 0 ]; then
