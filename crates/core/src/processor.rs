@@ -761,35 +761,6 @@ impl<P: SystemPort> Processor<P> {
         }
     }
 
-    /// Dumps internal scheduling state (debug aid; unstable format).
-    pub fn debug_state(&self) -> String {
-        let mut s = format!(
-            "now={} current={:?} rr={} window={} front_occ={} events={:?} fetch_stall={} rf={:?}\n",
-            self.now,
-            self.current,
-            self.rr,
-            self.window.len(),
-            self.front.occupancy(),
-            self.events,
-            self.fetch_stall_until,
-            self.front.rf(),
-        );
-        for i in 0..self.ctx.len() {
-            s += &format!(
-                "  ctx{i}: state={:?} wp={} pend_bo={} epoch={} bound={:?} bifetch={:?} win={} front={}\n",
-                self.ctx.state(i),
-                self.ctx.wrong_path[i],
-                self.ctx.pending_backoff(i),
-                self.ctx.epoch[i],
-                self.ctx.bound_fills[i],
-                self.ctx.bound_ifetch[i],
-                self.window.count_ctx(i),
-                self.front.count_ctx(i),
-            );
-        }
-        s
-    }
-
     /// Advances the processor one cycle.
     pub fn tick(&mut self) {
         profile::mark("core.tick");
@@ -1455,7 +1426,6 @@ impl<P: SystemPort + std::fmt::Debug> std::fmt::Debug for Processor<P> {
 mod tests {
     use super::*;
     use crate::{PerfectMemory, VecSource};
-    use interleave_isa::Reg;
 
     #[test]
     fn run_length_histogram_starts_empty() {
@@ -1503,16 +1473,6 @@ mod tests {
         cpu.attach(0, Box::new(VecSource::new((0..5).map(Instr::nop))));
         cpu.run_cycles(10);
         assert!(cpu.chrome_trace().is_empty());
-    }
-
-    #[test]
-    fn debug_state_is_nonempty() {
-        let mut cpu = Processor::new(ProcConfig::new(Scheme::Single, 1), PerfectMemory);
-        cpu.attach(0, Box::new(VecSource::new(vec![Instr::alu(0, Some(Reg::int(1)), None, None)])));
-        cpu.run_cycles(3);
-        let s = cpu.debug_state();
-        assert!(s.contains("now=3"));
-        assert!(s.contains("ctx0"));
     }
 
     #[test]

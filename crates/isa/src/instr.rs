@@ -167,11 +167,6 @@ impl Instr {
         Instr { backoff: cycles, ..Self::base(pc, Op::Backoff) }
     }
 
-    /// An explicit context-switch hint (blocked scheme; a no-op elsewhere).
-    pub fn switch_hint(pc: u64) -> Instr {
-        Self::base(pc, Op::SwitchHint)
-    }
-
     /// A no-op (also used to model wrong-path fetch bubbles).
     pub fn nop(pc: u64) -> Instr {
         Self::base(pc, Op::Nop)

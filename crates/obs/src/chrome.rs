@@ -144,9 +144,8 @@ pub struct TraceSummary {
 /// integral `dur`. Spans on each `(pid, tid)` track must additionally
 /// obey stack discipline: any two spans are either disjoint or one is
 /// fully contained in the other (partial overlap would render as a
-/// corrupt timeline). Both simulator context tracks and host-profiler
-/// tracks ([`crate::profile::spans_to_chrome`]) satisfy this by
-/// construction. Returns per-name duration totals so callers can
+/// corrupt timeline). The simulator's per-context tracks satisfy this
+/// by construction. Returns per-name duration totals so callers can
 /// reconcile span time against independent cycle accounting.
 pub fn validate(doc: &str) -> Result<TraceSummary, String> {
     let root = json::parse(doc)?;

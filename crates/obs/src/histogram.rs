@@ -147,7 +147,7 @@ impl Histogram {
     /// `{"count","sum","min","max","mean","buckets"}` shape written by
     /// [`crate::Registry::to_json_line`]). The reconstruction is exact — the
     /// same buckets, count, sum, min, and max — which is what lets
-    /// sweep checkpoints and shard merges reproduce byte-identical
+    /// sweep checkpoints (a shard's included) reproduce byte-identical
     /// artifacts. Returns `None` if the value is not such an object, or
     /// if its bucket counts overflow.
     pub fn from_value(v: &Value) -> Option<Histogram> {

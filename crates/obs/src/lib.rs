@@ -18,7 +18,7 @@
 //!   enable logic for the workspace-wide invariant checkers.
 //! * [`profile`] — the hierarchical host-phase self-profiler: timed
 //!   scopes and clock-free marks accumulate per thread and fold into a
-//!   [`profile::PhaseProfile`] by the same monoid as [`Registry`].
+//!   [`profile::PhaseProfile`], a name-sorted field-wise sum.
 //! * [`bus`] — a latest-wins watch channel ([`bus::Watch`]) the sweep
 //!   runner publishes live per-cell telemetry snapshots through.
 //!

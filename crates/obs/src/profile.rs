@@ -18,16 +18,15 @@
 //! outermost scope closes (unless the thread holds a [`batch`], which
 //! folds once when it drops; and again when the thread dies, for marks
 //! outside any scope) its table is folded into a process-wide
-//! [`PhaseProfile`] by the same name-sorted commutative/associative
-//! monoid fold the metric [`crate::Registry`] uses (property-tested in
-//! `tests/profile_properties.rs`), so the harvested profile is
-//! independent of thread scheduling. [`take`] flushes the calling
-//! thread and swaps the global profile out.
+//! [`PhaseProfile`] by a name-sorted, field-wise commutative and
+//! associative fold (property-tested in `tests/profile_properties.rs`),
+//! so the harvested profile is independent of thread scheduling.
+//! [`take`] flushes the calling thread and swaps the global profile out.
 //!
 //! # Cost when disabled
 //!
 //! The instrumentation is always compiled and starts off. Only
-//! [`set_enabled`] turns it on: `interleave-sim sweep --trace-out` and
+//! [`set_enabled`] turns it on: `interleave-sim sweep --profile` and
 //! library callers such as the repo benchmark do. No environment
 //! variable reaches it. Disabled cost per site is one relaxed load of
 //! an `AtomicBool` and a branch, with no clock read and no TLS access.
@@ -41,11 +40,10 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::chrome::ChromeTrace;
 use crate::json::{self, Value};
 
 /// Accumulated statistics of one phase.
@@ -71,10 +69,9 @@ impl PhaseStats {
 
 /// A name-sorted snapshot of per-phase host-time statistics.
 ///
-/// The merge fold mirrors [`crate::Registry`]: entries are kept sorted
-/// by name and re-recording a name folds field-wise, so folding
-/// per-thread profiles is independent of harvest order (the property
-/// `tests/profile_properties.rs` pins).
+/// Entries are kept sorted by name and re-recording a name folds
+/// field-wise, so folding per-thread profiles is independent of
+/// harvest order (the property `tests/profile_properties.rs` pins).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     entries: Vec<(String, PhaseStats)>,
@@ -82,8 +79,8 @@ pub struct PhaseProfile {
 
 impl PhaseProfile {
     /// An empty profile (the fold identity).
-    pub fn new() -> PhaseProfile {
-        PhaseProfile::default()
+    pub const fn new() -> PhaseProfile {
+        PhaseProfile { entries: Vec::new() }
     }
 
     /// Folds `stats` into the entry named `name`.
@@ -194,25 +191,9 @@ impl PhaseProfile {
     }
 }
 
-/// One completed host-time span, for Chrome-trace export ([`take_spans`]
-/// / [`spans_to_chrome`]). Only recorded while [`record_spans`] is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostSpan {
-    /// Profiler thread ordinal (one track per host thread).
-    pub thread: u64,
-    /// Phase name.
-    pub name: &'static str,
-    /// Microseconds since the profiler epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-}
-
 // --- enable switch -------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SPANS_ON: AtomicBool = AtomicBool::new(false);
-static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Whether profiling is currently on. Disabled cost at every
 /// instrumentation site is this one relaxed load plus a branch.
@@ -222,43 +203,12 @@ pub fn enabled() -> bool {
 }
 
 /// Turns profiling on or off (off at process start). `interleave-sim
-/// sweep --trace-out` turns it on for the sweep it profiles.
+/// sweep --profile` turns it on for the sweep it profiles.
 pub fn set_enabled(on: bool) {
-    if on {
-        let _ = epoch();
-    }
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Turns span recording for Chrome-trace export on or off (off by
-/// default: spans cost memory proportional to scope entries, while the
-/// aggregate profile is O(phases)). Only scopes entered while both
-/// [`enabled`] and this switch are on are recorded; each thread keeps at
-/// most 65,536 spans and counts the overflow as dropped.
-pub fn record_spans(on: bool) {
-    SPANS_ON.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-fn spans_on() -> bool {
-    SPANS_ON.load(Ordering::Relaxed)
-}
-
-/// The instant host spans are timestamped against (set the first time
-/// profiling turns on).
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Microseconds from `epoch` to `t`, truncated (0 if `t` precedes it).
-fn micros_since(epoch: Instant, t: Instant) -> u64 {
-    u64::try_from(t.saturating_duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
-}
-
 // --- thread-local accumulation -------------------------------------------
-
-const MAX_SPANS_PER_THREAD: usize = 1 << 16;
 
 struct Frame {
     slot: u32,
@@ -266,21 +216,11 @@ struct Frame {
     child_ns: u64,
 }
 
-/// Harvested but not yet taken state (all threads fold in here).
+/// Harvested but not yet taken phases (all threads fold in here).
+static HARVEST: Mutex<PhaseProfile> = Mutex::new(PhaseProfile::new());
+
 #[derive(Default)]
-struct Harvest {
-    profile: PhaseProfile,
-    spans: Vec<HostSpan>,
-    dropped_spans: u64,
-}
-
-fn global() -> &'static Mutex<Harvest> {
-    static GLOBAL: OnceLock<Mutex<Harvest>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Harvest::default()))
-}
-
 struct ThreadProfiler {
-    thread: u64,
     /// `(name ptr, name len) -> slot`, sorted by key: same-site lookups
     /// are a short binary search over addresses, never a string compare.
     /// Distinct sites sharing one name get distinct slots here and fold
@@ -288,26 +228,12 @@ struct ThreadProfiler {
     lookup: Vec<(usize, usize, u32)>,
     slots: Vec<(&'static str, PhaseStats)>,
     stack: Vec<Frame>,
-    spans: Vec<HostSpan>,
-    dropped_spans: u64,
     /// Open [`batch`] guards; while nonzero, closing the outermost
     /// scope does not fold.
     batches: u32,
 }
 
 impl ThreadProfiler {
-    fn new() -> ThreadProfiler {
-        ThreadProfiler {
-            thread: THREAD_SEQ.fetch_add(1, Ordering::Relaxed),
-            lookup: Vec::new(),
-            slots: Vec::new(),
-            stack: Vec::new(),
-            spans: Vec::new(),
-            dropped_spans: 0,
-            batches: 0,
-        }
-    }
-
     fn slot(&mut self, name: &'static str) -> u32 {
         let key = (name.as_ptr() as usize, name.len());
         match self.lookup.binary_search_by(|&(p, l, _)| (p, l).cmp(&key)) {
@@ -334,26 +260,6 @@ impl ThreadProfiler {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_ns += ns;
         }
-        if spans_on() {
-            if self.spans.len() < MAX_SPANS_PER_THREAD {
-                let epoch = epoch();
-                // Truncate both endpoints to microseconds and derive the
-                // duration from them: truncating start and duration
-                // independently can push a child's end one microsecond
-                // past its parent's, which the Chrome-trace nesting
-                // validator rejects.
-                let ts_us = micros_since(epoch, frame.start);
-                let end_us = micros_since(epoch, end);
-                self.spans.push(HostSpan {
-                    thread: self.thread,
-                    name: self.slots[frame.slot as usize].0,
-                    ts_us,
-                    dur_us: end_us.saturating_sub(ts_us),
-                });
-            } else {
-                self.dropped_spans += 1;
-            }
-        }
         // Fold as soon as the outermost scope closes: a worker inside
         // `std::thread::scope` may run its thread-local destructor only
         // after the scope has returned and the harvest has been taken.
@@ -362,15 +268,13 @@ impl ThreadProfiler {
         }
     }
 
-    fn flush_into(&mut self, harvest: &mut Harvest) {
+    fn flush_into(&mut self, harvest: &mut PhaseProfile) {
         for (name, stats) in &mut self.slots {
             if *stats != PhaseStats::default() {
-                harvest.profile.record(name, *stats);
+                harvest.record(name, *stats);
                 *stats = PhaseStats::default();
             }
         }
-        harvest.spans.append(&mut self.spans);
-        harvest.dropped_spans += std::mem::take(&mut self.dropped_spans);
     }
 }
 
@@ -381,12 +285,12 @@ impl Drop for ThreadProfiler {
     }
 }
 
-fn lock_global() -> std::sync::MutexGuard<'static, Harvest> {
-    global().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock_global() -> std::sync::MutexGuard<'static, PhaseProfile> {
+    HARVEST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 thread_local! {
-    static TLS: RefCell<ThreadProfiler> = RefCell::new(ThreadProfiler::new());
+    static TLS: RefCell<ThreadProfiler> = RefCell::new(ThreadProfiler::default());
 }
 
 // --- instrumentation API -------------------------------------------------
@@ -502,44 +406,8 @@ pub fn take() -> PhaseProfile {
         let mut t = tls.borrow_mut();
         let mut harvest = lock_global();
         t.flush_into(&mut harvest);
-        std::mem::take(&mut harvest.profile)
+        std::mem::take(&mut *harvest)
     })
-}
-
-/// Flushes the calling thread and returns `(spans, dropped)`: every
-/// recorded host span plus the count that overflowed the per-thread
-/// buffer, resetting both.
-pub fn take_spans() -> (Vec<HostSpan>, u64) {
-    TLS.with(|tls| {
-        let mut t = tls.borrow_mut();
-        let mut harvest = lock_global();
-        t.flush_into(&mut harvest);
-        (std::mem::take(&mut harvest.spans), std::mem::take(&mut harvest.dropped_spans))
-    })
-}
-
-/// Renders host spans as a Chrome trace-event document on one process
-/// track (`pid` 9000, "host profiler"), one thread track per profiler
-/// thread — openable in Perfetto alongside a simulated-time trace
-/// (which uses per-context pids starting at 0). Spans are emitted
-/// sorted by `(thread, ts, -dur)` so parents precede children and the
-/// output is deterministic for a given span set.
-pub fn spans_to_chrome(spans: &[HostSpan]) -> ChromeTrace {
-    const HOST_PID: u64 = 9000;
-    let mut trace = ChromeTrace::new();
-    trace.process_name(HOST_PID, "host profiler");
-    let mut threads: Vec<u64> = spans.iter().map(|s| s.thread).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    for t in &threads {
-        trace.thread_name(HOST_PID, *t, &format!("host thread {t}"));
-    }
-    let mut ordered: Vec<&HostSpan> = spans.iter().collect();
-    ordered.sort_unstable_by_key(|s| (s.thread, s.ts_us, std::cmp::Reverse(s.dur_us), s.name));
-    for s in ordered {
-        trace.span(HOST_PID, s.thread, s.ts_us, s.dur_us, s.name, "host");
-    }
-    trace
 }
 
 #[cfg(test)]
@@ -655,9 +523,9 @@ mod tests {
                 for _ in 0..3 {
                     let _scope = enter("test.batched");
                 }
-                assert!(lock_global().profile.get("test.batched").is_none(), "folded early");
+                assert!(lock_global().get("test.batched").is_none(), "folded early");
                 drop(batch);
-                assert_eq!(lock_global().profile.get("test.batched").map(|p| p.calls), Some(3));
+                assert_eq!(lock_global().get("test.batched").map(|p| p.calls), Some(3));
             });
         });
         let profile = take();
@@ -686,42 +554,6 @@ mod tests {
         let err =
             PhaseProfile::from_json(r#"[{"name": "x", "calls": 1, "total_ns": 2}]"#).unwrap_err();
         assert!(err.contains("self_ns"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn spans_export_as_a_valid_chrome_trace() {
-        let spans = [
-            HostSpan { thread: 1, name: "outer", ts_us: 0, dur_us: 10 },
-            HostSpan { thread: 1, name: "inner", ts_us: 2, dur_us: 3 },
-            HostSpan { thread: 0, name: "other", ts_us: 5, dur_us: 1 },
-        ];
-        let doc = spans_to_chrome(&spans).to_json();
-        let summary = crate::chrome::validate(&doc).expect("host trace validates");
-        assert_eq!(summary.spans, 3);
-        assert_eq!(summary.dur_by_name.get("outer"), Some(&10));
-        assert_eq!(summary.spans_by_track.get(&(9000, 1)), Some(&2));
-    }
-
-    #[test]
-    fn recorded_spans_nest_and_validate() {
-        let _serial = serial();
-        set_enabled(true);
-        record_spans(true);
-        let _ = take_spans();
-        let _ = take();
-        {
-            let _outer = enter("test.span.outer");
-            let _inner = enter("test.span.inner");
-        }
-        record_spans(false);
-        set_enabled(false);
-        let (spans, dropped) = take_spans();
-        let _ = take();
-        assert_eq!(dropped, 0);
-        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"test.span.outer"), "got {names:?}");
-        assert!(names.contains(&"test.span.inner"), "got {names:?}");
-        crate::chrome::validate(&spans_to_chrome(&spans).to_json()).expect("valid");
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl Registry {
         }
     }
 
-    /// Fold every entry of `other` into this registry.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, metric) in &other.entries {
-            match metric {
-                Metric::Counter(v) => self.counter(name, *v),
-                Metric::Histogram(h) => self.histogram(name, h),
-            }
-        }
-    }
-
     /// Look up a metric by exact name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.entries
@@ -158,7 +148,7 @@ impl Registry {
     /// numbers become counters, histogram-shaped objects become
     /// histograms (see [`Histogram::from_value`]). The reconstruction
     /// is exact, so re-serializing yields the original bytes — the
-    /// property sweep checkpoints and shard merges rely on. Returns
+    /// property sweep checkpoints rely on. Returns
     /// `None` if the value is not such an object.
     pub fn from_value(v: &json::Value) -> Option<Registry> {
         let json::Value::Obj(map) = v else {
@@ -202,25 +192,6 @@ mod tests {
         r.histogram("h", &h);
         r.histogram("h", &h);
         assert_eq!(r.histogram_value("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut h = Histogram::new();
-        h.record(7);
-        let mut a = Registry::new();
-        a.counter("x", 1);
-        a.histogram("h", &h);
-        let mut b = Registry::new();
-        b.counter("x", 2);
-        b.counter("y", 3);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter_value("x"), Some(3));
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! them into one global harvest as threads exit; worker threads finish
 //! in nondeterministic order, so an order-independent `PROFILE_*` json
 //! requires the fold to be a commutative, associative monoid with the
-//! empty profile as identity — exactly the contract the [`Registry`]
-//! fold pins in `merge_properties.rs`.
-//!
-//! [`Registry`]: interleave_obs::Registry
+//! empty profile as identity.
 
 use interleave_obs::profile::{PhaseProfile, PhaseStats};
 use proptest::prelude::*;

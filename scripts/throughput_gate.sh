@@ -26,7 +26,7 @@
 #
 # The optional fourth/fifth arguments attribute the verdict to host
 # phases: both are `interleave-profile-v1` documents (as written by
-# `interleave-sim sweep --trace-out PATH --json DIR`).
+# `interleave-sim sweep --profile --json DIR`).
 # On a rate failure the gate names the phase whose share of the wall
 # clock grew the most against the baseline profile (default
 # `ci/baseline_phases.json`); on a pass it prints the current phase

@@ -81,9 +81,9 @@ pub enum Command {
         /// whole-grid sweep over the shards' combined directory
         /// assembles their slices.
         checkpoint_dir: Option<String>,
-        /// Run under the host-phase profiler and write a Chrome trace of
-        /// the recorded host spans here.
-        trace_out: Option<String>,
+        /// Run under the host-phase profiler: print the phase table and,
+        /// with `json`, write `PROFILE_<grid>.json`.
+        profile: bool,
         /// Print a per-second completion heartbeat to stderr.
         progress: bool,
     },
@@ -166,8 +166,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
     (
         "sweep",
         "--artifact ARTIFACT [--jobs N] [--mp-jobs N] [--scale ci|full] [--json DIR] \
-         [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--trace-out PATH] \
-         [--progress]",
+         [--seed N] [--shard K/N] [--checkpoint-dir DIR] [--profile] [--progress]",
     ),
     ("serve", "[--addr HOST:PORT] [--queue-depth N] [--workers N] [--cache-dir DIR]"),
     (
@@ -425,7 +424,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             mp_jobs: a.opt_num("mp-jobs")?,
             shard: a.typed("shard", "K/N with 1 <= K <= N", Shard::parse)?,
             checkpoint_dir: a.string("checkpoint-dir"),
-            trace_out: a.string("trace-out"),
+            profile: a.switch("profile"),
             progress: a.switch("progress"),
         },
         "serve" => {
@@ -679,7 +678,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
             mp_jobs,
             shard,
             checkpoint_dir,
-            trace_out,
+            profile,
             progress,
         } => {
             let artifact = crate::bench::artifacts::find(&artifact).map_err(CliError)?;
@@ -689,7 +688,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     ("--json", json.is_some()),
                     ("--shard", shard.is_some()),
                     ("--checkpoint-dir", checkpoint_dir.is_some()),
-                    ("--trace-out", trace_out.is_some()),
+                    ("--profile", profile),
                 ];
                 if let Some((flag, _)) = grid_flags.iter().find(|(_, set)| *set) {
                     return Err(CliError(format!(
@@ -715,9 +714,8 @@ pub fn run(command: Command) -> Result<(), CliError> {
                         .into(),
                 ));
             }
-            if trace_out.is_some() {
+            if profile {
                 crate::obs::profile::set_enabled(true);
-                crate::obs::profile::record_spans(true);
             }
             let jobs = jobs.unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -753,7 +751,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                     sweep.wall,
                     sweep.scale.name()
                 );
-                // Present whenever the profiler ran (`--trace-out`).
+                // Present whenever the profiler ran (`--profile`).
                 if let Some(profile) = sweep.profile.as_ref().filter(|p| !p.is_empty()) {
                     println!("{}", phase_table(&sweep.name, profile, sweep.wall));
                     println!(
@@ -765,22 +763,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 if let Some(dir) = &json {
                     write_artifacts(sweep, dir)?;
                 }
-            }
-            if let Some(out) = trace_out {
-                let (spans, dropped) = crate::obs::profile::take_spans();
-                if dropped > 0 {
-                    eprintln!("warning: dropped {dropped} host spans (per-thread cap)");
-                }
-                let doc = crate::obs::profile::spans_to_chrome(&spans).to_json();
-                let summary = crate::obs::chrome::validate(&doc)
-                    .map_err(|e| CliError(format!("host trace failed validation: {e}")))?;
-                std::fs::write(&out, &doc)
-                    .map_err(|e| CliError(format!("cannot write `{out}`: {e}")))?;
-                println!(
-                    "wrote {out} ({} spans on {} tracks)",
-                    summary.spans,
-                    summary.spans_by_track.len()
-                );
             }
         }
         Command::Serve(config) => {
@@ -1107,6 +1089,8 @@ mod tests {
             // daemon jobs through `/jobs/<id>/events`.
             ("sweep --artifact smoke --status-dir d", "--status-dir"),
             ("serve --status-dir d", "--status-dir"),
+            // The profiler is a switch with one output, not a trace path.
+            ("sweep --artifact smoke --trace-out h.json", "--trace-out"),
         ] {
             expect_err(argv(line), flag);
         }
@@ -1158,7 +1142,7 @@ mod tests {
     fn parses_sweep() {
         let cmd = parse(&argv(
             "sweep --artifact table7 --jobs 4 --scale full --json out --seed 9 --mp-jobs 2 \
-             --trace-out h.json --progress",
+             --profile --progress",
         ))
         .unwrap();
         assert_eq!(
@@ -1172,7 +1156,7 @@ mod tests {
                 mp_jobs: Some(2),
                 shard: None,
                 checkpoint_dir: None,
-                trace_out: Some("h.json".into()),
+                profile: true,
                 progress: true,
             }
         );
@@ -1188,7 +1172,7 @@ mod tests {
                 mp_jobs: None,
                 shard: None,
                 checkpoint_dir: None,
-                trace_out: None,
+                profile: false,
                 progress: false,
             }
         );
@@ -1196,9 +1180,9 @@ mod tests {
 
     #[test]
     fn parses_profile() {
-        // The phase profile that `profile` produced is now `sweep --trace-out`.
+        // The phase profile that `profile` produced is now `sweep --profile`.
         let cmd = parse(&argv(
-            "sweep --artifact smoke --jobs 2 --scale ci --json out --seed 7 --trace-out h.json",
+            "sweep --artifact smoke --jobs 2 --scale ci --json out --seed 7 --profile",
         ))
         .unwrap();
         assert_eq!(
@@ -1212,12 +1196,14 @@ mod tests {
                 mp_jobs: None,
                 shard: None,
                 checkpoint_dir: None,
-                trace_out: Some("h.json".into()),
+                profile: true,
                 progress: false,
             }
         );
-        assert!(parse(&argv("profile --artifact smoke --trace-out h.json")).is_err());
-        assert!(parse(&argv("sweep --artifact smoke --scale huge --trace-out h.json")).is_err());
+        assert!(parse(&argv("profile --artifact smoke")).is_err());
+        assert!(parse(&argv("sweep --artifact smoke --scale huge --profile")).is_err());
+        // A switch takes no value.
+        assert!(parse(&argv("sweep --artifact smoke --profile h.json")).is_err());
     }
 
     #[test]
@@ -1381,16 +1367,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_trace_out_emits_phase_artifacts() {
+    fn sweep_profile_emits_phase_artifacts() {
         let dir = std::env::temp_dir().join(format!("ilv_profile_{}", std::process::id()));
-        let trace = dir.join("host_trace.json");
-        std::fs::create_dir_all(&dir).unwrap();
-        let line = format!(
-            "sweep --artifact smoke --jobs 1 --json {} --trace-out {}",
-            dir.display(),
-            trace.display()
-        );
+        std::fs::remove_dir_all(&dir).ok();
+        let line = format!("sweep --artifact smoke --jobs 1 --json {} --profile", dir.display());
         run(parse(&argv(&line)).unwrap()).unwrap();
+        // One profiler output: the directory holds the grid's BENCH and
+        // METRICS pair plus its PROFILE, and nothing else.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["BENCH_smoke.json", "METRICS_smoke.json", "PROFILE_smoke.json"]);
         // The acceptance bar: the phase self-times in the emitted
         // PROFILE document cover at least 90% of the measured wall.
         let doc = std::fs::read_to_string(dir.join("PROFILE_smoke.json")).unwrap();
@@ -1404,9 +1393,6 @@ mod tests {
             "self {} vs wall {wall_ns}",
             phases.total_self_ns()
         );
-        // The host-span trace is a structurally valid Chrome trace.
-        let trace_doc = std::fs::read_to_string(&trace).unwrap();
-        crate::obs::chrome::validate(&trace_doc).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1418,7 +1404,7 @@ mod tests {
 
     #[test]
     fn sweep_rejects_grid_flags_for_artifacts_without_a_grid() {
-        for flag in ["--json out", "--shard 1/2", "--checkpoint-dir c", "--trace-out t"] {
+        for flag in ["--json out", "--shard 1/2", "--checkpoint-dir c", "--profile"] {
             let cmd = parse(&argv(&format!("sweep --artifact table4 {flag}"))).unwrap();
             let err = run(cmd).unwrap_err();
             let flag = flag.split(' ').next().unwrap();
