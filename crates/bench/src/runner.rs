@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use interleave_core::{Scheme, StorePolicy};
 use interleave_mp::{LatencyModel, MpResult, MpSim, MpSimBuilder, SplashProfile};
-use interleave_obs::bus::Watch;
 use interleave_obs::json;
 use interleave_obs::profile::{self, PhaseProfile};
 use interleave_obs::Registry;
@@ -560,24 +559,24 @@ impl CellSim {
 /// downstream table and JSON artifact — is independent of thread
 /// scheduling.
 ///
-/// Every runner owns a latest-wins telemetry bus: after each completed
-/// cell it publishes a [`Snapshot`] (progress and throughput). A caller
-/// that wants to follow the sweep hands in its own bus with
-/// [`Runner::with_bus`], as the serve daemon does for each job's
-/// `/jobs/<id>/events` stream; a CLI sweep reports through the stderr
-/// heartbeat ([`Runner::progress`]).
-#[derive(Debug, Clone)]
+/// A runner reports progress to at most one observer ([`Runner::observe`]):
+/// after each completed cell it calls the observer with a [`Snapshot`]
+/// (progress and throughput). The CLI's `--progress` observer prints a
+/// stderr heartbeat; the serve daemon's stores the snapshot in the job
+/// its `/jobs/<id>/events` stream reads.
+#[derive(Clone)]
 pub struct Runner {
     jobs: usize,
-    progress: bool,
     shard: Option<Shard>,
     cache: Option<Arc<ResultCache>>,
-    bus: Watch<Snapshot>,
+    observer: Option<Observer>,
 }
 
-/// One live-telemetry observation of a running sweep, published on the
-/// runner's bus after every completed cell (latest-wins; see
-/// [`interleave_obs::bus`]).
+/// A per-cell progress callback (see [`Runner::observe`]).
+type Observer = Arc<dyn Fn(&Snapshot) + Send + Sync>;
+
+/// One live-telemetry observation of a running sweep, handed to the
+/// runner's observer after every completed cell.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Spec name (artifact stem).
@@ -620,42 +619,29 @@ impl Snapshot {
     }
 }
 
-/// Whether a heartbeat line should print after cell `done` of `total`
-/// completed, `since_last` after the previous line. The final cell
-/// always reports — a sweep that finishes inside the rate-limit window
-/// must still print its completion line (pinned by a unit test).
-fn heartbeat_due(done: usize, total: usize, since_last: Duration) -> bool {
-    done >= total || since_last >= Duration::from_secs(1)
-}
-
-/// Per-sweep telemetry state: publishes a [`Snapshot`] on the bus after
-/// every cell and prints the rate-limited stderr heartbeat when progress
-/// reporting is on.
+/// Per-sweep telemetry: folds each completed cell into the progress
+/// counts and hands a [`Snapshot`] to the runner's observer, if any.
 struct SweepTelemetry<'a> {
     artifact: &'a str,
     total: usize,
     started: Instant,
-    heartbeat: bool,
-    bus: &'a Watch<Snapshot>,
+    observer: Option<&'a Observer>,
     state: Mutex<TelemetryState>,
 }
 
 struct TelemetryState {
     done: usize,
     sim_cycles: u64,
-    last_print: Instant,
 }
 
 impl<'a> SweepTelemetry<'a> {
     fn new(runner: &'a Runner, spec: &'a ExperimentSpec, total: usize) -> SweepTelemetry<'a> {
-        let now = Instant::now();
         SweepTelemetry {
             artifact: spec.name(),
             total,
-            started: now,
-            heartbeat: runner.progress,
-            bus: &runner.bus,
-            state: Mutex::new(TelemetryState { done: 0, sim_cycles: 0, last_print: now }),
+            started: Instant::now(),
+            observer: runner.observer.as_ref(),
+            state: Mutex::new(TelemetryState { done: 0, sim_cycles: 0 }),
         }
     }
 
@@ -676,56 +662,28 @@ impl<'a> SweepTelemetry<'a> {
         }
     }
 
-    /// Publishes the starting snapshot so subscribers see the sweep
-    /// before its first cell completes.
-    fn begin(&self) {
-        let state = self.state.lock().expect("telemetry lock");
-        self.bus.publish(self.snapshot(&state));
-    }
-
-    /// Folds one completed cell in, publishes, and maybe heartbeats.
-    /// The state lock is held while publishing, so snapshots leave in
-    /// `done` order and the last one published is the final one.
+    /// Folds one completed cell in and reports it. The state lock is
+    /// held while the observer runs, so calls arrive in `done` order and
+    /// the last one carries the final snapshot.
     fn cell_finished(&self, result: &CellResult) {
-        let now = Instant::now();
         let mut state = self.state.lock().expect("telemetry lock");
         state.done += 1;
         state.sim_cycles += result.cycles();
-        let snapshot = self.snapshot(&state);
-        if self.heartbeat
-            && heartbeat_due(state.done, self.total, now.duration_since(state.last_print))
-        {
-            state.last_print = now;
-            eprintln!(
-                "sweep {}: {}/{} cells, {:.2} cells/s, {:.2e} sim cycles/s, ETA {:.0}s",
-                snapshot.artifact,
-                snapshot.done,
-                snapshot.total,
-                snapshot.cells_per_sec,
-                snapshot.sim_cycles_per_sec,
-                snapshot.eta_secs
-            );
+        if let Some(observe) = self.observer {
+            observe(&self.snapshot(&state));
         }
-        self.bus.publish(snapshot);
     }
 }
 
 impl Runner {
     /// A runner using `jobs` worker threads (clamped to at least 1).
     pub fn new(jobs: usize) -> Runner {
-        Runner { jobs: jobs.max(1), progress: false, shard: None, cache: None, bus: Watch::new() }
+        Runner { jobs: jobs.max(1), shard: None, cache: None, observer: None }
     }
 
     /// A single-threaded runner.
     pub fn serial() -> Runner {
         Runner::new(1)
-    }
-
-    /// Enables or disables the per-second completion heartbeat on stderr
-    /// (default off).
-    pub fn progress(mut self, on: bool) -> Runner {
-        self.progress = on;
-        self
     }
 
     /// Restricts the sweep to one disjoint slice of the grid (see
@@ -762,18 +720,13 @@ impl Runner {
         self
     }
 
-    /// Replaces the runner's telemetry bus with a caller-owned one, so
-    /// subscribers created *before* the runner existed (e.g. a server
-    /// job registered at enqueue time) observe the sweep this runner
-    /// eventually executes.
-    pub fn with_bus(mut self, bus: Watch<Snapshot>) -> Runner {
-        self.bus = bus;
+    /// Calls `observer` with a [`Snapshot`] after every completed cell,
+    /// one call at a time and in completion order; the last call of a
+    /// whole-grid sweep is `finished`. It runs on the worker that
+    /// finished the cell, so it should be brief.
+    pub fn observe(mut self, observer: impl Fn(&Snapshot) + Send + Sync + 'static) -> Runner {
+        self.observer = Some(Arc::new(observer));
         self
-    }
-
-    /// The worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Runs every cell of `spec` (or, when a shard is configured, the
@@ -796,9 +749,7 @@ impl Runner {
         // so the harvested self-times structurally account for the whole
         // sweep wall even when the cells themselves are brief.
         let sweep_scope = profile::enter("runner.sweep");
-        let telemetry = SweepTelemetry::new(self, spec, cells.len());
-        telemetry.begin();
-        let telemetry = &telemetry;
+        let telemetry = &SweepTelemetry::new(self, spec, cells.len());
         let checkpoints = self.cache.as_deref();
         let resumed_cells = AtomicUsize::new(0);
         let timed_cell = |c: &Cell| {
@@ -1209,25 +1160,21 @@ mod tests {
         assert_eq!(sweep.cell_walls.len(), sweep.cells.len());
     }
 
-    /// The final heartbeat must print even when the whole sweep finishes
-    /// inside the 1-second rate-limit window.
-    #[test]
-    fn heartbeat_always_reports_the_final_cell() {
-        assert!(heartbeat_due(6, 6, Duration::from_millis(1)), "final cell inside the window");
-        assert!(heartbeat_due(3, 6, Duration::from_secs(2)), "window elapsed mid-sweep");
-        assert!(!heartbeat_due(3, 6, Duration::from_millis(1)), "rate-limited mid-sweep");
-        assert!(heartbeat_due(1, 1, Duration::ZERO), "single-cell sweep still reports");
+    /// An observer that keeps every snapshot it is handed, in call order.
+    fn recording_runner(runner: Runner) -> (Runner, Arc<Mutex<Vec<Snapshot>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        (runner.observe(move |s| sink.lock().unwrap().push(s.clone())), seen)
     }
 
     #[test]
-    fn bus_publishes_per_cell_snapshots() {
+    fn observer_sees_per_cell_snapshots() {
         let spec = tiny_spec();
-        let bus = Watch::new();
-        let mut sub = bus.subscribe();
-        let runner = Runner::new(2).with_bus(bus);
-        assert!(sub.latest().is_none(), "nothing published before the sweep");
+        let (runner, seen) = recording_runner(Runner::new(2));
         let sweep = runner.run(&spec);
-        let last = sub.latest().expect("final snapshot on the bus");
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.iter().map(|s| s.done).collect::<Vec<_>>(), [1, 2, 3, 4, 5, 6]);
+        let last = seen.last().expect("final snapshot observed");
         assert_eq!(last.artifact, "tiny");
         assert_eq!(last.done, 6);
         assert_eq!(last.total, 6);
@@ -1239,22 +1186,21 @@ mod tests {
         assert_eq!(doc.get("sim_cycles").and_then(|v| v.as_u64()), Some(total));
     }
 
-    /// Workers finishing cells concurrently still publish in `done`
-    /// order: after every sweep the bus holds the final snapshot.
+    /// Workers finishing cells concurrently still report in `done`
+    /// order: every sweep's last observed snapshot is the final one.
     /// Resumed sweeps finish cells fastest, so they race hardest.
     #[test]
-    fn concurrent_workers_publish_the_final_snapshot_last() {
+    fn concurrent_workers_report_the_final_snapshot_last() {
         let dir = std::env::temp_dir().join(format!("ilv_status_race_{}", std::process::id()));
         let spec = tiny_spec().contexts([2, 4]);
         let total = spec.cells().len();
         assert_eq!(total, 10);
         Runner::serial().checkpoint_dir(dir.join("ck")).run(&spec);
         for run in 0..50 {
-            let bus = Watch::new();
-            let mut sub = bus.subscribe();
-            Runner::new(4).with_bus(bus).checkpoint_dir(dir.join("ck")).run(&spec);
-            let last = sub.latest().expect("final snapshot on the bus");
-            assert!(last.finished && last.done == total, "run {run}: bus ended at {}", last.done);
+            let (runner, seen) = recording_runner(Runner::new(4).checkpoint_dir(dir.join("ck")));
+            runner.run(&spec);
+            let last = seen.lock().unwrap().pop().expect("final snapshot observed");
+            assert!(last.finished && last.done == total, "run {run}: ended at {}", last.done);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -19,8 +19,6 @@
 //! * [`profile`] — the hierarchical host-phase self-profiler: timed
 //!   scopes and clock-free marks accumulate per thread and fold into a
 //!   [`profile::PhaseProfile`], a name-sorted field-wise sum.
-//! * [`bus`] — a latest-wins watch channel ([`bus::Watch`]) the sweep
-//!   runner publishes live per-cell telemetry snapshots through.
 //!
 //! # Overhead when disabled
 //!
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod chrome;
 mod counter;
 mod histogram;

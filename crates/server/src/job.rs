@@ -7,11 +7,10 @@
 //! same spec are the same computation — the foundation of the
 //! byte-identity guarantee the determinism gates enforce.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use interleave_bench::{one_grid_spec, ExperimentSpec, Scale, Snapshot};
-use interleave_obs::bus::Watch;
 use interleave_obs::json::{escape, Value, MAX_SAFE_INTEGER};
 
 /// Host worker threads a single job may claim (`"jobs"` knob cap): a
@@ -154,7 +153,7 @@ pub enum JobPhase {
 
 impl JobPhase {
     /// Whether the phase is `done` or `failed`.
-    fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, JobPhase::Done(_) | JobPhase::Failed(_))
     }
 
@@ -169,9 +168,9 @@ impl JobPhase {
     }
 }
 
-/// One admitted job: its request, resolved spec, telemetry bus, and
-/// lifecycle phase. Shared between the accept loop, the worker pool,
-/// and any number of streaming subscribers via `Arc`.
+/// One admitted job: its request, resolved spec, and live state. Shared
+/// between the accept loop, the worker pool, and any number of events
+/// streams via `Arc`.
 #[derive(Debug)]
 pub struct Job {
     /// Server-assigned id (sequential, starting at 1).
@@ -182,19 +181,27 @@ pub struct Job {
     pub spec: ExperimentSpec,
     /// Cells in the grid.
     pub total_cells: usize,
-    /// Per-job telemetry bus: created at admission so `events`
-    /// subscribers opened before the job runs still see every phase;
-    /// handed to the worker's `Runner` via
-    /// [`interleave_bench::Runner::with_bus`].
-    pub bus: Watch<Snapshot>,
-    phase: Mutex<JobPhase>,
-    /// Signalled on every phase transition.
-    phase_changed: Condvar,
+    state: Mutex<JobState>,
+    /// Signalled on every phase transition and every published snapshot.
+    changed: Condvar,
+}
+
+/// What a job's readers watch: its phase and its latest progress
+/// snapshot, with a version that counts snapshots.
+#[derive(Debug)]
+pub(crate) struct JobState {
+    /// Lifecycle phase.
+    pub(crate) phase: JobPhase,
+    /// The latest snapshot (0 cells done until the first cell finishes).
+    pub(crate) snapshot: Snapshot,
+    /// Bumped by every [`Job::publish`]; the seeded snapshot is version 0.
+    pub(crate) version: u64,
 }
 
 impl Job {
-    /// Admits a request: resolves its spec and publishes the initial
-    /// (0-cells-done) snapshot on a fresh bus.
+    /// Admits a request: resolves its spec and seeds the 0-cells-done
+    /// snapshot, so an events stream opened before the job runs has a
+    /// line to send.
     ///
     /// # Errors
     ///
@@ -202,8 +209,7 @@ impl Job {
     pub fn new(id: u64, request: JobRequest) -> Result<Job, String> {
         let spec = request.to_spec()?;
         let total_cells = spec.cells().len();
-        let bus = Watch::new();
-        bus.publish(Snapshot {
+        let snapshot = Snapshot {
             artifact: spec.name().to_string(),
             done: 0,
             total: total_cells,
@@ -212,44 +218,49 @@ impl Job {
             sim_cycles: 0,
             sim_cycles_per_sec: 0.0,
             finished: false,
-        });
+        };
         Ok(Job {
             id,
             request,
             spec,
             total_cells,
-            bus,
-            phase: Mutex::new(JobPhase::Queued),
-            phase_changed: Condvar::new(),
+            state: Mutex::new(JobState { phase: JobPhase::Queued, snapshot, version: 0 }),
+            changed: Condvar::new(),
         })
     }
 
-    /// Runs `f` with the current phase (the lock is held only for the
-    /// closure).
-    pub fn with_phase<R>(&self, f: impl FnOnce(&JobPhase) -> R) -> R {
-        f(&self.phase.lock().expect("job phase lock"))
+    /// The job's state (phase, latest snapshot, version), locked.
+    pub(crate) fn state(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().expect("job state lock")
     }
 
-    /// Whether the job has reached `done` or `failed`.
-    pub fn is_terminal(&self) -> bool {
-        self.with_phase(JobPhase::is_terminal)
-    }
-
-    /// Waits up to `timeout` for the job to reach `done` or `failed`;
-    /// returns whether it has.
-    pub fn wait_terminal(&self, timeout: Duration) -> bool {
-        let phase = self.phase.lock().expect("job phase lock");
-        let (phase, _) = self
-            .phase_changed
-            .wait_timeout_while(phase, timeout, |p| !p.is_terminal())
-            .expect("job phase lock");
-        phase.is_terminal()
-    }
-
-    /// Transitions the phase.
+    /// Transitions the phase and wakes every waiting reader.
     pub fn set_phase(&self, phase: JobPhase) {
-        *self.phase.lock().expect("job phase lock") = phase;
-        self.phase_changed.notify_all();
+        self.state().phase = phase;
+        self.changed.notify_all();
+    }
+
+    /// Stores the latest progress snapshot, bumps the version, and wakes
+    /// every waiting reader.
+    pub(crate) fn publish(&self, snapshot: Snapshot) {
+        let mut state = self.state();
+        state.snapshot = snapshot;
+        state.version += 1;
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    /// Waits up to `timeout` for `ready` to hold and returns the locked
+    /// state (whether or not it does).
+    pub(crate) fn wait_until(
+        &self,
+        timeout: Duration,
+        ready: impl Fn(&JobState) -> bool,
+    ) -> MutexGuard<'_, JobState> {
+        self.changed
+            .wait_timeout_while(self.state(), timeout, |state| !ready(state))
+            .expect("job state lock")
+            .0
     }
 
     /// The `GET /jobs/<id>` status document.
@@ -261,18 +272,18 @@ impl Job {
             format!("\"scale\": \"{}\"", self.spec.scale().name()),
             format!("\"cells\": {}", self.total_cells),
         ];
-        self.with_phase(|phase| {
-            fields.push(format!("\"state\": \"{}\"", phase.name()));
-            match phase {
-                JobPhase::Done(out) => {
-                    fields.push(format!("\"cached_cells\": {}", out.cached_cells));
-                    fields.push(format!("\"wall_ms\": {}", out.wall_ms));
-                    fields.push(format!("\"sim_cycles\": {}", out.sim_cycles));
-                }
-                JobPhase::Failed(error) => fields.push(format!("\"error\": {}", escape(error))),
-                JobPhase::Queued | JobPhase::Running => {}
+        let state = self.state();
+        let phase = &state.phase;
+        fields.push(format!("\"state\": \"{}\"", phase.name()));
+        match phase {
+            JobPhase::Done(out) => {
+                fields.push(format!("\"cached_cells\": {}", out.cached_cells));
+                fields.push(format!("\"wall_ms\": {}", out.wall_ms));
+                fields.push(format!("\"sim_cycles\": {}", out.sim_cycles));
             }
-        });
+            JobPhase::Failed(error) => fields.push(format!("\"error\": {}", escape(error))),
+            JobPhase::Queued | JobPhase::Running => {}
+        }
         format!("{{{}}}\n", fields.join(", "))
     }
 }
@@ -336,21 +347,47 @@ mod tests {
         let job = Job::new(3, request(r#"{"artifact": "smoke", "seed": 5}"#).unwrap()).unwrap();
         assert_eq!(job.spec.name(), "smoke");
         assert!(job.total_cells > 0);
-        assert!(!job.is_terminal());
+        assert!(!job.state().phase.is_terminal());
         assert!(job.status_json().contains("\"state\": \"queued\""));
-        // The initial snapshot is already on the bus for early
-        // subscribers.
-        let mut sub = job.bus.subscribe();
-        let snap = sub.latest().expect("initial snapshot published");
-        assert_eq!((snap.done, snap.total), (0, job.total_cells));
-        assert!(!job.wait_terminal(Duration::from_millis(1)));
+        // The initial snapshot is seeded at admission for early readers.
+        let state = job.state();
+        assert_eq!((state.snapshot.done, state.snapshot.total), (0, job.total_cells));
+        assert_eq!(state.version, 0);
+        drop(state);
+        let terminal = |s: &JobState| s.phase.is_terminal();
+        assert!(!job.wait_until(Duration::from_millis(1), terminal).phase.is_terminal());
         job.set_phase(JobPhase::Failed("boom".into()));
-        assert!(job.is_terminal());
-        assert!(job.wait_terminal(Duration::ZERO));
+        assert!(job.wait_until(Duration::ZERO, terminal).phase.is_terminal());
         let status = job.status_json();
         assert!(status.contains("\"state\": \"failed\""), "{status}");
         assert!(status.contains("\"error\": \"boom\""), "{status}");
         // Unknown artifacts fail at admission, not on the worker.
         assert!(Job::new(4, request(r#"{"artifact": "nope"}"#).unwrap()).is_err());
+    }
+
+    /// Every reader keeps its own `seen` version, so one publish wakes
+    /// and reaches them all.
+    #[test]
+    fn one_publish_reaches_every_waiting_reader() {
+        let job = &Job::new(1, request(r#"{"artifact": "smoke"}"#).unwrap()).unwrap();
+        let mut published = job.state().snapshot.clone();
+        published.done = 1;
+        let started = std::time::Instant::now();
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let seen = job.state().version;
+                    s.spawn(move || {
+                        let state = job.wait_until(Duration::from_secs(30), |j| j.version > seen);
+                        (state.version, state.snapshot.done)
+                    })
+                })
+                .collect();
+            job.publish(published);
+            for reader in readers {
+                assert_eq!(reader.join().unwrap(), (1, 1));
+            }
+        });
+        assert!(started.elapsed() < Duration::from_secs(10), "readers were not woken");
     }
 }

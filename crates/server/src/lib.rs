@@ -196,13 +196,14 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Executes one job on a [`Runner`] wired to the job's bus and the
-/// server's shared result cache.
+/// Executes one job on a [`Runner`] that publishes each cell's snapshot
+/// into the job, backed by the server's shared result cache.
 fn run_job(state: &ServerState, job: &Arc<Job>) {
     job.set_phase(JobPhase::Running);
     state.jobs_running.fetch_add(1, Ordering::Relaxed);
+    let observed = Arc::clone(job);
     let mut runner = Runner::new(job.request.jobs.unwrap_or(1).min(job::MAX_JOBS_PER_REQUEST))
-        .with_bus(job.bus.clone());
+        .observe(move |snapshot| observed.publish(snapshot.clone()));
     if let Some(cache) = &state.cache {
         runner = runner.result_cache(Arc::clone(cache));
     }
@@ -334,22 +335,18 @@ fn submit(state: &Arc<ServerState>, body: &str) -> Response {
 
 /// `GET /jobs/<id>/bench|metrics`: the artifact document, once done.
 fn artifact(job: &Job, pick: impl Fn(&job::JobOutput) -> String) -> Response {
-    job.with_phase(|phase| match phase {
+    match &job.state().phase {
         JobPhase::Done(out) => Response::json(200, pick(out)),
         JobPhase::Failed(error) => Response::error(500, error),
-        JobPhase::Queued | JobPhase::Running => Response::error(
+        phase @ (JobPhase::Queued | JobPhase::Running) => Response::error(
             409,
             &format!("job {} is {}; artifacts appear once it is done", job.id, phase.name()),
         ),
-    })
+    }
 }
 
 /// `GET /jobs/<id>/events`: stream newline-delimited status snapshots
-/// from the job's bus until it finishes (or the client goes away).
-///
-/// The Runner publishes its `finished` snapshot before the worker stores
-/// the job's artifacts, so that snapshot is held back until the phase is
-/// terminal: once a client has read it, `/jobs/<id>/metrics` answers.
+/// until the job finishes (or the client goes away).
 fn stream_events(state: &Arc<ServerState>, id: u64, stream: &mut TcpStream) {
     let Some(job) = state.jobs.lock().expect("jobs lock").get(&id).cloned() else {
         let _ = Response::error(404, &format!("no job {id}")).write_to(stream);
@@ -364,36 +361,38 @@ fn stream_events(state: &Arc<ServerState>, id: u64, stream: &mut TcpStream) {
     {
         return;
     }
-    let mut subscriber = job.bus.subscribe();
-    let mut pending = subscriber.latest();
-    loop {
-        if let Some(snapshot) = pending.take() {
-            let finished = snapshot.finished;
-            if finished {
-                while !job.wait_terminal(Duration::from_millis(250)) {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-            }
-            if writeln!(stream, "{}", snapshot.to_json_line())
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                return;
-            }
-            if finished {
+    write_events(&job, &state.shutdown, stream);
+}
+
+/// Writes each newer snapshot of `job` as one `interleave-status-v2`
+/// line. The Runner reports its `finished` snapshot before the worker
+/// stores the job's artifacts, so that line is held back until the phase
+/// is `done`: once a client has read it, `/jobs/<id>/metrics` answers.
+/// Returns after the `finished` line, at once when the job fails, on
+/// `shutdown`, or when a write fails. The 250 ms wait bound exists only
+/// to notice `shutdown`.
+fn write_events(job: &Job, shutdown: &AtomicBool, out: &mut impl Write) {
+    // The version of the last snapshot written (`None` before the first).
+    let mut seen: Option<u64> = None;
+    while !shutdown.load(Ordering::SeqCst) {
+        let newer = |s: &job::JobState| seen.is_none_or(|v| s.version > v);
+        let job_state = job.wait_until(Duration::from_millis(250), |s| {
+            s.phase.is_terminal() || (newer(s) && !s.snapshot.finished)
+        });
+        let done = match job_state.phase {
+            JobPhase::Failed(_) => return,
+            JobPhase::Done(_) => true,
+            JobPhase::Queued | JobPhase::Running => false,
+        };
+        if newer(&job_state) && (done || !job_state.snapshot.finished) {
+            seen = Some(job_state.version);
+            let line = job_state.snapshot.to_json_line();
+            drop(job_state);
+            if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
                 return;
             }
         }
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        pending = subscriber.changed(Duration::from_millis(250));
-        // A failed job never publishes a `finished` snapshot: end the
-        // stream once the phase is terminal and nothing newer is
-        // coming.
-        if pending.is_none() && job.is_terminal() && !subscriber.has_changed() {
+        if done {
             return;
         }
     }
@@ -447,4 +446,77 @@ fn shutdown(state: &Arc<ServerState>) -> Response {
     state.queue_changed.notify_all();
     let _ = TcpStream::connect(state.addr);
     Response::json(200, "{\"ok\": true, \"shutting_down\": true}\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+
+    /// Streams a fresh queued smoke job's events on a scoped thread and
+    /// runs `drive` with the job and a channel of the stream's lines,
+    /// which disconnects when the stream ends.
+    fn with_events(drive: impl FnOnce(&Job, &Receiver<String>)) {
+        let request = JobRequest::from_value(&json::parse(r#"{"artifact": "smoke"}"#).unwrap());
+        let job = &Job::new(1, request.unwrap()).unwrap();
+        let (reader, mut writer) = io::pipe().unwrap();
+        let (lines, rx) = mpsc::channel();
+        let shutdown = &AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(move || write_events(job, shutdown, &mut writer));
+            s.spawn(move || {
+                for line in BufReader::new(reader).lines().map_while(Result::ok) {
+                    let _ = lines.send(line);
+                }
+            });
+            let outcome = catch_unwind(AssertUnwindSafe(|| drive(job, &rx)));
+            // A failed assertion must not leave the stream waiting forever.
+            shutdown.store(true, Ordering::SeqCst);
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        });
+    }
+
+    /// A failed job never reports `finished`: its stream ends as soon as
+    /// the phase turns, not at the next wait timeout.
+    #[test]
+    fn events_end_at_once_when_the_job_fails() {
+        with_events(|job, lines| {
+            assert!(lines.recv().unwrap().contains("\"done\": 0,"), "the seeded snapshot");
+            job.set_phase(JobPhase::Running);
+            job.set_phase(JobPhase::Failed("boom".into()));
+            assert_eq!(
+                lines.recv_timeout(Duration::from_millis(150)),
+                Err(RecvTimeoutError::Disconnected),
+                "the stream ends at once, with no further line"
+            );
+        });
+    }
+
+    /// The `finished` line waits for the `done` phase, so a client that
+    /// has read it can fetch the artifacts.
+    #[test]
+    fn finished_line_waits_for_the_done_phase() {
+        with_events(|job, lines| {
+            assert!(lines.recv().unwrap().contains("\"done\": 0,"), "the seeded snapshot");
+            let mut snapshot = job.state().snapshot.clone();
+            (snapshot.done, snapshot.finished) = (snapshot.total, true);
+            job.publish(snapshot);
+            // Longer than the stream's 250 ms wait bound.
+            let held = lines.recv_timeout(Duration::from_millis(300));
+            assert_eq!(held, Err(RecvTimeoutError::Timeout), "`finished` is held while it runs");
+            job.set_phase(JobPhase::Done(Box::new(job::JobOutput {
+                bench_json: String::new(),
+                metrics_json: String::new(),
+                cells: job.total_cells,
+                cached_cells: 0,
+                wall_ms: 0,
+                sim_cycles: 0,
+            })));
+            assert!(lines.recv().unwrap().contains("\"finished\": true"));
+            assert!(lines.recv().is_err(), "the stream ends after `finished`");
+        });
+    }
 }

@@ -6,8 +6,10 @@
 #
 #   --quick      skip the release-binary smoke runs
 #   --validate   also run the test suite with the invariant checkers on
-#                (INTERLEAVE_VALIDATE=1) and enforce the <2x wall-clock
-#                overhead budget on the smoke grid
+#                (INTERLEAVE_VALIDATE=1) and gate the smoke grid's
+#                validated wall-clock at 2x base + 500ms (the slack
+#                dominates on this short grid; the checkers cost ~2.2x
+#                on CI-scale table7, see DESIGN.md "Validation")
 #   --serve-only release build + the serve daemon smoke alone (the CI
 #                serve-e2e job's entry point)
 #
@@ -375,9 +377,10 @@ echo "check.sh: shard smoke ok (2-way shard checkpoints assembled byte-identical
 serve_smoke
 
 if [ "$validate" -eq 1 ]; then
-  # Overhead budget: the same smoke grid with every checker enabled
-  # must stay under 2x the plain wall-clock (plus 500ms of slack —
-  # these runs are short enough for scheduler noise to matter).
+  # Overhead gate: the same smoke grid with every checker enabled
+  # must finish within 2x the plain wall-clock plus 500ms of slack
+  # (these runs are short enough for scheduler noise to matter, and
+  # the slack is most of the budget).
   base_ms="$(bench_wall_ms "$tmpdir/BENCH_smoke.json")"
   mkdir -p "$tmpdir/validate"
   INTERLEAVE_VALIDATE=1 ./target/release/interleave-sim sweep --artifact smoke --json "$tmpdir/validate" >/dev/null

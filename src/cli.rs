@@ -8,16 +8,22 @@
 //! configuration surface: no environment variable changes what a command
 //! computes.
 
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
 use crate::bench::artifacts::one_grid_names;
-use crate::bench::{resolve_specs, Runner, Scale, Shard, SweepResult, ARTIFACTS};
+use crate::bench::{
+    resolve_specs, Cell, CellSim, ExperimentSpec, Runner, Scale, Shard, Snapshot, SweepResult,
+    Target, ARTIFACTS,
+};
 use crate::core::{Scheme, MAX_CONTEXTS};
-use crate::mp::{splash_suite, MpSim, SplashProfile, MAX_NODES};
+use crate::mp::{splash_suite, SplashProfile, MAX_NODES};
 use crate::obs::{Metric, Registry};
 use crate::server::job::JobRequest;
 use crate::server::ServerConfig;
 use crate::stats::{Category, Table};
 use crate::workloads::mixes::{self, Workload};
-use crate::workloads::{MultiprogramSim, SyntheticApp};
+use crate::workloads::SyntheticApp;
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,10 +37,10 @@ pub enum Command {
         scheme: Scheme,
         /// Hardware contexts.
         contexts: usize,
-        /// Instructions per application.
-        quota: u64,
-        /// Stream seed.
-        seed: u64,
+        /// Instructions per application (`None` = the CI-scale quota).
+        quota: Option<u64>,
+        /// Stream seed (`None` = the sim's default).
+        seed: Option<u64>,
         /// Where to write the registry JSON (`None` = tables only).
         json: Option<String>,
     },
@@ -44,14 +50,14 @@ pub enum Command {
         app: String,
         /// Scheduling scheme.
         scheme: Scheme,
-        /// Nodes in the machine.
-        nodes: usize,
+        /// Nodes in the machine (`None` = the CI-scale machine).
+        nodes: Option<usize>,
         /// Contexts per node.
         contexts: usize,
-        /// Total instructions of work.
-        work: u64,
-        /// Stream seed.
-        seed: u64,
+        /// Total instructions of work (`None` = the CI-scale work).
+        work: Option<u64>,
+        /// Stream seed (`None` = the sim's default).
+        seed: Option<u64>,
     },
     /// Run a whole experiment grid on the parallel sweep runner.
     Sweep {
@@ -342,22 +348,25 @@ impl Args {
         Ok(self.opt_num(name)?.unwrap_or(default))
     }
 
-    /// A count flag that must lie in `1..=most`.
-    fn count(&self, name: &str, default: usize, most: usize) -> Result<usize, CliError> {
-        let n = self.num(name, default)?;
-        if !(1..=most).contains(&n) {
-            return Err(CliError(format!("{}: --{name} expects 1 to {most}, got {n}", self.sub)));
+    /// A count flag that must lie in `1..=most` (`None` when unset).
+    fn opt_count(&self, name: &str, most: usize) -> Result<Option<usize>, CliError> {
+        let n = self.opt_num(name)?;
+        match n {
+            Some(n) if !(1..=most).contains(&n) => {
+                Err(CliError(format!("{}: --{name} expects 1 to {most}, got {n}", self.sub)))
+            }
+            _ => Ok(n),
         }
-        Ok(n)
     }
 
     /// `--contexts` for `scheme`: at most [`MAX_CONTEXTS`], and exactly
     /// one (the default) for the single-context scheme.
     fn contexts(&self, scheme: Scheme, default: usize) -> Result<usize, CliError> {
-        match scheme {
-            Scheme::Single => self.count("contexts", 1, 1),
-            _ => self.count("contexts", default, MAX_CONTEXTS),
-        }
+        let (default, most) = match scheme {
+            Scheme::Single => (1, 1),
+            _ => (default, MAX_CONTEXTS),
+        };
+        Ok(self.opt_count("contexts", most)?.unwrap_or(default))
     }
 
     fn scheme(&self) -> Result<Scheme, CliError> {
@@ -403,17 +412,17 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             workload: workload(),
             scheme: a.scheme()?,
             contexts: a.contexts(a.scheme()?, 4)?,
-            quota: a.num("quota", 40_000)?,
-            seed: a.num("seed", 0x19940501)?,
+            quota: a.opt_num("quota")?,
+            seed: a.opt_num("seed")?,
             json: a.string("json"),
         },
         "mp" => Command::Mp {
             app: a.get("app").unwrap_or("Water").to_string(),
             scheme: a.scheme()?,
-            nodes: a.count("nodes", 8, MAX_NODES)?,
+            nodes: a.opt_count("nodes", MAX_NODES)?,
             contexts: a.contexts(a.scheme()?, 4)?,
-            work: a.num("work", 400_000)?,
-            seed: a.num("seed", 0x19941004)?,
+            work: a.opt_num("work")?,
+            seed: a.opt_num("seed")?,
         },
         "sweep" => Command::Sweep {
             artifact: a.string("artifact").unwrap_or_default(),
@@ -489,6 +498,51 @@ fn find_app(name: &str) -> Result<SplashProfile, CliError> {
         .into_iter()
         .find(|a| a.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| CliError(format!("unknown application `{name}` (try `list`)")))
+}
+
+/// The simulator a `uni` or `mp` command drives, and its target's name:
+/// one cell of a CI-scale spec, so a setting no flag gives takes the
+/// value a CI-scale sweep cell gets.
+fn single_run(command: &Command) -> Result<(&'static str, CellSim), CliError> {
+    let spec = ExperimentSpec::new("run", Scale::Ci);
+    let (spec, target, scheme, contexts, seed) = match command.clone() {
+        Command::Uni { workload, scheme, contexts, quota, seed, .. } => {
+            let spec = quota.into_iter().fold(spec, ExperimentSpec::quota);
+            (spec, Target::Uni(find_workload(&workload)?), scheme, contexts, seed)
+        }
+        Command::Mp { app, scheme, nodes, contexts, work, seed } => {
+            let spec = nodes.into_iter().fold(spec, ExperimentSpec::nodes);
+            let spec = work.into_iter().fold(spec, ExperimentSpec::work);
+            (spec, Target::Mp(find_app(&app)?), scheme, contexts, seed)
+        }
+        other => unreachable!("`{other:?}` is not a single run"),
+    };
+    Ok((target.name(), spec.build(&Cell { target, scheme, contexts, seed })))
+}
+
+/// Whether a heartbeat line should print after cell `done` of `total`
+/// completed, `since_last` after the previous line. The final cell
+/// always reports — a sweep that finishes inside the rate-limit window
+/// must still print its completion line (pinned by a unit test).
+fn heartbeat_due(done: usize, total: usize, since_last: Duration) -> bool {
+    done >= total || since_last >= Duration::from_secs(1)
+}
+
+/// The `--progress` observer: a stderr heartbeat line at most once a
+/// second, and always for a sweep's final cell.
+fn heartbeat() -> impl Fn(&Snapshot) + Send + Sync {
+    let last_print = Mutex::new(Instant::now());
+    move |s: &Snapshot| {
+        let now = Instant::now();
+        let mut last = last_print.lock().expect("heartbeat lock");
+        if heartbeat_due(s.done, s.total, now.duration_since(*last)) {
+            *last = now;
+            eprintln!(
+                "sweep {}: {}/{} cells, {:.2} cells/s, {:.2e} sim cycles/s, ETA {:.0}s",
+                s.artifact, s.done, s.total, s.cells_per_sec, s.sim_cycles_per_sec, s.eta_secs
+            );
+        }
+    }
 }
 
 /// Writes a sweep's `BENCH_*` and `METRICS_*` documents into `dir`, plus
@@ -612,18 +666,12 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 println!("  {:<22}{:>2}  {}", a.name, (a.specs)(Scale::Ci).len(), a.about);
             }
         }
-        Command::Uni { workload, scheme, contexts, quota, seed, json } => {
-            let workload = find_workload(&workload)?;
-            let result = MultiprogramSim::builder(workload.clone())
-                .scheme(scheme)
-                .contexts(contexts)
-                .quota(quota)
-                .seed(seed)
-                .build()
-                .run();
+        Command::Uni { scheme, contexts, ref json, .. } => {
+            let (name, sim) = single_run(&command)?;
+            let result = sim.run();
+            let result = result.as_uni().expect("a uni command runs a uniprocessor cell");
             println!(
-                "{} | {scheme:?} x{contexts} | {} cycles | IPC {:.3}\n",
-                workload.name,
+                "{name} | {scheme:?} x{contexts} | {} cycles | IPC {:.3}\n",
                 result.cycles,
                 result.throughput()
             );
@@ -643,24 +691,19 @@ pub fn run(command: Command) -> Result<(), CliError> {
             );
             println!("\n{}", registry_table(&result.metrics));
             if let Some(path) = json {
-                std::fs::write(&path, format!("{}\n", result.metrics.to_json_line()))
+                std::fs::write(path, format!("{}\n", result.metrics.to_json_line()))
                     .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
                 println!("wrote {path}");
             }
         }
-        Command::Mp { app, scheme, nodes, contexts, work, seed } => {
-            let app = find_app(&app)?;
-            let result = MpSim::builder(app.clone())
-                .scheme(scheme)
-                .nodes(nodes)
-                .contexts(contexts)
-                .work(work)
-                .seed(seed)
-                .build()
-                .run();
+        Command::Mp { scheme, contexts, .. } => {
+            let (name, sim) = single_run(&command)?;
+            let result = sim.run();
+            let result = result.as_mp().expect("an mp command runs a multiprocessor cell");
+            let nodes = result.per_node.len();
             println!(
-                "{} | {scheme:?} | {nodes} nodes x {contexts} contexts = {} threads | {} cycles\n",
-                app.name, result.threads, result.cycles
+                "{name} | {scheme:?} | {nodes} nodes x {contexts} contexts = {} threads | {} cycles\n",
+                result.threads, result.cycles
             );
             println!("{}", breakdown_report("all-processor breakdown", &result.breakdown));
             let d = result.directory;
@@ -720,7 +763,10 @@ pub fn run(command: Command) -> Result<(), CliError> {
             let jobs = jobs.unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             });
-            let mut runner = Runner::new(jobs).progress(progress);
+            let mut runner = Runner::new(jobs);
+            if progress {
+                runner = runner.observe(heartbeat());
+            }
             if let Some(shard) = shard {
                 runner = runner.shard(shard);
             }
@@ -967,11 +1013,25 @@ mod tests {
                 workload: "FP".into(),
                 scheme: Scheme::Interleaved,
                 contexts: 4,
-                quota: 40_000,
-                seed: 0x19940501,
+                quota: None,
+                seed: None,
                 json: None,
             }
         );
+    }
+
+    /// Unset `uni`/`mp` flags fall through to the CI-scale spec: the
+    /// default runs are cells of the CI-scale Table 7 and Table 10 grids.
+    #[test]
+    fn default_single_runs_are_ci_scale_cells() {
+        for (line, artifact, target) in [("uni", "table7", "FP"), ("mp", "table10", "Water")] {
+            let spec = crate::bench::artifact_spec(artifact, Scale::Ci).unwrap();
+            let cell = spec.cells().into_iter().find(|c| {
+                c.target.name() == target && c.scheme == Scheme::Interleaved && c.contexts == 4
+            });
+            let (_, sim) = single_run(&parse(&argv(line)).unwrap()).unwrap();
+            assert_eq!(sim.descriptor(), spec.build(&cell.unwrap()).descriptor(), "{line}");
+        }
     }
 
     #[test]
@@ -985,7 +1045,7 @@ mod tests {
                 assert_eq!(workload, "DC");
                 assert_eq!(scheme, Scheme::Blocked);
                 assert_eq!(contexts, 2);
-                assert_eq!(quota, 999);
+                assert_eq!(quota, Some(999));
                 assert_eq!(json.as_deref(), Some("m.json"));
             }
             other => panic!("{other:?}"),
@@ -998,7 +1058,7 @@ mod tests {
         match parse(&argv("uni --workload DC --quota 500 --json m.json")).unwrap() {
             Command::Uni { workload, quota, json, .. } => {
                 assert_eq!(workload, "DC");
-                assert_eq!(quota, 500);
+                assert_eq!(quota, Some(500));
                 assert_eq!(json.as_deref(), Some("m.json"));
             }
             other => panic!("{other:?}"),
@@ -1176,6 +1236,16 @@ mod tests {
                 progress: false,
             }
         );
+    }
+
+    /// The final heartbeat must print even when the whole sweep finishes
+    /// inside the 1-second rate-limit window.
+    #[test]
+    fn heartbeat_always_reports_the_final_cell() {
+        assert!(heartbeat_due(6, 6, Duration::from_millis(1)), "final cell inside the window");
+        assert!(heartbeat_due(3, 6, Duration::from_secs(2)), "window elapsed mid-sweep");
+        assert!(!heartbeat_due(3, 6, Duration::from_millis(1)), "rate-limited mid-sweep");
+        assert!(heartbeat_due(1, 1, Duration::ZERO), "single-cell sweep still reports");
     }
 
     #[test]
@@ -1429,8 +1499,8 @@ mod tests {
             workload: "nope".into(),
             scheme: Scheme::Single,
             contexts: 1,
-            quota: 10,
-            seed: 1,
+            quota: Some(10),
+            seed: Some(1),
             json: None,
         })
         .unwrap_err();
@@ -1445,12 +1515,12 @@ mod tests {
             workload: "DC".into(),
             scheme: Scheme::Blocked,
             contexts: 2,
-            quota: 2_000,
-            seed: 7,
+            quota: Some(2_000),
+            seed: Some(7),
             json: Some(path.to_string_lossy().into_owned()),
         })
         .unwrap();
-        let result = MultiprogramSim::builder(mixes::dc())
+        let result = crate::workloads::MultiprogramSim::builder(mixes::dc())
             .scheme(Scheme::Blocked)
             .contexts(2)
             .quota(2_000)
